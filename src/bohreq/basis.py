@@ -90,30 +90,24 @@ class Basis:
         return len(self.elements)
 
 
-def compute_basis(
-    exponents: Sequence[ExponentVector],
-) -> tuple[Basis, BohrMatrix, BohrMatrix]:
-    """Basis of the rational span of `exponents`, with exact R and T.
+def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fraction]]]:
+    """Earliest-first pivots of a vector list and each vector's expression over them.
 
-    Earliest-exponent-first pivoting: the basis is the subsequence of inputs
-    whose coordinate vectors are independent of everything kept before, so the
-    result is deterministic and basis elements are always original exponents.
-    Zero exponents get an all-zero R row and never enter the basis.
+    Vectors are sparse, given by `.items()` pairs (sortable coordinate key,
+    nonzero rational): exponent vectors, or Bohr-matrix rows.  A vector becomes
+    a pivot when it is independent of every pivot kept before it.  Returns the
+    pivot positions and, for every vector, its exact coefficients over the
+    pivots (a unit row for a pivot, an empty row for a zero vector).
     """
-    exps = tuple(exponents)
-    if not exps:
-        raise EmptyInput("cannot compute a basis of an empty exponent list")
-
-    basis_elems: list[ExponentVector] = []
-    source: list[int] = []
-    r_rows: list[dict[int, Fraction]] = []
-    # Mutually reduced echelon rows over symbol coordinates.  Each entry is
-    # (lead symbol, coordinates, expression of the row over basis indices);
+    pivots: list[int] = []
+    rows: list[dict[int, Fraction]] = []
+    # Mutually reduced echelon rows over the coordinates.  Each entry is
+    # (lead key, coordinates, expression of the row over pivot positions);
     # no row's coordinates contain another row's lead, so one reduction pass
-    # per incoming exponent is complete.
-    echelon: list[tuple[str, dict[str, Fraction], dict[int, Fraction]]] = []
+    # per incoming vector is complete.
+    echelon: list[tuple[object, dict, dict[int, Fraction]]] = []
 
-    for idx, vec in enumerate(exps):
+    for idx, vec in enumerate(vectors):
         work = dict(vec.items())
         combo: dict[int, Fraction] = {}
         for lead, coords, expr in echelon:
@@ -129,12 +123,11 @@ def compute_basis(
                 for j, q in expr.items():
                     combo[j] = combo.get(j, Fraction(0)) + f * q
         if not work:
-            r_rows.append({j: q for j, q in combo.items() if q})
+            rows.append({j: q for j, q in combo.items() if q})
             continue
-        k = len(basis_elems)
-        basis_elems.append(vec)
-        source.append(idx)
-        r_rows.append({k: Fraction(1)})
+        k = len(pivots)
+        pivots.append(idx)
+        rows.append({k: Fraction(1)})
         expr = {k: Fraction(1)}
         for j, q in combo.items():
             if q:
@@ -153,11 +146,26 @@ def compute_basis(
                 for j, q in expr.items():
                     other_expr[j] = other_expr.get(j, Fraction(0)) - f * q
         echelon.append((lead, work, expr))
+    return pivots, rows
 
-    ncols = len(basis_elems)
-    expansion = BohrMatrix(r_rows, ncols)
+
+def compute_basis(
+    exponents: Sequence[ExponentVector],
+) -> tuple[Basis, BohrMatrix, BohrMatrix]:
+    """Basis of the rational span of `exponents`, with exact R and T.
+
+    Earliest-exponent-first pivoting: the basis is the subsequence of inputs
+    whose coordinate vectors are independent of everything kept before, so the
+    result is deterministic and basis elements are always original exponents.
+    Zero exponents get an all-zero R row and never enter the basis.
+    """
+    exps = tuple(exponents)
+    if not exps:
+        raise EmptyInput("cannot compute a basis of an empty exponent list")
+    source, r_rows = expand_over_pivots(exps)
+    expansion = BohrMatrix(r_rows, len(source))
     selection = BohrMatrix([{i: Fraction(1)} for i in source], len(exps))
-    return Basis(tuple(basis_elems), tuple(source)), expansion, selection
+    return Basis(tuple(exps[i] for i in source), tuple(source)), expansion, selection
 
 
 def reconstruct_exponent(expansion: BohrMatrix, i: int, basis: Basis) -> ExponentVector:

@@ -120,7 +120,6 @@ def build_parser() -> _Parser:
 
     p = add("closure-demo", "per-truncation feasibility and minimal phase norms", series2=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--search-bound", type=int, default=10**6)
 
     p = add("eval", "evaluate the series at one point")
     p.add_argument("--sigma", type=float, required=True)
@@ -252,7 +251,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_closure_demo(args) -> int:
     a = _load(args.series)
     b = _load(args.series2)
-    points = equivalence.closure_demo(a, b, args.nmax, args.search_bound)
+    points = equivalence.closure_demo(a, b, args.nmax)
     result = {
         "points": [
             {"n": p.n, "feasible": p.feasible, "min_norm": p.min_norm} for p in points

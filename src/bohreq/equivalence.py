@@ -7,11 +7,13 @@ R Y = theta (mod 2pi): it is feasible exactly when every integer relation m
 among the rows of R annihilates the targets, m . theta = 0 (mod 2pi), and a
 witness relation that fails certifies non-equivalence.
 
-When the relations pass, a solution is constructed through integer lifts:
-theta + 2 pi z must land in the row space of R, which pins z to an exact
-integer system over the kernel lattice; a size-reduced lift then leaves a
-well-conditioned linear solve.  Feasible verdicts always come with an
-explicit Y passing the residual check, infeasible ones with an exact witness.
+When the relations pass, a solution is built on pivot rows, the earliest
+independent constrained rows (the basis's own unit rows unless a basis term is
+skipped).  Phases on the pivots are theta_P + 2pi w, and only rows whose
+expression over the pivots is non-integral constrain the integer vector w,
+through a small congruence system solved exactly.  Feasible verdicts always
+come with an explicit Y passing the residual check, infeasible ones with an
+exact witness.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import Basis, BohrMatrix, compute_basis, denominator_lcm
+from .basis import Basis, BohrMatrix, compute_basis, expand_over_pivots
 from .core import SeriesSpec
-from .errors import DimensionMismatch, ModulusMismatch, SupportMismatch
+from .errors import DimensionMismatch, ModulusMismatch, PrecisionLimit, SupportMismatch
 from .lattice import (
     clear_denominators,
     diagonalize,
@@ -199,6 +201,49 @@ def _polish_phases(dense_float: np.ndarray, thetas: np.ndarray, y: np.ndarray) -
     return y
 
 
+def _pivot_lift(
+    expr: list[dict[int, Fraction]], thetas: list[float], pivots: list[int]
+) -> list[int]:
+    """Integer w with R'_n . w = c_n (mod 1) on every constrained row, size-reduced.
+
+    `expr[n]` is row n over the pivots (R'_n) and c_n = (theta_n - R'_n .
+    theta_P) / 2pi.  Rows with integral R'_n hold for every w (the kernel check
+    made c_n an integer), so only the others enter, scaled by the lcm d of
+    their denominators: [d R' | d I] (w, u) = round(d c).  The solution is
+    size-reduced modulo {w : d R' w = 0 (mod d)}, the right kernel projected
+    onto its first r coordinates.
+    """
+    r = len(pivots)
+    wrapped = [
+        (n, row) for n, row in enumerate(expr) if any(q.denominator != 1 for q in row.values())
+    ]
+    if not wrapped:
+        return [0] * r
+    d = 1
+    for _, row in wrapped:
+        for q in row.values():
+            d = math.lcm(d, q.denominator)
+    theta_p = [thetas[p] for p in pivots]
+    m = len(wrapped)
+    system: list[list[int]] = []
+    rhs: list[int] = []
+    for i, (n, row) in enumerate(wrapped):
+        scaled = [0] * r
+        for j, q in row.items():
+            scaled[j] = int(q * d)
+        system.append(scaled + [d if t == i else 0 for t in range(m)])
+        terms = [d * thetas[n]] + [-c * th for c, th in zip(scaled, theta_p) if c]
+        rhs.append(round(math.fsum(terms) / TWO_PI))
+    solution = solve_integer_rows(system, rhs)
+    if solution is None:
+        raise PrecisionLimit(
+            "integer lifts are inconsistent: the system sits beyond what "
+            "double-precision targets can certify"
+        )
+    lattice = [v[:r] for v in integer_right_kernel(system)]
+    return size_reduce(solution[:r], lattice)
+
+
 def solve_phase_system(
     expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
 ) -> CongruenceSystem:
@@ -206,9 +251,13 @@ def solve_phase_system(
 
     Feasibility is the kernel criterion: every integer relation among the rows
     must annihilate theta modulo 2pi, each within tol scaled by the relation's
-    l1 norm.  When all relations pass, an integer lift z with theta + 2 pi z
-    in the row space is solved for exactly and Y recovered by least squares,
-    then polished to double precision.
+    l1 norm.  When all relations pass, Y is built on the pivots P, the earliest
+    independent constrained rows: each constrained row is exactly R'_n R_P,
+    and phases phi = theta_P + 2pi w on the pivots satisfy it when the integer
+    vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).  When the
+    pivots are unit rows of R, Y is phi in their columns; otherwise Y is the
+    least-squares solution of R_P Y = phi, polished to double precision.
+    Raises PrecisionLimit when the phases miss a target by more than tol.
     """
     idx = targets.indices()
     thetas = targets.thetas()
@@ -251,37 +300,23 @@ def solve_phase_system(
             residual=residual,
         )
 
-    # Construction.  theta + 2pi z must land in the row space of R, which the
-    # saturated kernel lattice cuts out: K z = b with b_m = -m.theta / 2pi
-    # (integers, certified by the kernel check above).  Solving that small
-    # integer system and size-reducing z keeps every quantity near the scale
-    # of the data, after which Y drops out of a well-conditioned least-squares
-    # solve of R Y = theta + 2pi z.
-    if kernel:
-        b = [
-            -round(math.fsum(mi * th for mi, th in zip(m, thetas)) / TWO_PI)
-            for m in kernel
-        ]
-        z = solve_integer_rows([list(m) for m in kernel], b)
-        if z is None:
-            raise ArithmeticError(
-                "integer lifts are inconsistent: the system sits beyond what "
-                "double-precision targets can certify"
-            )
-        z = size_reduce(z, integer_right_kernel([list(m) for m in kernel]))
-    else:
-        z = [0] * len(idx)
-
-    dense = expansion.dense_rows(idx)
-    dense_float = np.array([[float(q) for q in row] for row in dense], dtype=float)
+    pivots, expr = expand_over_pivots([dict(expansion.row_items(i)) for i in idx])
+    w = _pivot_lift(expr, thetas, pivots)
+    phi = [thetas[p] + TWO_PI * wp for p, wp in zip(pivots, w)]
+    dense_float = np.array(expansion.float_rows(idx), dtype=float)
     theta_arr = np.array(thetas, dtype=float)
-    rhs = theta_arr + TWO_PI * np.array(z, dtype=float)
-    y, *_ = np.linalg.lstsq(dense_float, rhs, rcond=None)
-    y = _polish_phases(dense_float, theta_arr, y)
+    pivot_rows = [expansion.row_items(idx[p]) for p in pivots]
+    if all(len(row) == 1 and row[0][1] == 1 for row in pivot_rows):
+        y = np.zeros(k)
+        for row, value in zip(pivot_rows, phi):
+            y[row[0][0]] = value
+    else:
+        y, *_ = np.linalg.lstsq(dense_float[pivots], np.array(phi), rcond=None)
+        y = _polish_phases(dense_float, theta_arr, y)
     res = dense_float @ y - theta_arr
     residual = float(np.max(np.abs((res + math.pi) % TWO_PI - math.pi)))
     if residual > tol:
-        raise ArithmeticError(
+        raise PrecisionLimit(
             f"congruence solution lost precision: residual {residual:.3e} > tol {tol:.3e}"
         )
     return CongruenceSystem(
@@ -335,14 +370,11 @@ class ClosurePoint(NamedTuple):
     min_norm: float | None
 
 
-def _min_norm_one_dim(
-    dense: list[list[Fraction]], solution: float, search_bound: int
-) -> float:
+def _min_norm_one_dim(dense: list[list[Fraction]], solution: float) -> float:
     """Smallest |y| solving a feasible one-basis-element system.
 
     The solution set is an arithmetic progression of spacing 2 pi d / g (g the
-    gcd of the scaled column); reduction is exact, searching at most
-    `search_bound` lattice translates away.
+    gcd of the scaled column); rounding picks the nearest translate.
     """
     a_int, scale = clear_denominators(dense)
     g = math.gcd(*(abs(row[0]) for row in a_int)) if a_int else 0
@@ -350,20 +382,16 @@ def _min_norm_one_dim(
         return 0.0
     period = TWO_PI * scale / g
     j = round(solution / period)
-    if abs(j) > search_bound:
-        j = int(math.copysign(search_bound, j))
     best = min(abs(solution - (j + dj) * period) for dj in (-1, 0, 1))
     return best
 
 
-def _min_norm_bounded(
-    dense: list[list[Fraction]], phase: Sequence[float], search_bound: int
-) -> float:
+def _min_norm_bounded(dense: list[list[Fraction]], phase: Sequence[float]) -> float:
     """Bounded enumeration of solution-lattice translates for k >= 2 bases.
 
     Returns an upper estimate of the minimum Euclidean norm: lattice shifts of
-    the found solution are scanned in a small box (free directions projected
-    out exactly).
+    the found solution are scanned in the box of -4..4 steps per generator
+    (free directions projected out exactly).
     """
     k = len(phase)
     _, scale, _, diag, v, rank = _diagonalized_system(dense)
@@ -378,7 +406,7 @@ def _min_norm_bounded(
     gens = [varr[:, i] * (modulus / diag[i]) for i in range(rank)]
     if not gens:
         return float(np.linalg.norm(y0))
-    bound = min(search_bound, 4)
+    bound = 4
     best = float("inf")
     grids = np.meshgrid(*[np.arange(-bound, bound + 1) for _ in gens], indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=-1)
@@ -391,9 +419,7 @@ def _min_norm_bounded(
     return best
 
 
-def closure_demo(
-    a: SeriesSpec, b: SeriesSpec, n_max: int, search_bound: int = 10**6
-) -> list[ClosurePoint]:
+def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]:
     """Per-truncation feasibility scan of the first-N phase systems.
 
     For each N <= n_max the first N terms are aligned and the congruence
@@ -423,10 +449,10 @@ def closure_demo(
         min_norm: float | None = None
         if targets.entries and expansion.ncols == 1:
             dense = expansion.dense_rows(targets.indices())
-            min_norm = _min_norm_one_dim(dense, system.phase[0], search_bound)
+            min_norm = _min_norm_one_dim(dense, system.phase[0])
         elif targets.entries and expansion.ncols >= 2:
             dense = expansion.dense_rows(targets.indices())
-            min_norm = _min_norm_bounded(dense, system.phase, search_bound)
+            min_norm = _min_norm_bounded(dense, system.phase)
         elif not targets.entries:
             min_norm = 0.0
         out.append(ClosurePoint(n, True, min_norm))

@@ -63,6 +63,10 @@ class SupportMismatch(SeriesError):
         self.term = term
 
 
+class PrecisionLimit(SeriesError):
+    """A verdict needs more precision than double-precision phases carry."""
+
+
 class BadRange(SeriesError):
     pass
 

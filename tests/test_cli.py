@@ -165,6 +165,20 @@ class TestCommands:
         norms = [p["min_norm"] for p in payload["result"]["points"]]
         assert norms == pytest.approx([math.pi, 9 * math.pi, 45 * math.pi], rel=1e-9)
 
+    def test_closure_demo_precision_limit_is_one_error_line(self, tmp_path, capsys):
+        # at n = 9 the phases of Bohr's series outgrow double precision
+        f = tmp_path / "f9.json"
+        g = tmp_path / "g9.json"
+        write_series_file(scenarios.bohr_example(9), f)
+        write_series_file(scenarios.negate(scenarios.bohr_example(9)), g)
+        argv = ["closure-demo", "--series", str(f), "--series2", str(g), "--nmax", "9"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bohreq: error: ")
+
     def test_eval_and_tail(self, files, capsys):
         _, f, _ = files
         assert run_command(["eval", "--series", f, "--sigma", "2", "--t", "0"]) == 0

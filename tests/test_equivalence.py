@@ -42,6 +42,19 @@ def spec_23(coeffs=(1.0, 1.0)) -> SeriesSpec:
     return SeriesSpec(syms, list(zip([L2, L3], coeffs)))
 
 
+def _factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 class TestTwist:
     def test_identity_rows(self):
         spec = spec_23()
@@ -228,8 +241,9 @@ class TestSolvePhaseSystem:
 
     def test_heavy_denominators_still_solve(self):
         # feasible-by-construction systems beyond the everyday envelope:
-        # large kernel entries force the integer-lift machinery (LLL plus
-        # nearest-plane) to recover a small wrap vector or precision dies
+        # the pivot rows are not unit rows and the expressions over them carry
+        # large denominators, so the wrap vector must be size-reduced and the
+        # least-squares phases polished, or precision dies
         rng = random.Random(999)
         solved = 0
         for _ in range(120):
@@ -318,6 +332,44 @@ class TestIsEquivalentTruncated:
         result = is_equivalent_truncated(spec_23((1.0, 1.0)), spec_23((1.0, 0.9)))
         assert not result.equivalent
         assert "moduli" in result.reason
+
+    def test_feasible_at_two_hundred_terms(self):
+        # harmonic coefficients twisted by seeded phases of the primes
+        n_terms = 200
+        rng = random.Random(2026)
+        primes = [p for p in range(2, n_terms + 1) if all(p % q for q in range(2, p))]
+        prime_phase = {p: rng.uniform(0, TWO_PI) for p in primes}
+        ratio = {
+            n: cmath.exp(1j * sum(e * prime_phase[p] for p, e in _factor(n).items()))
+            for n in range(1, n_terms + 1)
+        }
+        a = scenarios.ordinary_series([(n, 1.0 / n) for n in ratio])
+        b = scenarios.ordinary_series([(n, ratio[n] / n) for n in ratio])
+        result = is_equivalent_truncated(a, b)
+        assert result.equivalent
+        basis, _, _ = compute_basis(a.exponents())
+        column = {next(iter(e.coords())): j for j, e in enumerate(basis.elements)}
+        for n, want in ratio.items():
+            angle = math.fsum(
+                e * result.phase[column[f"L{p}"]] for p, e in _factor(n).items()
+            )
+            assert abs(cmath.exp(1j * angle) - want) <= 1e-8
+
+    def test_skipped_basis_source(self):
+        # the basis source (exponent 1) vanishes in both series, so the pivot
+        # is the constrained row 3/2, which is not a unit row of R
+        syms = SymbolTable([("ONE", 1.0)])
+        exps = [ExponentVector({"ONE": q}) for q in ("1", "3/2", "7/3")]
+        a = SeriesSpec(syms, list(zip(exps, [0.0, 1.0, 0.5 - 0.25j])))
+        basis, r, _ = compute_basis(a.exponents())
+        b = twist(a, basis, r, [37.0])
+        result = is_equivalent_truncated(a, b)
+        assert result.system.targets.skipped == (0,)
+        assert result.equivalent
+        assert result.system.residual <= result.system.tol
+        for ta, tb, q in zip(a.terms[1:], b.terms[1:], (1.5, 7 / 3)):
+            got = ta.coeff * cmath.exp(1j * q * result.phase[0])
+            assert abs(got - tb.coeff) <= 1e-9
 
     def test_shift_equivalence(self):
         # vertical shifts are twists: always equivalent, for any tau
