@@ -210,7 +210,7 @@ class SeriesSpec:
     optional certified majorant for the omitted terms.
     """
 
-    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail")
+    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_lams")
 
     def __init__(
         self,
@@ -223,6 +223,7 @@ class SeriesSpec:
         self._terms = tuple(Term(exp, complex(coeff)) for exp, coeff in terms)
         self._abscissa = float(abscissa)
         self._tail = tail
+        self._lams: tuple[float, ...] | None = None
 
     @property
     def symbols(self) -> SymbolTable:
@@ -250,7 +251,10 @@ class SeriesSpec:
         return tuple(t.coeff for t in self._terms)
 
     def numeric_exponents(self) -> tuple[float, ...]:
-        return tuple(t.exponent.numeric_value(self._symbols) for t in self._terms)
+        """Double values of the exponents, computed on the first call only."""
+        if self._lams is None:
+            self._lams = tuple(t.exponent.numeric_value(self._symbols) for t in self._terms)
+        return self._lams
 
     def with_coeffs(self, coeffs: Iterable[complex]) -> "SeriesSpec":
         """Same exponents and metadata, new coefficients (moduli may change)."""
@@ -297,11 +301,10 @@ def validate_series(spec: SeriesSpec) -> SeriesSpec:
     """
     seen: dict[ExponentVector, int] = {}
     prev = float("-inf")
-    for pos, term in enumerate(spec.terms, start=1):
+    for pos, (term, value) in enumerate(zip(spec.terms, spec.numeric_exponents()), start=1):
         if term.exponent in seen:
             raise DuplicateExponent(pos)
         seen[term.exponent] = pos
-        value = term.exponent.numeric_value(spec.symbols)
         if value <= prev:
             raise NonIncreasingExponents(pos)
         prev = value

@@ -92,7 +92,8 @@ class BoundaryTooClose(SeriesError):
 
 
 class NonconvergentSubdivision(SeriesError):
-    """Adaptive refinement of a contour side hit its sample cap without settling."""
+    """An adaptive search hit its cap without settling (contour refinement,
+    the winding defect, or the dominance bound of sigma_star)."""
 
 
 class DegenerateTarget(SeriesError):

@@ -1,14 +1,15 @@
 """Numerical evaluation of truncated series and uniform distances on grids.
 
-Sums run in term order (increasing exponent) in double-precision complex
-arithmetic; certified comparisons lean on tail majorants, not on summation
-heroics.  Grid suprema approximate sup norms on compact boxes; grid density
-is a verification parameter chosen by the caller.
+One evaluator serves points, grids, strips, lines and contours: the sum runs
+in term order (increasing exponent) in double-precision complex arithmetic,
+for a scalar and for an array alike, so a point gets the bits it would get
+inside any array.  Certified comparisons lean on tail majorants, not on
+summation heroics.  Grid suprema approximate sup norms on compact boxes; grid
+density is a verification parameter chosen by the caller.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,22 +57,32 @@ class GridBox:
         return np.linspace(self.t_range[0], self.t_range[1], self.t_steps + 1)
 
 
-def evaluate(spec: SeriesSpec, point: EvalPoint | complex) -> complex:
-    """sum a(n) exp(-lambda(n) s) at s = sigma + it, summed in term order."""
-    s = point.s if isinstance(point, EvalPoint) else complex(point)
-    total = 0.0 + 0.0j
-    for lam, term in zip(spec.numeric_exponents(), spec.terms):
-        total += term.coeff * cmath.exp(-lam * s)
-    return total
+def evaluate(
+    spec: SeriesSpec, point: EvalPoint | complex | np.ndarray
+) -> complex | np.ndarray:
+    """sum a(n) exp(-lambda(n) s) at s = sigma + it, summed in term order.
+
+    A point (an EvalPoint or a complex number) gives a complex; an array of
+    points gives an array of values of the same shape.
+    """
+    s = np.asarray(point.s if isinstance(point, EvalPoint) else point, dtype=complex)
+    out = np.zeros(s.shape, dtype=complex)
+    buf = np.empty(s.shape, dtype=complex)
+    term = np.empty(s.shape, dtype=complex)
+    for lam, coeff in zip(spec.numeric_exponents(), spec.coeffs()):
+        np.multiply(s, -lam, out=buf)
+        np.exp(buf, out=buf)
+        # not in place: NumPy multiplies a one-element array in place by
+        # another loop than a longer one, and on CPUs where the vector loop
+        # fuses multiply-adds the two round differently
+        np.multiply(buf, coeff, out=term)
+        out += term
+    return complex(out) if out.ndim == 0 else out
 
 
 def evaluate_grid(spec: SeriesSpec, box: GridBox) -> np.ndarray:
     """Series values on the box grid, shape (sigma_steps+1, t_steps+1)."""
-    s = box.sigma_points()[:, None] + 1j * box.t_points()[None, :]
-    out = np.zeros_like(s, dtype=complex)
-    for lam, term in zip(spec.numeric_exponents(), spec.terms):
-        out += term.coeff * np.exp(-lam * s)
-    return out
+    return evaluate(spec, box.sigma_points()[:, None] + 1j * box.t_points()[None, :])
 
 
 def shift_series(spec: SeriesSpec, tau_shift: float) -> SeriesSpec:

@@ -1,11 +1,13 @@
 """Value-set sampling on strips and lines, and finite-cloud comparison.
 
 Two routes produce the same regions for equivalent series: route A evaluates
-the series directly at sampled points; route B samples the equivalence class,
-twisting by random phase vectors drawn from the period box [0, 2pi d)^k with
-d the lcm of expansion-matrix denominators (for an integral matrix this is
-the plain torus box).  Cloud proximity is measured by the two-sided Hausdorff
-distance between finite point sets.
+the series directly at sampled points (with `evaluation.evaluate`); route B
+samples the equivalence class, twisting by random phase vectors drawn from
+the period box [0, 2pi d)^k with d the lcm of expansion-matrix denominators
+(for an integral matrix this is the plain torus box).  Route B sums the torus
+lift sum_n c_n exp(i R_n . y - lambda_n sigma) one term at a time, so its
+transient memory does not grow with the number of terms.  Cloud proximity is
+measured by the two-sided Hausdorff distance between finite point sets.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .basis import compute_basis, denominator_lcm
 from .core import SeriesSpec
 from .equivalence import TWO_PI, PhaseVector
 from .errors import BadRange, EmptyCloud
+from .evaluation import evaluate
 
 
 @dataclass(frozen=True)
@@ -40,20 +42,6 @@ class ValueCloud:
 
 #: Fractional golden ratio: the t-step of the within-cell lattice of route A.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _eval_many(
-    lams: Sequence[float], coeffs: Sequence[complex], s: np.ndarray
-) -> np.ndarray:
-    """sum_n coeffs[n] exp(-lams[n] s) over an array, in term order, in place."""
-    out = np.zeros(s.shape, dtype=complex)
-    buf = np.empty(s.shape, dtype=complex)
-    for lam, coeff in zip(lams, coeffs):
-        np.multiply(s, -lam, out=buf)
-        np.exp(buf, out=buf)
-        buf *= coeff
-        out += buf
-    return out
 
 
 def _modulus_cap(spec: SeriesSpec, sigma_lo: float, sigma_hi: float) -> float:
@@ -100,8 +88,6 @@ def sample_strip_direct(
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
     rng = np.random.default_rng(seed)
-    lams = spec.numeric_exponents()
-    coeffs = spec.coeffs()
     width, height = sigma2 - sigma1, 2.0 * t_max
     cells = max(1, count // 16)
     n_sig = min(cells, max(1, round(math.sqrt(cells * width / height))))
@@ -111,7 +97,9 @@ def sample_strip_direct(
     sig_mid = sigma1 + (np.arange(n_sig) + 0.5) * d_sig
     t_mid = -t_max + (np.arange(n_t) + 0.5) * d_t
     centres = (sig_mid[:, None] + 1j * t_mid[None, :]).ravel()
-    deriv = _eval_many(lams, [-lam * c for lam, c in zip(lams, coeffs)], centres)
+    lams = spec.numeric_exponents()
+    f_prime = spec.with_coeffs([-lam * c for lam, c in zip(lams, spec.coeffs())])
+    deriv = evaluate(f_prime, centres)
     cumulative = np.cumsum(deriv.real**2 + deriv.imag**2)
     if not (math.isfinite(cumulative[-1]) and cumulative[-1] > 0.0):
         cumulative = np.arange(1.0, len(centres) + 1.0)
@@ -127,7 +115,7 @@ def sample_strip_direct(
     v = (rank * _GOLDEN + shift) % 1.0
     sig = sigma1 + (pick // n_t + u) * d_sig
     t = -t_max + (pick % n_t + v) * d_t
-    values = _eval_many(lams, coeffs, sig + 1j * t)
+    values = evaluate(spec, sig + 1j * t)
     _check_modulus(values, _modulus_cap(spec, sigma1, sigma2))
     meta = {
         "sigma1": sigma1,
@@ -163,10 +151,9 @@ def sample_strip_via_equivalence(
     phases = rng.uniform(0.0, TWO_PI * d, size=(k, count))
     sig = rng.uniform(sigma1, sigma2, count)
     rows = np.array(expansion.float_rows(), dtype=float).reshape(len(spec.terms), k)
-    term_phases = rows @ phases if k else np.zeros((len(spec.terms), count))
     values = np.zeros(count, dtype=complex)
-    for i, (lam, term) in enumerate(zip(spec.numeric_exponents(), spec.terms)):
-        values += term.coeff * np.exp(1j * term_phases[i]) * np.exp(-lam * sig)
+    for row, lam, coeff in zip(rows, spec.numeric_exponents(), spec.coeffs()):
+        values += coeff * np.exp(1j * (row @ phases)) * np.exp(-lam * sig)
     _check_modulus(values, _modulus_cap(spec, sigma1, sigma2))
     meta = {
         "sigma1": sigma1,
@@ -189,7 +176,7 @@ def sample_line(
     rng = np.random.default_rng(seed)
     # one jittered sample per equal subinterval: quasi-uniform coverage of the line
     t = -t_max + (np.arange(count) + rng.uniform(size=count)) * (2.0 * t_max / count)
-    values = _eval_many(spec.numeric_exponents(), spec.coeffs(), sigma0 + 1j * t)
+    values = evaluate(spec, sigma0 + 1j * t)
     _check_modulus(values, _modulus_cap(spec, sigma0, sigma0))
     meta = {"sigma0": sigma0, "t_max": t_max, "count": count, "seed": seed}
     return ValueCloud(values, "direct-line", meta)
@@ -197,6 +184,10 @@ def sample_line(
 
 def hausdorff(a: ValueCloud, b: ValueCloud) -> float:
     """Two-sided Hausdorff distance between finite clouds in the plane."""
+    # imported here: scipy.spatial is most of the package's import time, and
+    # nothing else needs it
+    from scipy.spatial import cKDTree
+
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloud("hausdorff distance needs nonempty clouds")
     pa = np.column_stack([a.points.real, a.points.imag])

@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ExponentVector, SeriesSpec
 from .errors import (
     BadRange,
@@ -73,16 +75,24 @@ def _constant_value(spec: SeriesSpec) -> complex | None:
 def _side_argument(
     spec: SeriesSpec, v: complex, a: complex, b: complex, steps: int, margin: float
 ) -> float:
-    """Total argument increment of f - v from a to b along the segment."""
+    """Total argument increment of f - v from a to b along the segment.
 
-    def w_at(p: float) -> complex:
+    The steps + 1 evenly spaced samples are evaluated in one array call;
+    only bisection midpoints are evaluated one at a time.
+    """
+
+    def w_at(p):
+        """f - v at a + (b - a) p, for a number p or an array of them."""
         s = a + (b - a) * p
         w = evaluate(spec, s) - v
-        if abs(w) <= margin:
-            raise BoundaryTooClose(s, abs(w), margin)
+        close = np.flatnonzero(np.abs(w) <= margin)
+        if close.size:
+            i = close[0]
+            raise BoundaryTooClose(complex(np.ravel(s)[i]), float(abs(np.ravel(w)[i])), margin)
         return w
 
-    samples = [(i / steps, w_at(i / steps)) for i in range(steps + 1)]
+    ps = np.arange(steps + 1) / steps
+    samples = list(zip(ps.tolist(), w_at(ps).tolist()))
     count = steps + 1
     total = 0.0
     for i in range(steps):
@@ -108,7 +118,13 @@ def _side_argument(
 def winding_number(
     spec: SeriesSpec, v: complex, rect: Rectangle, steps: int = 256
 ) -> tuple[int, float]:
-    """Winding number of f - v around the rectangle, with the rounding defect."""
+    """Winding number of f - v around the rectangle, with the rounding defect.
+
+    Each side starts from `steps` equal segments (steps >= 1) and bisects
+    those whose argument increment exceeds pi/2.
+    """
+    if steps < 1:
+        raise BadRange(f"need steps >= 1, got {steps}")
     v = complex(v)
     margin = boundary_margin(v)
     constant = _constant_value(spec)
@@ -189,7 +205,9 @@ def _dominance_sigma_top(profile: list[tuple[float, float]], sigma_floor: float)
         if tail <= 0.5 * c1:
             return sigma
         sigma += 1.0
-    raise ArithmeticError("dominance bound search did not terminate")
+    raise NonconvergentSubdivision(
+        f"dominance bound search did not settle by sigma = {sigma:g}"
+    )
 
 
 def sigma_star(

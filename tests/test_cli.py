@@ -270,6 +270,41 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["sigma_star"] == pytest.approx(0.0, abs=1e-3)
 
+    def test_zeros_steps_below_one_is_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "onetwo.json"
+        syms = SymbolTable([("L2", math.log(2))])
+        spec = SeriesSpec(syms, [(ExponentVector(), 1.0), (ExponentVector({"L2": 1}), 1.0)])
+        write_series_file(spec, f)
+        argv = [
+            "zeros", "--series", str(f),
+            "--sigma-min", "-1", "--sigma-max", "1",
+            "--t-min", "0", "--t-max", "10", "--steps", "0",
+        ]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bohreq: error: ")
+
+    def test_sigma_star_dominance_cap_is_one_error_line(self, tmp_path, capsys):
+        # exponents 1 and 1 + 1e-6: the second term only stops mattering
+        # beyond sigma ~ 7e5, past the dominance search's cap
+        f = tmp_path / "close.json"
+        syms = SymbolTable([("ONE", 1.0)])
+        spec = SeriesSpec(
+            syms,
+            [(ExponentVector({"ONE": 1}), 1.0), (ExponentVector({"ONE": "1000001/1000000"}), 1.0)],
+        )
+        write_series_file(spec, f)
+        argv = ["sigma-star", "--series", str(f), "--t-min", "-1", "--t-max", "1"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bohreq: error: ")
+
     def test_kronecker_command(self, tmp_path, capsys):
         f = tmp_path / "two.json"
         syms = SymbolTable([("L2", math.log(2))])

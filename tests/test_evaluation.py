@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bohreq import scenarios
@@ -62,6 +63,28 @@ class TestEvaluate:
 
     def test_accepts_plain_complex(self):
         assert evaluate(spec_23(), complex(1.0, 0.0)) == pytest.approx(5.0 / 6.0)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # one evaluator: a point gets the same bits alone as inside an array
+        rng = np.random.default_rng(808)
+        spec = scenarios.ordinary_series(
+            [(n, complex(*rng.normal(size=2))) for n in range(1, 31)]
+        )
+        points = rng.uniform(-1.0, 3.0, 200) + 1j * rng.uniform(-100.0, 100.0, 200)
+        for s in (points, points.reshape(10, 20)):
+            values = evaluate(spec, s)
+            assert values.shape == s.shape
+            want = np.array([evaluate(spec, complex(p)) for p in s.ravel()])
+            assert values.ravel().tobytes() == want.tobytes()
+
+    def test_point_gives_complex_array_gives_array(self):
+        spec = spec_23()
+        for point in (EvalPoint(1.0, 2.0), complex(1.0, 2.0), np.complex128(1.0 + 2.0j)):
+            assert type(evaluate(spec, point)) is complex
+        for shape in ((0,), (1,), (3,), (2, 3)):
+            values = evaluate(spec, np.full(shape, 1.0 + 2.0j))
+            assert isinstance(values, np.ndarray) and values.shape == shape
+            assert all(v == evaluate(spec, complex(1.0, 2.0)) for v in values.ravel())
 
     def test_truncation_monotonicity(self):
         # dropping terms changes the value by at most the dropped moduli sum

@@ -70,6 +70,17 @@ class TestCountZeros:
         with pytest.raises((BoundaryTooClose, NonconvergentSubdivision)):
             count_zeros(one_plus_two(), 0.0, Rectangle((0.0, 1.0), (4.0, 5.0)))
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        # the rectangle holds 6 zeros of 1 + 2^{-s}; no step count may hide them
+        rect = Rectangle((-1, 1), (-30, 30))
+        with pytest.raises(BadRange):
+            count_zeros(one_plus_two(), 0.0, rect, steps)
+        with pytest.raises(BadRange):
+            sigma_star(one_plus_two(), 0.0, (-30, 30), sigma_floor=-5.0, steps=steps)
+        with pytest.raises(BadRange):
+            attains_value(one_plus_two(), 0.0, -1.0, 1.0, (-30, 30), steps)
+
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(BadRange):
             Rectangle((1.0, 1.0), (0.0, 1.0))
