@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import equivalence, evaluation, scenarios, valuesets, zeros
-from .basis import compute_basis, denominator_lcm, is_integral
+from .basis import compute_basis, is_integral
 from .core import spec_tail_bound, validate_series
 from .errors import SeriesError, ValidationError
 from .seriesio import (
@@ -194,9 +195,15 @@ def _cmd_basis(args) -> int:
         "expansion": _matrix_obj(expansion),
         "selection": _matrix_obj(selection),
         "integral": is_integral(expansion),
-        "denominator_lcms": [
-            denominator_lcm(expansion, h) for h in range(1, expansion.nrows + 1)
-        ],
+        "denominator_lcms": list(
+            itertools.accumulate(
+                (
+                    math.lcm(*(q.denominator for _, q in expansion.row_items(i)))
+                    for i in range(expansion.nrows)
+                ),
+                math.lcm,
+            )
+        ),
     }
     _emit(args, _verdict(args, "basis", {"series": args.series}, result))
     return EXIT_OK

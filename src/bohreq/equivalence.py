@@ -77,10 +77,13 @@ class PhaseTargets:
 class CongruenceSystem:
     """Verdict on the truncated system R Y = theta (mod 2pi).
 
-    Every kernel vector annihilates the constrained rows exactly (rational
-    arithmetic).  Feasible verdicts carry a phase vector whose worst residual
-    is at most `tol`; infeasible ones carry an integer witness whose target
-    defect exceeds `tol` times its l1 norm.
+    `kernel` generates every integer relation among the constrained rows, in
+    the form `integer_kernel` gives (pivot form where the rows' expression
+    over the pivots is integral), and each vector annihilates the rows
+    exactly (rational arithmetic).  Feasible verdicts carry a phase vector
+    whose worst residual is at most `tol`; infeasible ones carry an integer
+    witness, one of the kernel vectors, whose target defect exceeds `tol`
+    times its l1 norm.
     """
 
     row_indices: tuple[int, ...]
@@ -162,20 +165,75 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     return PhaseTargets(tuple(entries), tuple(skipped))
 
 
+def _expand_rows(
+    expansion: BohrMatrix, idx: Sequence[int]
+) -> tuple[list[int], list[dict[int, Fraction]]]:
+    """Pivots of the selected rows and every row's expression R' over them."""
+    if any(not 0 <= i < expansion.nrows for i in idx):
+        raise DimensionMismatch(f"row selection outside 0..{expansion.nrows - 1}")
+    return expand_over_pivots([dict(expansion.row_items(i)) for i in idx])
+
+
+def _wrapped_rows(expr: list[dict[int, Fraction]]) -> list[int]:
+    """Positions of the rows whose expression over the pivots is non-integral."""
+    return [n for n, row in enumerate(expr) if any(q.denominator != 1 for q in row.values())]
+
+
+def _relations(
+    pivots: list[int], expr: list[dict[int, Fraction]], wrapped: list[int]
+) -> list[dict[int, int]]:
+    """Sparse generators {position: coefficient} of the rows' integer relations.
+
+    A relation m satisfies sum_n m_n R'_n = 0, so its pivot entries are fixed
+    by the others.  Each non-pivot row n outside W gives e_n - sum_p R'_np
+    e_p.  The wrapped rows W admit the lattice {m_W : m_W R'_W integral},
+    taken in Hermite form from the left kernel of the rows W and P.  The
+    relations are the direct sum of the two parts.  Each generator's first
+    nonzero entry is positive, and generators are ordered by that position.
+    """
+    skip = set(pivots) | set(wrapped)
+    gens: list[dict[int, int]] = []
+    for n, row in enumerate(expr):
+        if n in skip:
+            continue
+        g = {pivots[j]: -q.numerator for j, q in row.items()}
+        g[n] = 1
+        if g[min(g)] < 0:
+            g = {i: -c for i, c in g.items()}
+        gens.append(g)
+    if wrapped:
+        block = sorted(skip)
+        r = len(pivots)
+        dense = [[expr[n].get(j, Fraction(0)) for j in range(r)] for n in block]
+        for m in integer_left_kernel(dense):
+            gens.append({block[i]: c for i, c in enumerate(m) if c})
+    gens.sort(key=min)
+    return gens
+
+
+def _dense(relation: dict[int, int], size: int) -> tuple[int, ...]:
+    m = [0] * size
+    for i, c in relation.items():
+        m[i] = c
+    return tuple(m)
+
+
 def integer_kernel(expansion: BohrMatrix, rows: Sequence[int]) -> list[tuple[int, ...]]:
     """Generators of {m integer : sum_n m_n R[n] = 0} for the selected rows.
 
-    Exact: rational elimination, denominators cleared, Hermite-reduced.  The
-    empty list certifies that the rows are rationally independent.  Vector
-    entries align with the order of `rows`.
+    Exact, read off the rows' expression R' over their pivots, the earliest
+    independent rows.  A non-pivot row with integral R'_n gives one generator
+    in pivot form, e_n - sum_p R'_np e_p, which is a signed unit on the
+    non-pivot coordinates.  Rows with non-integral R'_n get a Hermite-reduced
+    basis of their small lattice.  Each generator's first nonzero entry is
+    positive.  The empty list certifies that the rows are rationally
+    independent.  Vector entries align with the order of `rows`.
     """
     idx = list(rows)
     if not idx:
         raise DimensionMismatch("row selection must be nonempty")
-    if any(not 0 <= i < expansion.nrows for i in idx):
-        raise DimensionMismatch(f"row selection outside 0..{expansion.nrows - 1}")
-    dense = expansion.dense_rows(idx)
-    return [tuple(m) for m in integer_left_kernel(dense)]
+    pivots, expr = _expand_rows(expansion, idx)
+    return [_dense(g, len(idx)) for g in _relations(pivots, expr, _wrapped_rows(expr))]
 
 
 def _diagonalized_system(dense: list[list[Fraction]]):
@@ -202,7 +260,7 @@ def _polish_phases(dense_float: np.ndarray, thetas: np.ndarray, y: np.ndarray) -
 
 
 def _pivot_lift(
-    expr: list[dict[int, Fraction]], thetas: list[float], pivots: list[int]
+    expr: list[dict[int, Fraction]], wrapped: list[int], thetas: list[float], pivots: list[int]
 ) -> list[int]:
     """Integer w with R'_n . w = c_n (mod 1) on every constrained row, size-reduced.
 
@@ -214,22 +272,19 @@ def _pivot_lift(
     onto its first r coordinates.
     """
     r = len(pivots)
-    wrapped = [
-        (n, row) for n, row in enumerate(expr) if any(q.denominator != 1 for q in row.values())
-    ]
     if not wrapped:
         return [0] * r
     d = 1
-    for _, row in wrapped:
-        for q in row.values():
+    for n in wrapped:
+        for q in expr[n].values():
             d = math.lcm(d, q.denominator)
     theta_p = [thetas[p] for p in pivots]
     m = len(wrapped)
     system: list[list[int]] = []
     rhs: list[int] = []
-    for i, (n, row) in enumerate(wrapped):
+    for i, n in enumerate(wrapped):
         scaled = [0] * r
-        for j, q in row.items():
+        for j, q in expr[n].items():
             scaled[j] = int(q * d)
         system.append(scaled + [d if t == i else 0 for t in range(m)])
         terms = [d * thetas[n]] + [-c * th for c, th in zip(scaled, theta_p) if c]
@@ -251,9 +306,11 @@ def solve_phase_system(
 
     Feasibility is the kernel criterion: every integer relation among the rows
     must annihilate theta modulo 2pi, each within tol scaled by the relation's
-    l1 norm.  When all relations pass, Y is built on the pivots P, the earliest
-    independent constrained rows: each constrained row is exactly R'_n R_P,
-    and phases phi = theta_P + 2pi w on the pivots satisfy it when the integer
+    l1 norm.  One expansion of the constrained rows over the pivots P, the
+    earliest independent constrained rows, gives the relations (see
+    `integer_kernel`), the witness and the lift.  When all relations pass, Y
+    is built on the pivots: each constrained row is exactly R'_n R_P, and
+    phases phi = theta_P + 2pi w on the pivots satisfy it when the integer
     vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).  When the
     pivots are unit rows of R, Y is phi in their columns; otherwise Y is the
     least-squares solution of R_P Y = phi, polished to double precision.
@@ -271,15 +328,17 @@ def solve_phase_system(
             phase=(0.0,) * expansion.ncols,
             residual=0.0,
         )
-    kernel = integer_kernel(expansion, idx)
-    for m in kernel:
-        s = math.fsum(mi * th for mi, th in zip(m, thetas))
-        defect = circle_distance(s)
-        if defect > tol * sum(abs(mi) for mi in m):
+    pivots, expr = _expand_rows(expansion, idx)
+    wrapped = _wrapped_rows(expr)
+    relations = _relations(pivots, expr, wrapped)
+    kernel = tuple(_dense(g, len(idx)) for g in relations)
+    for g, m in zip(relations, kernel):
+        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
+        if defect > tol * sum(abs(c) for c in g.values()):
             return CongruenceSystem(
                 row_indices=tuple(idx),
                 targets=targets,
-                kernel=tuple(kernel),
+                kernel=kernel,
                 feasible=False,
                 tol=tol,
                 witness=m,
@@ -293,28 +352,28 @@ def solve_phase_system(
         return CongruenceSystem(
             row_indices=tuple(idx),
             targets=targets,
-            kernel=tuple(kernel),
+            kernel=kernel,
             feasible=True,
             tol=tol,
             phase=(),
             residual=residual,
         )
 
-    pivots, expr = expand_over_pivots([dict(expansion.row_items(i)) for i in idx])
-    w = _pivot_lift(expr, thetas, pivots)
+    w = _pivot_lift(expr, wrapped, thetas, pivots)
     phi = [thetas[p] + TWO_PI * wp for p, wp in zip(pivots, w)]
-    dense_float = np.array(expansion.float_rows(idx), dtype=float)
-    theta_arr = np.array(thetas, dtype=float)
     pivot_rows = [expansion.row_items(idx[p]) for p in pivots]
     if all(len(row) == 1 and row[0][1] == 1 for row in pivot_rows):
-        y = np.zeros(k)
+        y = [0.0] * k
         for row, value in zip(pivot_rows, phi):
             y[row[0][0]] = value
     else:
+        dense_float = np.array(expansion.float_rows(idx), dtype=float)
         y, *_ = np.linalg.lstsq(dense_float[pivots], np.array(phi), rcond=None)
-        y = _polish_phases(dense_float, theta_arr, y)
-    res = dense_float @ y - theta_arr
-    residual = float(np.max(np.abs((res + math.pi) % TWO_PI - math.pi)))
+        y = _polish_phases(dense_float, np.array(thetas, dtype=float), y).tolist()
+    residual = max(
+        circle_distance(math.fsum(float(q) * y[j] for j, q in expansion.row_items(i)) - th)
+        for i, th in zip(idx, thetas)
+    )
     if residual > tol:
         raise PrecisionLimit(
             f"congruence solution lost precision: residual {residual:.3e} > tol {tol:.3e}"
@@ -322,10 +381,10 @@ def solve_phase_system(
     return CongruenceSystem(
         row_indices=tuple(idx),
         targets=targets,
-        kernel=tuple(kernel),
+        kernel=kernel,
         feasible=True,
         tol=tol,
-        phase=tuple(float(x) for x in y),
+        phase=tuple(y),
         residual=residual,
     )
 

@@ -115,6 +115,11 @@ def _side_argument(
     return total
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise BadRange(f"need steps >= 1, got {steps}")
+
+
 def winding_number(
     spec: SeriesSpec, v: complex, rect: Rectangle, steps: int = 256
 ) -> tuple[int, float]:
@@ -123,8 +128,7 @@ def winding_number(
     Each side starts from `steps` equal segments (steps >= 1) and bisects
     those whose argument increment exceeds pi/2.
     """
-    if steps < 1:
-        raise BadRange(f"need steps >= 1, got {steps}")
+    _check_steps(steps)
     v = complex(v)
     margin = boundary_margin(v)
     constant = _constant_value(spec)
@@ -225,6 +229,7 @@ def sigma_star(
     The result is a window-limited lower bound for the true zero-free
     abscissa; wide windows approximate it by almost periodicity.
     """
+    _check_steps(steps)
     if not tol > 0:
         raise BadRange(f"tol must be positive, got {tol}")
     if not t_window[0] < t_window[1]:
@@ -311,6 +316,7 @@ def sigma_sequence(
     Constant series make every target degenerate; those entries are reported
     as -inf rather than raised, keeping the sequence aligned with m.
     """
+    _check_steps(steps)
     out: list[float] = []
     for m in range(1, m_max + 1):
         target = evaluate(spec, complex(m, 0.0))

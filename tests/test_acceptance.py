@@ -40,6 +40,8 @@ from helpers import (
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+#: Cap on the target draws of a resampling loop in the oracle comparison.
+MAX_DRAWS = 1000
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -121,7 +123,7 @@ def test_criterion_4_solver_vs_torus_oracle():
             # random targets, resampled until decisively far from the oracle
             # threshold so both deciders face an unambiguous instance
             kernel = integer_kernel(matrix, list(range(len(rows))))
-            while True:
+            for _ in range(MAX_DRAWS):
                 thetas = [rng.uniform(0.0, TWO_PI) for _ in rows]
                 if not kernel:
                     break
@@ -132,6 +134,10 @@ def test_criterion_4_solver_vs_torus_oracle():
                 )
                 if margin >= 0.2:
                     break
+            else:
+                raise AssertionError(
+                    f"no draw in {MAX_DRAWS} reached margin 0.2 for kernel {kernel}"
+                )
         verdict = solve_phase_system(
             matrix, PhaseTargets(tuple(enumerate(thetas))), tol=1e-9
         ).feasible

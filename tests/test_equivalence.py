@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bohreq import scenarios
-from bohreq.basis import BohrMatrix, compute_basis
+from bohreq.basis import BohrMatrix, compute_basis, expand_over_pivots
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import (
     PhaseTargets,
@@ -22,10 +22,19 @@ from bohreq.equivalence import (
 )
 from bohreq.errors import DimensionMismatch, ModulusMismatch, SupportMismatch
 from bohreq.evaluation import shift_series
-from helpers import random_twist_pair, smooth_spec, torus_min_residual
+from bohreq.lattice import hermite_normalize, integer_left_kernel
+from helpers import (
+    random_congruence_rows,
+    random_exponent_list,
+    random_twist_pair,
+    smooth_spec,
+    torus_min_residual,
+)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+#: Cap on the target draws of a resampling loop in the oracle comparison.
+MAX_DRAWS = 1000
 
 L2 = ExponentVector({"L2": 1})
 L3 = ExponentVector({"L3": 1})
@@ -53,6 +62,29 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _check_harmonic_twist(n_terms: int) -> None:
+    """Harmonic coefficients twisted by seeded phases of the primes: the
+    decision is feasible and reproduces every b_n / a_n within 1e-8."""
+    rng = random.Random(2026)
+    primes = [p for p in range(2, n_terms + 1) if all(p % q for q in range(2, p))]
+    prime_phase = {p: rng.uniform(0, TWO_PI) for p in primes}
+    ratio = {
+        n: cmath.exp(1j * sum(e * prime_phase[p] for p, e in _factor(n).items()))
+        for n in range(1, n_terms + 1)
+    }
+    a = scenarios.ordinary_series([(n, 1.0 / n) for n in ratio])
+    b = scenarios.ordinary_series([(n, ratio[n] / n) for n in ratio])
+    result = is_equivalent_truncated(a, b)
+    assert result.equivalent
+    basis, _, _ = compute_basis(a.exponents())
+    column = {next(iter(e.coords())): j for j, e in enumerate(basis.elements)}
+    for n, want in ratio.items():
+        angle = math.fsum(
+            e * result.phase[column[f"L{p}"]] for p, e in _factor(n).items()
+        )
+        assert abs(cmath.exp(1j * angle) - want) <= 1e-8
 
 
 class TestTwist:
@@ -150,8 +182,6 @@ class TestIntegerKernel:
 
     def test_kernel_annihilates_rows_exactly(self):
         rng = random.Random(77)
-        from helpers import random_exponent_list
-
         syms = SymbolTable([("A", 1.11), ("B", 2.23), ("C", 3.31)])
         for _ in range(40):
             exps = random_exponent_list(rng, syms)
@@ -161,6 +191,50 @@ class TestIntegerKernel:
             for m in integer_kernel(r, rows):
                 for j in range(r.ncols):
                     assert sum(mi * row[j] for mi, row in zip(m, dense)) == Fraction(0)
+
+    def test_same_lattice_as_full_matrix_kernel(self):
+        # the left kernel of the whole dense matrix is the reference
+        rng = random.Random(6061)
+        syms = SymbolTable([("A", 1.11), ("B", 2.23), ("C", 3.31)])
+        systems = []
+        for _ in range(40):
+            rows = random_congruence_rows(rng, rng.randint(1, 3))
+            systems.append(BohrMatrix([dict(enumerate(row)) for row in rows], ncols=len(rows[0])))
+        for _ in range(40):
+            systems.append(compute_basis(random_exponent_list(rng, syms))[1])
+        zero_rows = wrapped_rows = 0
+        for r in systems:
+            rows = list(range(r.nrows))
+            rng.shuffle(rows)
+            rows.append(rng.choice(rows))  # a repeated row is one more relation
+            dense = r.dense_rows(rows)
+            got = integer_kernel(r, rows)
+            assert hermite_normalize(got) == hermite_normalize(integer_left_kernel(dense))
+            for m in got:
+                assert m[next(i for i, x in enumerate(m) if x)] > 0
+            zero_rows += sum(not any(row) for row in dense)
+            _, expr = expand_over_pivots([dict(r.row_items(i)) for i in rows])
+            wrapped_rows += sum(any(q.denominator != 1 for q in row.values()) for row in expr)
+        assert zero_rows > 0 and wrapped_rows > 0
+
+    def test_ordinary_series_pivot_form(self):
+        # integral R: one generator per non-pivot row n, a signed unit on the
+        # non-pivot coordinates (zero row n = 1 included)
+        spec = scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 31)])
+        basis, r, _ = compute_basis(spec.exponents())
+        rows = list(range(30))
+        kernel = integer_kernel(r, rows)
+        non_pivots = [n for n in rows if n not in basis.source_indices]
+        assert len(kernel) == len(non_pivots) == 20
+        owners = []
+        for m in kernel:
+            own = [n for n in non_pivots if m[n]]
+            assert len(own) == 1 and abs(m[own[0]]) == 1
+            owners.append(own[0])
+            assert m[next(i for i, x in enumerate(m) if x)] > 0
+        assert sorted(owners) == non_pivots
+        dense = r.dense_rows(rows)
+        assert hermite_normalize(kernel) == hermite_normalize(integer_left_kernel(dense))
 
 
 class TestSolvePhaseSystem:
@@ -203,8 +277,6 @@ class TestSolvePhaseSystem:
     def test_soundness_on_random_systems(self):
         # feasible verdicts must verify their phase; infeasible ones their witness
         rng = random.Random(4242)
-        from helpers import random_congruence_rows
-
         for trial in range(60):
             k = rng.randint(1, 3)
             rows = random_congruence_rows(rng, k)
@@ -267,8 +339,6 @@ class TestSolvePhaseSystem:
     def test_verdict_matches_torus_oracle(self):
         # smaller twin of the acceptance criterion: exact solver vs grid search
         rng = random.Random(90125)
-        from helpers import random_congruence_rows
-
         agreements = 0
         for trial in range(12):
             k = rng.choice((1, 1, 2, 2, 3))
@@ -282,7 +352,7 @@ class TestSolvePhaseSystem:
                 ]
             else:
                 kernel = integer_kernel(m, list(range(len(rows))))
-                while True:
+                for _ in range(MAX_DRAWS):
                     thetas = [rng.uniform(0, TWO_PI) for _ in rows]
                     if not kernel:
                         break
@@ -295,6 +365,8 @@ class TestSolvePhaseSystem:
                     )
                     if margin >= 0.2:
                         break
+                else:
+                    pytest.fail(f"no draw in {MAX_DRAWS} reached margin 0.2 for kernel {kernel}")
             system = solve_phase_system(m, PhaseTargets(tuple(enumerate(thetas))))
             oracle = torus_min_residual(rows, thetas) <= 0.05
             assert system.feasible == oracle
@@ -334,26 +406,10 @@ class TestIsEquivalentTruncated:
         assert "moduli" in result.reason
 
     def test_feasible_at_two_hundred_terms(self):
-        # harmonic coefficients twisted by seeded phases of the primes
-        n_terms = 200
-        rng = random.Random(2026)
-        primes = [p for p in range(2, n_terms + 1) if all(p % q for q in range(2, p))]
-        prime_phase = {p: rng.uniform(0, TWO_PI) for p in primes}
-        ratio = {
-            n: cmath.exp(1j * sum(e * prime_phase[p] for p, e in _factor(n).items()))
-            for n in range(1, n_terms + 1)
-        }
-        a = scenarios.ordinary_series([(n, 1.0 / n) for n in ratio])
-        b = scenarios.ordinary_series([(n, ratio[n] / n) for n in ratio])
-        result = is_equivalent_truncated(a, b)
-        assert result.equivalent
-        basis, _, _ = compute_basis(a.exponents())
-        column = {next(iter(e.coords())): j for j, e in enumerate(basis.elements)}
-        for n, want in ratio.items():
-            angle = math.fsum(
-                e * result.phase[column[f"L{p}"]] for p, e in _factor(n).items()
-            )
-            assert abs(cmath.exp(1j * angle) - want) <= 1e-8
+        _check_harmonic_twist(200)
+
+    def test_feasible_at_thousand_terms(self):
+        _check_harmonic_twist(1000)
 
     def test_skipped_basis_source(self):
         # the basis source (exponent 1) vanishes in both series, so the pivot

@@ -80,6 +80,14 @@ class TestCountZeros:
             sigma_star(one_plus_two(), 0.0, (-30, 30), sigma_floor=-5.0, steps=steps)
         with pytest.raises(BadRange):
             attains_value(one_plus_two(), 0.0, -1.0, 1.0, (-30, 30), steps)
+        # entry points that can answer without walking a contour refuse it too
+        syms = SymbolTable([("L2", LOG2)])
+        one_term = SeriesSpec(syms, [(ExponentVector({"L2": 1}), 1.0)])
+        constant = SeriesSpec(syms, [(ExponentVector(), 1.0)])
+        with pytest.raises(BadRange):
+            sigma_star(one_term, 0.0, (-5, 5), -5.0, steps=steps)
+        with pytest.raises(BadRange):
+            sigma_sequence(constant, 2, (-5, 5), steps=steps)
 
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(BadRange):
