@@ -101,27 +101,28 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     """
     pivots: list[int] = []
     rows: list[dict[int, Fraction]] = []
-    # Mutually reduced echelon rows over the coordinates.  Each entry is
-    # (lead key, coordinates, expression of the row over pivot positions);
-    # no row's coordinates contain another row's lead, so one reduction pass
-    # per incoming vector is complete.
-    echelon: list[tuple[object, dict, dict[int, Fraction]]] = []
+    # Mutually reduced echelon rows over the coordinates, keyed by lead key:
+    # (coordinates, expression of the row over pivot positions).  No row's
+    # coordinates contain another row's lead, so reducing a vector by one row
+    # neither adds a lead coordinate nor changes another lead's value: the
+    # leads among the vector's own coordinates are all the rows it needs, and
+    # their reductions commute.
+    echelon: dict[object, tuple[dict, dict[int, Fraction]]] = {}
 
     for idx, vec in enumerate(vectors):
         work = dict(vec.items())
         combo: dict[int, Fraction] = {}
-        for lead, coords, expr in echelon:
-            c = work.get(lead)
-            if c:
-                f = c / coords[lead]
-                for name, q in coords.items():
-                    new = work.get(name, Fraction(0)) - f * q
-                    if new:
-                        work[name] = new
-                    else:
-                        work.pop(name, None)
-                for j, q in expr.items():
-                    combo[j] = combo.get(j, Fraction(0)) + f * q
+        for lead in [name for name in work if name in echelon]:
+            coords, expr = echelon[lead]
+            f = work[lead] / coords[lead]
+            for name, q in coords.items():
+                new = work.get(name, Fraction(0)) - f * q
+                if new:
+                    work[name] = new
+                else:
+                    work.pop(name, None)
+            for j, q in expr.items():
+                combo[j] = combo.get(j, Fraction(0)) + f * q
         if not work:
             rows.append({j: q for j, q in combo.items() if q})
             continue
@@ -133,7 +134,7 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
             if q:
                 expr[j] = -q
         lead = min(work)
-        for other_lead, coords, other_expr in echelon:
+        for coords, other_expr in echelon.values():
             c = coords.get(lead)
             if c:
                 f = c / work[lead]
@@ -145,7 +146,7 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
                         coords.pop(name, None)
                 for j, q in expr.items():
                     other_expr[j] = other_expr.get(j, Fraction(0)) - f * q
-        echelon.append((lead, work, expr))
+        echelon[lead] = (work, expr)
     return pivots, rows
 
 

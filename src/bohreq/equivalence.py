@@ -11,29 +11,31 @@ When the relations pass, a solution is built on pivot rows, the earliest
 independent constrained rows (the basis's own unit rows unless a basis term is
 skipped).  Phases on the pivots are theta_P + 2pi w, and only rows whose
 expression over the pivots is non-integral constrain the integer vector w,
-through a small congruence system solved exactly.  Feasible verdicts always
-come with an explicit Y passing the residual check, infeasible ones with an
-exact witness.
+through a small congruence system solved exactly; its solutions are w + L for
+an integer lattice L.  This exact lift is the one source of three results: the
+residual check (from theta_P and the exact fractional parts of R'_n . w), the
+phase vector (the lift rounded to doubles) and the closure scan's minimum
+phase norm (an exact search over L).  Feasible verdicts always come with an
+explicit Y whose lift passes the residual check, infeasible ones with an exact
+witness.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .basis import Basis, BohrMatrix, compute_basis, expand_over_pivots
 from .core import SeriesSpec
 from .errors import DimensionMismatch, ModulusMismatch, PrecisionLimit, SupportMismatch
 from .lattice import (
-    clear_denominators,
-    diagonalize,
     integer_left_kernel,
     integer_right_kernel,
+    lll_reduce,
     size_reduce,
     solve_integer_rows,
 )
@@ -80,10 +82,12 @@ class CongruenceSystem:
     `kernel` generates every integer relation among the constrained rows, in
     the form `integer_kernel` gives (pivot form where the rows' expression
     over the pivots is integral), and each vector annihilates the rows
-    exactly (rational arithmetic).  Feasible verdicts carry a phase vector
-    whose worst residual is at most `tol`; infeasible ones carry an integer
-    witness, one of the kernel vectors, whose target defect exceeds `tol`
-    times its l1 norm.
+    exactly (rational arithmetic).  Feasible verdicts carry `phase`, the
+    exact pivot lift of the solution rounded to doubles, and `residual`, the
+    worst target miss of that exact lift, at most `tol`; a lift too large for
+    a double to hold within `tol` is certified, but its rounding is not.
+    Infeasible ones carry an integer witness, one of the kernel vectors,
+    whose target defect exceeds `tol` times its l1 norm.
     """
 
     row_indices: tuple[int, ...]
@@ -236,53 +240,29 @@ def integer_kernel(expansion: BohrMatrix, rows: Sequence[int]) -> list[tuple[int
     return [_dense(g, len(idx)) for g in _relations(pivots, expr, _wrapped_rows(expr))]
 
 
-def _diagonalized_system(dense: list[list[Fraction]]):
-    """Clear denominators and diagonalize the scaled system (closure scan)."""
-    a_int, scale = clear_denominators(dense)
-    u, diag, v, rank = diagonalize(a_int)
-    return a_int, scale, u, diag, v, rank
-
-
-def _polish_phases(dense_float: np.ndarray, thetas: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Newton refinements of R y = theta (mod 2pi) on signed residuals.
-
-    The true solution set is an affine space, so once y is within the linear
-    regime a least-squares correction restores full double precision.
-    """
-    for _ in range(2):
-        res = dense_float @ y - thetas
-        res = (res + math.pi) % TWO_PI - math.pi
-        if np.max(np.abs(res)) < 1e-13:
-            break
-        delta, *_ = np.linalg.lstsq(dense_float, -res, rcond=None)
-        y = y + delta
-    return y
-
-
 def _pivot_lift(
     expr: list[dict[int, Fraction]], wrapped: list[int], thetas: list[float], pivots: list[int]
-) -> list[int]:
-    """Integer w with R'_n . w = c_n (mod 1) on every constrained row, size-reduced.
+) -> tuple[list[int], list[list[int]] | None]:
+    """Integer w with R'_n . w = c_n (mod 1) on every constrained row, and the lattice L.
 
     `expr[n]` is row n over the pivots (R'_n) and c_n = (theta_n - R'_n .
     theta_P) / 2pi.  Rows with integral R'_n hold for every w (the kernel check
-    made c_n an integer), so only the others enter, scaled by the lcm d of
-    their denominators: [d R' | d I] (w, u) = round(d c).  The solution is
-    size-reduced modulo {w : d R' w = 0 (mod d)}, the right kernel projected
-    onto its first r coordinates.
+    made c_n an integer), so only the others enter, each scaled by the lcm d_n
+    of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  The
+    solutions are w + L with L = {z : R'_n . z integral on every row}, the
+    right kernel of that system projected onto its first r coordinates.  L
+    comes LLL-reduced, and w size-reduced modulo L; with no wrapped row every
+    w works, and L = Z^r is returned as None.
     """
     r = len(pivots)
     if not wrapped:
-        return [0] * r
-    d = 1
-    for n in wrapped:
-        for q in expr[n].values():
-            d = math.lcm(d, q.denominator)
+        return [0] * r, None
     theta_p = [thetas[p] for p in pivots]
     m = len(wrapped)
     system: list[list[int]] = []
     rhs: list[int] = []
     for i, n in enumerate(wrapped):
+        d = math.lcm(*(q.denominator for q in expr[n].values()))
         scaled = [0] * r
         for j, q in expr[n].items():
             scaled[j] = int(q * d)
@@ -295,8 +275,83 @@ def _pivot_lift(
             "integer lifts are inconsistent: the system sits beyond what "
             "double-precision targets can certify"
         )
-    lattice = [v[:r] for v in integer_right_kernel(system)]
-    return size_reduce(solution[:r], lattice)
+    lattice = lll_reduce([v[:r] for v in integer_right_kernel(system)])
+    return size_reduce(solution[:r], lattice), lattice
+
+
+class _Lift(NamedTuple):
+    """The exact lift: R_P Y = theta_P + 2pi (w + z) for z in `lattice`.
+
+    `rows` are the pivot rows R_P of R over the basis columns; `lattice` is
+    None for L = Z^r.
+    """
+
+    rows: list[dict[int, Fraction]]
+    theta: list[float]
+    w: list[int]
+    lattice: list[list[int]] | None
+
+
+def _phases(lift: _Lift, k: int) -> list[float]:
+    """The lift's phase vector in doubles: R_P Y = theta_P + 2pi w, free directions 0.
+
+    A column whose pivot row is the unit row e_j reads Y_j = phi_p.  Every
+    other e_j is expanded once over the pivot rows, extended by the unit
+    vectors that are independent of them (the free directions, where Y is 0):
+    Y_j = sum_p c_p phi_p.
+    """
+    y = [0.0] * k
+    others = set(range(k))
+    for theta, wp, row in zip(lift.theta, lift.w, lift.rows):
+        if len(row) == 1 and 1 in row.values():
+            (j,) = row
+            y[j] = theta + TWO_PI * wp
+            others.discard(j)
+    if others:
+        r = len(lift.rows)
+        cols = sorted(others)
+        _, expr = expand_over_pivots(lift.rows + [{j: Fraction(1)} for j in cols])
+        for j, row in zip(cols, expr[r:]):
+            coeffs = [(p, c) for p, c in row.items() if p < r]
+            turns = sum(c * lift.w[p] for p, c in coeffs)
+            y[j] = math.fsum(float(c) * lift.theta[p] for p, c in coeffs) + TWO_PI * float(turns)
+    return y
+
+
+def _decide(
+    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
+) -> tuple[CongruenceSystem, _Lift | None]:
+    """The verdict of `solve_phase_system`, with the exact lift when feasible."""
+    idx = targets.indices()
+    thetas = targets.thetas()
+    pivots, expr = _expand_rows(expansion, idx)
+    wrapped = _wrapped_rows(expr)
+    relations = _relations(pivots, expr, wrapped)
+    kernel = tuple(_dense(g, len(idx)) for g in relations)
+    common = dict(row_indices=tuple(idx), targets=targets, kernel=kernel, tol=tol)
+    for g, m in zip(relations, kernel):
+        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
+        if defect > tol * sum(abs(c) for c in g.values()):
+            return CongruenceSystem(feasible=False, witness=m, defect=defect, **common), None
+
+    w, lattice = _pivot_lift(expr, wrapped, thetas, pivots)
+    theta_p = [thetas[p] for p in pivots]
+    # R_n Y = R'_n . theta_P + 2pi R'_n . w exactly; R'_n . w is an integer
+    # unless row n is wrapped and w is nonzero.
+    fractional = set(wrapped) if any(w) else set()
+    residual = 0.0
+    for n, (row, th) in enumerate(zip(expr, thetas)):
+        angle = math.fsum(float(q) * theta_p[j] for j, q in row.items())
+        if n in fractional:
+            angle += TWO_PI * float(sum(q * w[j] for j, q in row.items()) % 1)
+        residual = max(residual, circle_distance(angle - th))
+    if residual > tol:
+        raise PrecisionLimit(
+            f"congruence solution lost precision: residual {residual:.3e} > tol {tol:.3e}"
+        )
+    lift = _Lift([dict(expansion.row_items(idx[p])) for p in pivots], theta_p, w, lattice)
+    phase = tuple(_phases(lift, expansion.ncols))
+    return CongruenceSystem(feasible=True, phase=phase, residual=residual, **common), lift
 
 
 def solve_phase_system(
@@ -308,85 +363,17 @@ def solve_phase_system(
     must annihilate theta modulo 2pi, each within tol scaled by the relation's
     l1 norm.  One expansion of the constrained rows over the pivots P, the
     earliest independent constrained rows, gives the relations (see
-    `integer_kernel`), the witness and the lift.  When all relations pass, Y
-    is built on the pivots: each constrained row is exactly R'_n R_P, and
-    phases phi = theta_P + 2pi w on the pivots satisfy it when the integer
-    vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).  When the
-    pivots are unit rows of R, Y is phi in their columns; otherwise Y is the
-    least-squares solution of R_P Y = phi, polished to double precision.
-    Raises PrecisionLimit when the phases miss a target by more than tol.
+    `integer_kernel`), the witness and the lift.  When all relations pass,
+    each constrained row is exactly R'_n R_P, so the pivot phases phi =
+    theta_P + 2pi w satisfy every row when the integer vector w solves R'_n .
+    w = c_n (mod 1) (see `_pivot_lift`).  The exact lift Y, with R_P Y = phi
+    and 0 in the directions R_P leaves free, is certified by `residual`: the
+    worst miss of R_n Y = R'_n . theta_P + 2pi R'_n . w against theta_n,
+    taken with the fractional part of R'_n . w in exact rationals.  `phase`
+    is Y rounded to doubles.  Raises PrecisionLimit when the integer lift is
+    inconsistent or the residual exceeds tol.
     """
-    idx = targets.indices()
-    thetas = targets.thetas()
-    if not idx:
-        return CongruenceSystem(
-            row_indices=(),
-            targets=targets,
-            kernel=(),
-            feasible=True,
-            tol=tol,
-            phase=(0.0,) * expansion.ncols,
-            residual=0.0,
-        )
-    pivots, expr = _expand_rows(expansion, idx)
-    wrapped = _wrapped_rows(expr)
-    relations = _relations(pivots, expr, wrapped)
-    kernel = tuple(_dense(g, len(idx)) for g in relations)
-    for g, m in zip(relations, kernel):
-        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
-        if defect > tol * sum(abs(c) for c in g.values()):
-            return CongruenceSystem(
-                row_indices=tuple(idx),
-                targets=targets,
-                kernel=kernel,
-                feasible=False,
-                tol=tol,
-                witness=m,
-                defect=defect,
-            )
-
-    k = expansion.ncols
-    if k == 0:
-        # only empty rows: the kernel check above already forced theta = 0 (mod 2pi)
-        residual = max(circle_distance(th) for th in thetas)
-        return CongruenceSystem(
-            row_indices=tuple(idx),
-            targets=targets,
-            kernel=kernel,
-            feasible=True,
-            tol=tol,
-            phase=(),
-            residual=residual,
-        )
-
-    w = _pivot_lift(expr, wrapped, thetas, pivots)
-    phi = [thetas[p] + TWO_PI * wp for p, wp in zip(pivots, w)]
-    pivot_rows = [expansion.row_items(idx[p]) for p in pivots]
-    if all(len(row) == 1 and row[0][1] == 1 for row in pivot_rows):
-        y = [0.0] * k
-        for row, value in zip(pivot_rows, phi):
-            y[row[0][0]] = value
-    else:
-        dense_float = np.array(expansion.float_rows(idx), dtype=float)
-        y, *_ = np.linalg.lstsq(dense_float[pivots], np.array(phi), rcond=None)
-        y = _polish_phases(dense_float, np.array(thetas, dtype=float), y).tolist()
-    residual = max(
-        circle_distance(math.fsum(float(q) * y[j] for j, q in expansion.row_items(i)) - th)
-        for i, th in zip(idx, thetas)
-    )
-    if residual > tol:
-        raise PrecisionLimit(
-            f"congruence solution lost precision: residual {residual:.3e} > tol {tol:.3e}"
-        )
-    return CongruenceSystem(
-        row_indices=tuple(idx),
-        targets=targets,
-        kernel=kernel,
-        feasible=True,
-        tol=tol,
-        phase=tuple(y),
-        residual=residual,
-    )
+    return _decide(expansion, targets, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -429,63 +416,83 @@ class ClosurePoint(NamedTuple):
     min_norm: float | None
 
 
-def _min_norm_one_dim(dense: list[list[Fraction]], solution: float) -> float:
-    """Smallest |y| solving a feasible one-basis-element system.
+def _min_norm(lift: _Lift) -> float:
+    """Minimum |Y| over every solution: min over z in L of |R_P^+ (theta_P + 2pi (w + z))|.
 
-    The solution set is an arithmetic progression of spacing 2 pi d / g (g the
-    gcd of the scaled column); rounding picks the nearest translate.
+    Solutions with pivot phases phi form the affine space R_P^+ phi + ker R_P,
+    so |R_P^+ phi|^2 = phi^T G phi with G = (R_P R_P^T)^-1 (the identity for
+    unit pivot rows, where R_P^+ = R_P^T).  With s = theta_P / 2pi + w this is
+    4pi^2 |s + z|_G^2, minimised exactly over the LLL-reduced generators of L
+    by Fincke-Pohst enumeration in rationals, visiting each level's candidates
+    nearest first (Schnorr-Euchner) and pruning at the best norm found.
     """
-    a_int, scale = clear_denominators(dense)
-    g = math.gcd(*(abs(row[0]) for row in a_int)) if a_int else 0
-    if g == 0:
+    r = len(lift.w)
+    if r == 0:
         return 0.0
-    period = TWO_PI * scale / g
-    j = round(solution / period)
-    best = min(abs(solution - (j + dj) * period) for dj in (-1, 0, 1))
-    return best
+    gens = lift.lattice or [[int(i == j) for j in range(r)] for i in range(r)]
+    if all(len(row) == 1 and 1 in row.values() for row in lift.rows):
+        def inner(u, v):
+            return sum(a * b for a, b in zip(u, v))
+    else:
+        # G's rows are the expressions of the unit vectors over the rows of R_P R_P^T.
+        products = [
+            {i: x for i, b in enumerate(lift.rows) if (x := sum(q * b.get(j, 0) for j, q in a.items()))}
+            for a in lift.rows
+        ]
+        gram = expand_over_pivots(products + [{i: Fraction(1)} for i in range(r)])[1][r:]
 
+        def inner(u, v):
+            return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
 
-def _min_norm_bounded(dense: list[list[Fraction]], phase: Sequence[float]) -> float:
-    """Bounded enumeration of solution-lattice translates for k >= 2 bases.
+    s = [Fraction(theta / TWO_PI) + wp for theta, wp in zip(lift.theta, lift.w)]
+    # Gram-Schmidt data in the metric G: g_i = g*_i + sum_{l<i} mu[i][l] g*_l,
+    # |g*_l|^2 = norms[l], and s = sum_l sigma[l] g*_l (L has full rank r).
+    mu = [[0] * r for _ in range(r)]
+    norms: list[Fraction] = []
+    sigma: list[Fraction] = []
+    for i in range(r):
+        for j in range(i):
+            dot = inner(gens[i], gens[j])
+            mu[i][j] = (dot - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))) / norms[j]
+        norms.append(inner(gens[i], gens[i]) - sum(mu[i][l] ** 2 * norms[l] for l in range(i)))
+        dot = inner(s, gens[i])
+        sigma.append((dot - sum(mu[i][l] * sigma[l] * norms[l] for l in range(i))) / norms[i])
+    # |s + sum_i x_i g_i|^2 = sum_l norms[l] (sigma[l] + x_l + sum_{i>l} mu[i][l] x_i)^2
+    x = [0] * r
+    best: Fraction | None = None
 
-    Returns an upper estimate of the minimum Euclidean norm: lattice shifts of
-    the found solution are scanned in the box of -4..4 steps per generator
-    (free directions projected out exactly).
-    """
-    k = len(phase)
-    _, scale, _, diag, v, rank = _diagonalized_system(dense)
-    modulus = TWO_PI * scale
-    varr = np.array(v, dtype=float)
-    y0 = np.array(phase, dtype=float)
-    free = varr[:, rank:]
-    if free.size:
-        # remove the affine-free component: min over it is a projection
-        proj, *_ = np.linalg.lstsq(free, y0, rcond=None)
-        y0 = y0 - free @ proj
-    gens = [varr[:, i] * (modulus / diag[i]) for i in range(rank)]
-    if not gens:
-        return float(np.linalg.norm(y0))
-    bound = 4
-    best = float("inf")
-    grids = np.meshgrid(*[np.arange(-bound, bound + 1) for _ in gens], indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    for combo in coords:
-        cand = y0 + sum(c * g for c, g in zip(combo, gens))
-        if free.size:
-            proj, *_ = np.linalg.lstsq(free, cand, rcond=None)
-            cand = cand - free @ proj
-        best = min(best, float(np.linalg.norm(cand)))
-    return best
+    def search(level: int, partial: Fraction) -> None:
+        nonlocal best
+        if level < 0:
+            best = partial
+            return
+        center = -(sigma[level] + sum(mu[i][level] * x[i] for i in range(level + 1, r)))
+        near = round(center)
+        step = 1 if center >= near else -1
+        for offset in itertools.count():
+            for cand in (near,) if offset == 0 else (near + step * offset, near - step * offset):
+                gap = cand - center
+                cost = partial + norms[level] * gap * gap
+                if best is not None and cost >= best:
+                    return
+                x[level] = cand
+                search(level - 1, cost)
+
+    search(r - 1, Fraction(0))
+    return TWO_PI * math.sqrt(best)
 
 
 def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]:
     """Per-truncation feasibility scan of the first-N phase systems.
 
     For each N <= n_max the first N terms are aligned and the congruence
-    system is decided; when feasible over a one-dimensional basis the exact
-    minimum |y| is reported.  Feasibility at every N with min norms diverging
-    is the finite signature of a series lying in the closure of an
-    equivalence class without belonging to it.
+    system is decided.  A feasible N reports the minimum |Y| over all its
+    solutions, for a basis of any rank, searched exactly over the lattice of
+    the pivot lift in rational arithmetic on the double targets (see
+    `_min_norm`); only theta / 2pi and the final square root are rounded.
+    Feasibility at every N with min norms diverging is the finite signature
+    of a series lying in the closure of an equivalence class without
+    belonging to it.
     """
     if not 1 <= n_max <= min(len(a.terms), len(b.terms)):
         raise DimensionMismatch(
@@ -501,18 +508,6 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
             out.append(ClosurePoint(n, False, None))
             continue
         _, expansion, _ = compute_basis([t.exponent for t in head_a.terms])
-        system = solve_phase_system(expansion, targets)
-        if not system.feasible:
-            out.append(ClosurePoint(n, False, None))
-            continue
-        min_norm: float | None = None
-        if targets.entries and expansion.ncols == 1:
-            dense = expansion.dense_rows(targets.indices())
-            min_norm = _min_norm_one_dim(dense, system.phase[0])
-        elif targets.entries and expansion.ncols >= 2:
-            dense = expansion.dense_rows(targets.indices())
-            min_norm = _min_norm_bounded(dense, system.phase)
-        elif not targets.entries:
-            min_norm = 0.0
-        out.append(ClosurePoint(n, True, min_norm))
+        system, lift = _decide(expansion, targets)
+        out.append(ClosurePoint(n, system.feasible, _min_norm(lift) if system.feasible else None))
     return out

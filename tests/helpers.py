@@ -152,3 +152,25 @@ def random_congruence_rows(rng: random.Random, k: int) -> list[list[Fraction]]:
             rows.append(row)
         if any(any(q for q in row) for row in rows):
             return rows
+
+
+def brute_min_norm(rows: list[list[Fraction]], thetas: list[float], bound: float) -> float:
+    """Smallest |Y| over the solutions of R Y = theta (mod 2pi), by enumeration.
+
+    Independent of the solver's lattice search.  A solution with |Y| <= bound
+    satisfies R Y = theta + 2pi u for a wrap vector u with |u_n| <= (|R_n|
+    bound + 2pi) / 2pi, and its shortest form for that u is Y = R^+ (theta +
+    2pi u).  Every u in that box is tried and Y is kept when it solves its
+    system exactly (up to rounding); the shortest kept Y is returned.  With no
+    rows nothing is constrained, and Y = 0 is the answer.
+    """
+    if not rows:
+        return 0.0
+    a = np.array([[float(q) for q in row] for row in rows])
+    reach = [math.ceil((np.linalg.norm(row) * bound + TWO_PI) / TWO_PI) for row in a]
+    axes = [np.arange(-c, c + 1) for c in reach]
+    wraps = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(rows))
+    rhs = np.array(thetas) + TWO_PI * wraps
+    y = rhs @ np.linalg.pinv(a).T
+    solved = np.max(np.abs(y @ a.T - rhs), axis=1) <= 1e-7
+    return float(np.min(np.linalg.norm(y[solved], axis=1)))

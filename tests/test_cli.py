@@ -2,12 +2,15 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from bohreq import scenarios
+from bohreq.basis import compute_basis
 from bohreq.cli import run_command
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable, TailMajorant
+from bohreq.equivalence import twist
 from bohreq.errors import ParseError, ValidationError
 from bohreq.seriesio import (
     emit_series_text,
@@ -165,13 +168,31 @@ class TestCommands:
         norms = [p["min_norm"] for p in payload["result"]["points"]]
         assert norms == pytest.approx([math.pi, 9 * math.pi, 45 * math.pi], rel=1e-9)
 
+    def test_closure_demo_runs_to_twenty(self, tmp_path, capsys):
+        f = tmp_path / "f20.json"
+        g = tmp_path / "g20.json"
+        write_series_file(scenarios.bohr_example(20), f)
+        write_series_file(scenarios.negate(scenarios.bohr_example(20)), g)
+        argv = ["closure-demo", "--series", str(f), "--series2", str(g), "--nmax", "20"]
+        assert run_command(argv) == 0
+        norms = [p["min_norm"] for p in json.loads(capsys.readouterr().out)["result"]["points"]]
+        assert len(norms) == 20
+        assert norms[9] == pytest.approx(43648605 * math.pi, rel=1e-12)
+        assert norms[19] == pytest.approx(500899824099675 * math.pi, rel=1e-12)
+
     def test_closure_demo_precision_limit_is_one_error_line(self, tmp_path, capsys):
-        # at n = 9 the phases of Bohr's series outgrow double precision
-        f = tmp_path / "f9.json"
-        g = tmp_path / "g9.json"
-        write_series_file(scenarios.bohr_example(9), f)
-        write_series_file(scenarios.negate(scenarios.bohr_example(9)), g)
-        argv = ["closure-demo", "--series", str(f), "--series2", str(g), "--nmax", "9"]
+        # exponents 2 + 1e-20 and 3 + 1e-20 over 1: the wrap of each row is
+        # fixed by 1e20 times a double target, which no double can carry
+        syms = SymbolTable([("ONE", 1.0)])
+        tiny = Fraction(1, 10**20)
+        exps = [ExponentVector({"ONE": q}) for q in (Fraction(1), 2 + tiny, 3 + tiny)]
+        spec = SeriesSpec(syms, [(e, 1.0) for e in exps])
+        basis, r, _ = compute_basis(exps)
+        f = tmp_path / "f.json"
+        g = tmp_path / "g.json"
+        write_series_file(spec, f)
+        write_series_file(twist(spec, basis, r, [37.0]), g)
+        argv = ["closure-demo", "--series", str(f), "--series2", str(g), "--nmax", "3"]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

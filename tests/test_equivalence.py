@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from bohreq.errors import DimensionMismatch, ModulusMismatch, SupportMismatch
 from bohreq.evaluation import shift_series
 from bohreq.lattice import hermite_normalize, integer_left_kernel
 from helpers import (
+    brute_min_norm,
     random_congruence_rows,
     random_exponent_list,
     random_twist_pair,
@@ -314,8 +316,8 @@ class TestSolvePhaseSystem:
     def test_heavy_denominators_still_solve(self):
         # feasible-by-construction systems beyond the everyday envelope:
         # the pivot rows are not unit rows and the expressions over them carry
-        # large denominators, so the wrap vector must be size-reduced and the
-        # least-squares phases polished, or precision dies
+        # large denominators, so every phase is read off the expansion of its
+        # basis column over the pivot rows, with free directions set to 0
         rng = random.Random(999)
         solved = 0
         for _ in range(120):
@@ -467,6 +469,84 @@ class TestClosureDemo:
         points = closure_demo(f, g, 3)
         assert [p.feasible for p in points] == [True, False, False]
         assert points[0].min_norm == pytest.approx(0.0, abs=1e-12)
+
+    def test_bohr_scan_to_twenty_matches_closed_form(self):
+        # min norm at N is pi * lcm_{n<=N} den(lambda_n / lambda_1), with the
+        # exponents taken from their definition 2n-1 + 1/(2(2n-1))
+        def exponent(n):
+            odd = 2 * n - 1
+            return odd + Fraction(1, 2 * odd)
+
+        f = scenarios.bohr_example(20)
+        points = closure_demo(f, scenarios.negate(f), 20)
+        lcm = 1
+        for n, point in enumerate(points, start=1):
+            lcm = math.lcm(lcm, (exponent(n) / exponent(1)).denominator)
+            assert point.feasible
+            assert point.min_norm == pytest.approx(PI * lcm, rel=1e-12)
+        assert lcm == 500899824099675
+        # the phase vector is the lift with w size-reduced modulo lcm Z
+        phase = is_equivalent_truncated(f, scenarios.negate(f)).phase
+        assert abs(phase[0]) <= PI * (lcm + 1)
+
+    def test_twisted_ordinary_series_thirty_terms(self):
+        # unit pivots over the primes and integral R: the shortest solution
+        # takes each prime phase to its representative in [-pi, pi)
+        rng = random.Random(3030)
+        a = scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 31)])
+        basis, r, _ = compute_basis(a.exponents())
+        y = [rng.uniform(-20.0, 20.0) for _ in range(r.ncols)]
+        b = twist(a, basis, r, y)
+        start = time.process_time()
+        points = closure_demo(a, b, 30)
+        assert time.process_time() - start < 1.0
+        sources = basis.source_indices
+        for point in points:
+            reduced = [(v + PI) % TWO_PI - PI for v, i in zip(y, sources) if i < point.n]
+            want = math.sqrt(sum(v * v for v in reduced))
+            assert point.feasible
+            assert point.min_norm == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_zero_exponent_truncation_has_zero_norm(self):
+        # the first term of an ordinary series has exponent log 1 = 0: the
+        # truncation N = 1 has no basis at all and its only solution is Y = ()
+        a = scenarios.ordinary_series([(1, 1.0), (2, 1.0), (3, 1.0)])
+        basis, r, _ = compute_basis(a.exponents())
+        points = closure_demo(a, twist(a, basis, r, [1.0, 2.0]), 3)
+        assert [p.feasible for p in points] == [True, True, True]
+        assert points[0].min_norm == 0.0
+        assert points[2].min_norm == pytest.approx(math.hypot(1.0, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_integral_systems_match_brute_force(self, k):
+        # rational exponents over k symbols, twisted by a short Y0; half the
+        # instances skip the first basis source, so the pivot rows are not
+        # unit rows of R and some directions stay free
+        rng = random.Random(7070 + k)
+        names = "ABC"[:k]
+        syms = SymbolTable([(name, 1.0 + 0.37 * i) for i, name in enumerate(names)])
+        checked = 0
+        for trial in range(8):
+            exps = [ExponentVector({name: 1}) for name in names]
+            while len(exps) < k + 2:
+                e = ExponentVector(
+                    {name: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for name in names}
+                )
+                if e.coords() and e not in exps:
+                    exps.append(e)
+            coeffs = [0.0 if trial % 2 and i == 0 else 1.0 for i in range(len(exps))]
+            a = SeriesSpec(syms, list(zip(exps, coeffs)))
+            basis, r, _ = compute_basis(exps)
+            y0 = [rng.uniform(0.0, TWO_PI) for _ in range(k)]
+            b = twist(a, basis, r, y0)
+            for point in closure_demo(a, b, len(exps)):
+                rows = [i for i in range(point.n) if coeffs[i]]
+                thetas = [cmath.phase(b.terms[i].coeff / a.terms[i].coeff) % TWO_PI for i in rows]
+                want = brute_min_norm(r.dense_rows(rows), thetas, math.hypot(*y0) + 1e-6)
+                assert point.feasible
+                assert point.min_norm == pytest.approx(want, rel=1e-9, abs=1e-9)
+                checked += 1
+        assert checked == 8 * (k + 2)
 
     def test_nmax_validated(self):
         f = scenarios.bohr_example(3)
