@@ -8,16 +8,13 @@ among the rows of R annihilates the targets, m . theta = 0 (mod 2pi), and a
 witness relation that fails certifies non-equivalence.
 
 When the relations pass, a solution is built on pivot rows, the earliest
-independent constrained rows (the basis's own unit rows unless a basis term is
-skipped).  Phases on the pivots are theta_P + 2pi w, and only rows whose
-expression over the pivots is non-integral constrain the integer vector w,
-through a small congruence system solved exactly; its solutions are w + L for
-an integer lattice L.  This exact lift is the one source of three results: the
-residual check (from theta_P and the exact fractional parts of R'_n . w), the
-phase vector (the lift rounded to doubles) and the closure scan's minimum
-phase norm (an exact search over L).  Feasible verdicts always come with an
-explicit Y whose lift passes the residual check, infeasible ones with an exact
-witness.
+independent constrained rows.  Phases on the pivots are theta_P + 2pi w, and
+only rows whose expression over the pivots is non-integral constrain the
+integer vector w, through a small congruence system solved exactly; its
+solutions are w + L for an integer lattice L.  This exact lift gives the phase
+vector (rounded to doubles, its own residual checked) and the closure scan's
+minimum phase norm (an exact search over L).  Feasible verdicts come with an
+explicit Y within tolerance, infeasible ones with an exact witness.
 """
 
 from __future__ import annotations
@@ -84,8 +81,8 @@ class CongruenceSystem:
     over the pivots is integral), and each vector annihilates the rows
     exactly (rational arithmetic).  Feasible verdicts carry `phase`, the
     exact pivot lift of the solution rounded to doubles, and `residual`, the
-    worst target miss of that exact lift, at most `tol`; a lift too large for
-    a double to hold within `tol` is certified, but its rounding is not.
+    worst target miss of that rounded vector, at most `tol` (a lift too large
+    for doubles to carry within `tol` raises PrecisionLimit instead).
     Infeasible ones carry an integer witness, one of the kernel vectors,
     whose target defect exceeds `tol` times its l1 norm.
     """
@@ -171,11 +168,12 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
 
 def _expand_rows(
     expansion: BohrMatrix, idx: Sequence[int]
-) -> tuple[list[int], list[dict[int, Fraction]]]:
-    """Pivots of the selected rows and every row's expression R' over them."""
+) -> tuple[list[dict[int, Fraction]], list[int], list[dict[int, Fraction]]]:
+    """The selected rows, their pivots and every row's expression R' over them."""
     if any(not 0 <= i < expansion.nrows for i in idx):
         raise DimensionMismatch(f"row selection outside 0..{expansion.nrows - 1}")
-    return expand_over_pivots([dict(expansion.row_items(i)) for i in idx])
+    rows = [dict(expansion.row_items(i)) for i in idx]
+    return (rows, *expand_over_pivots(rows))
 
 
 def _wrapped_rows(expr: list[dict[int, Fraction]]) -> list[int]:
@@ -236,7 +234,7 @@ def integer_kernel(expansion: BohrMatrix, rows: Sequence[int]) -> list[tuple[int
     idx = list(rows)
     if not idx:
         raise DimensionMismatch("row selection must be nonempty")
-    pivots, expr = _expand_rows(expansion, idx)
+    _, pivots, expr = _expand_rows(expansion, idx)
     return [_dense(g, len(idx)) for g in _relations(pivots, expr, _wrapped_rows(expr))]
 
 
@@ -248,11 +246,10 @@ def _pivot_lift(
     `expr[n]` is row n over the pivots (R'_n) and c_n = (theta_n - R'_n .
     theta_P) / 2pi.  Rows with integral R'_n hold for every w (the kernel check
     made c_n an integer), so only the others enter, each scaled by the lcm d_n
-    of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  The
-    solutions are w + L with L = {z : R'_n . z integral on every row}, the
-    right kernel of that system projected onto its first r coordinates.  L
-    comes LLL-reduced, and w size-reduced modulo L; with no wrapped row every
-    w works, and L = Z^r is returned as None.
+    of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  L, the
+    z with R'_n . z integral on every row, has the right kernel of that system
+    cut to its first r coordinates as basis, and w comes size-reduced modulo
+    L.  With no wrapped row every w works, and L = Z^r is returned as None.
     """
     r = len(pivots)
     if not wrapped:
@@ -275,83 +272,82 @@ def _pivot_lift(
             "integer lifts are inconsistent: the system sits beyond what "
             "double-precision targets can certify"
         )
-    lattice = lll_reduce([v[:r] for v in integer_right_kernel(system)])
+    lattice = [v[:r] for v in integer_right_kernel(system)]
     return size_reduce(solution[:r], lattice), lattice
 
 
 class _Lift(NamedTuple):
-    """The exact lift: R_P Y = theta_P + 2pi (w + z) for z in `lattice`.
+    """The exact lift R_P Y = theta_P + 2pi (w + z), z in L (`lattice`, None for Z^r).
 
-    `rows` are the pivot rows R_P of R over the basis columns; `lattice` is
-    None for L = Z^r.
+    `rows` are the constrained rows of R and `pivots` the positions of R_P
+    among them; `units[p]` is j when pivot row p is the unit row e_j, else None.
     """
 
     rows: list[dict[int, Fraction]]
+    pivots: list[int]
+    units: list[int | None]
     theta: list[float]
     w: list[int]
     lattice: list[list[int]] | None
 
 
-def _phases(lift: _Lift, k: int) -> list[float]:
+def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
     """The lift's phase vector in doubles: R_P Y = theta_P + 2pi w, free directions 0.
 
-    A column whose pivot row is the unit row e_j reads Y_j = phi_p.  Every
-    other e_j is expanded once over the pivot rows, extended by the unit
-    vectors that are independent of them (the free directions, where Y is 0):
-    Y_j = sum_p c_p phi_p.
+    A column whose pivot row is the unit row e_j reads Y_j = phi_p; every other
+    e_j is expanded once over the pivot rows and the unit vectors independent
+    of them (the free directions, where Y is 0), giving Y_j = sum_p c_p phi_p.
     """
     y = [0.0] * k
-    others = set(range(k))
-    for theta, wp, row in zip(lift.theta, lift.w, lift.rows):
-        if len(row) == 1 and 1 in row.values():
-            (j,) = row
+    for j, theta, wp in zip(lift.units, lift.theta, lift.w):
+        if j is not None:
             y[j] = theta + TWO_PI * wp
-            others.discard(j)
-    if others:
-        r = len(lift.rows)
-        cols = sorted(others)
-        _, expr = expand_over_pivots(lift.rows + [{j: Fraction(1)} for j in cols])
+    cols = sorted(set(range(k)).difference(lift.units))
+    if cols:
+        r = len(lift.pivots)
+        pivot_rows = [lift.rows[p] for p in lift.pivots]
+        _, expr = expand_over_pivots(pivot_rows + [{j: Fraction(1)} for j in cols])
         for j, row in zip(cols, expr[r:]):
             coeffs = [(p, c) for p, c in row.items() if p < r]
             turns = sum(c * lift.w[p] for p, c in coeffs)
             y[j] = math.fsum(float(c) * lift.theta[p] for p, c in coeffs) + TWO_PI * float(turns)
-    return y
+    return tuple(y)
 
 
 def _decide(
-    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
-) -> tuple[CongruenceSystem, _Lift | None]:
-    """The verdict of `solve_phase_system`, with the exact lift when feasible."""
+    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9, certify: bool = False
+) -> tuple[tuple[tuple[int, ...], ...], _Lift | tuple[tuple[int, ...], float]]:
+    """The kernel, and the exact lift if every relation passes, else a witness and its defect.
+
+    `certify` checks the lift itself, for callers that do not round it: R_n Y
+    = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced modulo 1 exactly in
+    integers, so a lift of any size is checked.  A miss over tol, or an
+    inconsistent integer lift, raises PrecisionLimit.
+    """
     idx = targets.indices()
     thetas = targets.thetas()
-    pivots, expr = _expand_rows(expansion, idx)
+    rows, pivots, expr = _expand_rows(expansion, idx)
     wrapped = _wrapped_rows(expr)
     relations = _relations(pivots, expr, wrapped)
     kernel = tuple(_dense(g, len(idx)) for g in relations)
-    common = dict(row_indices=tuple(idx), targets=targets, kernel=kernel, tol=tol)
     for g, m in zip(relations, kernel):
         defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
         if defect > tol * sum(abs(c) for c in g.values()):
-            return CongruenceSystem(feasible=False, witness=m, defect=defect, **common), None
+            return kernel, (m, defect)
 
     w, lattice = _pivot_lift(expr, wrapped, thetas, pivots)
     theta_p = [thetas[p] for p in pivots]
-    # R_n Y = R'_n . theta_P + 2pi R'_n . w exactly; R'_n . w is an integer
-    # unless row n is wrapped and w is nonzero.
-    fractional = set(wrapped) if any(w) else set()
-    residual = 0.0
-    for n, (row, th) in enumerate(zip(expr, thetas)):
-        angle = math.fsum(float(q) * theta_p[j] for j, q in row.items())
-        if n in fractional:
-            angle += TWO_PI * float(sum(q * w[j] for j, q in row.items()) % 1)
-        residual = max(residual, circle_distance(angle - th))
-    if residual > tol:
-        raise PrecisionLimit(
-            f"congruence solution lost precision: residual {residual:.3e} > tol {tol:.3e}"
-        )
-    lift = _Lift([dict(expansion.row_items(idx[p])) for p in pivots], theta_p, w, lattice)
-    phase = tuple(_phases(lift, expansion.ncols))
-    return CongruenceSystem(feasible=True, phase=phase, residual=residual, **common), lift
+    if certify:  # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
+        for row, th in zip(expr, thetas):
+            turns = math.fsum(q.numerator * w[j] % q.denominator / q.denominator
+                              for j, q in row.items())
+            angle = math.fsum(float(q) * theta_p[j] for j, q in row.items()) + TWO_PI * turns
+            if (miss := circle_distance(angle - th)) > tol:
+                raise PrecisionLimit(
+                    f"congruence solution lost precision: residual {miss:.3e} > tol {tol:.3e}"
+                )
+    units = [next(iter(rows[p])) if list(rows[p].values()) == [1] else None for p in pivots]
+    return kernel, _Lift(rows, pivots, units, theta_p, w, lattice)
 
 
 def solve_phase_system(
@@ -359,21 +355,30 @@ def solve_phase_system(
 ) -> CongruenceSystem:
     """Decide R Y = theta (mod 2pi) on the constrained rows.
 
-    Feasibility is the kernel criterion: every integer relation among the rows
-    must annihilate theta modulo 2pi, each within tol scaled by the relation's
-    l1 norm.  One expansion of the constrained rows over the pivots P, the
-    earliest independent constrained rows, gives the relations (see
-    `integer_kernel`), the witness and the lift.  When all relations pass,
-    each constrained row is exactly R'_n R_P, so the pivot phases phi =
-    theta_P + 2pi w satisfy every row when the integer vector w solves R'_n .
-    w = c_n (mod 1) (see `_pivot_lift`).  The exact lift Y, with R_P Y = phi
-    and 0 in the directions R_P leaves free, is certified by `residual`: the
-    worst miss of R_n Y = R'_n . theta_P + 2pi R'_n . w against theta_n,
-    taken with the fractional part of R'_n . w in exact rationals.  `phase`
-    is Y rounded to doubles.  Raises PrecisionLimit when the integer lift is
-    inconsistent or the residual exceeds tol.
+    Feasible exactly when every integer relation among the rows (see
+    `integer_kernel`) annihilates theta modulo 2pi within tol times its l1
+    norm; the first that fails is the witness.  Otherwise each row is R'_n
+    R_P over the pivots P, and phi = theta_P + 2pi w solves every row when the
+    integer vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).
+    `phase` is the lift Y (R_P Y = phi, 0 in the directions R_P leaves free)
+    rounded to doubles, and `residual` the worst miss of that rounded vector.
+    Raises PrecisionLimit when the integer lift is inconsistent or the rounded
+    phase misses a target by more than tol (Bohr's series from N = 9).
     """
-    return _decide(expansion, targets, tol)[0]
+    kernel, outcome = _decide(expansion, targets, tol)
+    common = dict(row_indices=tuple(targets.indices()), targets=targets, kernel=kernel, tol=tol)
+    if not isinstance(outcome, _Lift):
+        witness, defect = outcome
+        return CongruenceSystem(feasible=False, witness=witness, defect=defect, **common)
+    phase = _phases(outcome, expansion.ncols)
+    misses = (math.fsum(float(q) * phase[j] for j, q in row.items()) - th
+              for row, th in zip(outcome.rows, targets.thetas()))
+    residual = max(map(circle_distance, misses), default=0.0)
+    if residual > tol:
+        raise PrecisionLimit(
+            f"phase vector lost precision in doubles: residual {residual:.3e} > tol {tol:.3e}"
+        )
+    return CongruenceSystem(feasible=True, phase=phase, residual=residual, **common)
 
 
 @dataclass(frozen=True)
@@ -419,30 +424,28 @@ class ClosurePoint(NamedTuple):
 def _min_norm(lift: _Lift) -> float:
     """Minimum |Y| over every solution: min over z in L of |R_P^+ (theta_P + 2pi (w + z))|.
 
-    Solutions with pivot phases phi form the affine space R_P^+ phi + ker R_P,
-    so |R_P^+ phi|^2 = phi^T G phi with G = (R_P R_P^T)^-1 (the identity for
-    unit pivot rows, where R_P^+ = R_P^T).  With s = theta_P / 2pi + w this is
-    4pi^2 |s + z|_G^2, minimised exactly over the LLL-reduced generators of L
-    by Fincke-Pohst enumeration in rationals, visiting each level's candidates
-    nearest first (Schnorr-Euchner) and pruning at the best norm found.
+    Unit pivot rows with L = Z^r (every ordinary series) separate: each pivot
+    phase wraps to its principal angle.  Otherwise |R_P^+ phi|^2 = phi^T G phi
+    with G = (R_P R_P^T)^-1, the identity for unit pivot rows.  With s =
+    theta_P / 2pi + w this is 4pi^2 |s + z|_G^2, minimised exactly over the
+    LLL-reduced basis of L by Fincke-Pohst enumeration in rationals, each
+    level's candidates nearest first (Schnorr-Euchner), pruned at the best
+    norm found.
     """
+    if lift.lattice is None and None not in lift.units:
+        return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
     r = len(lift.w)
-    if r == 0:
-        return 0.0
-    gens = lift.lattice or [[int(i == j) for j in range(r)] for i in range(r)]
-    if all(len(row) == 1 and 1 in row.values() for row in lift.rows):
-        def inner(u, v):
-            return sum(a * b for a, b in zip(u, v))
-    else:
+    gens = lll_reduce(lift.lattice) if lift.lattice else [_dense({i: 1}, r) for i in range(r)]
+    gram = [{i: Fraction(1)} for i in range(r)]
+    if None in lift.units:
         # G's rows are the expressions of the unit vectors over the rows of R_P R_P^T.
-        products = [
-            {i: x for i, b in enumerate(lift.rows) if (x := sum(q * b.get(j, 0) for j, q in a.items()))}
-            for a in lift.rows
-        ]
-        gram = expand_over_pivots(products + [{i: Fraction(1)} for i in range(r)])[1][r:]
+        rp = [lift.rows[p] for p in lift.pivots]
+        dots = [{i: sum(q * b.get(j, 0) for j, q in a.items()) for i, b in enumerate(rp)}
+                for a in rp]
+        gram = expand_over_pivots([{i: x for i, x in d.items() if x} for d in dots] + gram)[1][r:]
 
-        def inner(u, v):
-            return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
+    def inner(u, v):
+        return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
 
     s = [Fraction(theta / TWO_PI) + wp for theta, wp in zip(lift.theta, lift.w)]
     # Gram-Schmidt data in the metric G: g_i = g*_i + sum_{l<i} mu[i][l] g*_l,
@@ -487,9 +490,8 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
 
     For each N <= n_max the first N terms are aligned and the congruence
     system is decided.  A feasible N reports the minimum |Y| over all its
-    solutions, for a basis of any rank, searched exactly over the lattice of
-    the pivot lift in rational arithmetic on the double targets (see
-    `_min_norm`); only theta / 2pi and the final square root are rounded.
+    solutions, for a basis of any rank, from the exact pivot lift (checked
+    exactly, never rounded to a phase vector; see `_min_norm`).
     Feasibility at every N with min norms diverging is the finite signature
     of a series lying in the closure of an equivalence class without
     belonging to it.
@@ -508,6 +510,7 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
             out.append(ClosurePoint(n, False, None))
             continue
         _, expansion, _ = compute_basis([t.exponent for t in head_a.terms])
-        system, lift = _decide(expansion, targets)
-        out.append(ClosurePoint(n, system.feasible, _min_norm(lift) if system.feasible else None))
+        _, outcome = _decide(expansion, targets, certify=True)
+        feasible = isinstance(outcome, _Lift)
+        out.append(ClosurePoint(n, feasible, _min_norm(outcome) if feasible else None))
     return out

@@ -13,6 +13,7 @@ from bohreq.basis import BohrMatrix, compute_basis, expand_over_pivots
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import (
     PhaseTargets,
+    _decide,
     circle_distance,
     closure_demo,
     extract_phase_targets,
@@ -21,7 +22,7 @@ from bohreq.equivalence import (
     solve_phase_system,
     twist,
 )
-from bohreq.errors import DimensionMismatch, ModulusMismatch, SupportMismatch
+from bohreq.errors import DimensionMismatch, ModulusMismatch, PrecisionLimit, SupportMismatch
 from bohreq.evaluation import shift_series
 from bohreq.lattice import hermite_normalize, integer_left_kernel
 from helpers import (
@@ -269,6 +270,14 @@ class TestSolvePhaseSystem:
         assert circle_distance(1.0 * (-3 * PI) - PI) < 1e-12
         assert circle_distance((19.0 / 9.0) * (-3 * PI) - 5 * PI / 3) < 1e-12
 
+    def test_free_directions_are_zero(self):
+        # one constrained row (1/2, 1/2) over two columns: e_0 is independent
+        # of it, so Y_0 = 0 and Y_1 carries the whole phase
+        m = BohrMatrix([{0: Fraction(1, 2), 1: Fraction(1, 2)}], ncols=2)
+        system = solve_phase_system(m, PhaseTargets(((0, 1.0),)))
+        assert system.feasible
+        assert system.phase == (0.0, 2.0)
+
     def test_zero_rows_constrain_their_targets(self):
         m = BohrMatrix([{}, {0: 1}], ncols=1)
         ok = solve_phase_system(m, PhaseTargets(((0, 0.0), (1, 1.0))))
@@ -429,6 +438,23 @@ class TestIsEquivalentTruncated:
             got = ta.coeff * cmath.exp(1j * q * result.phase[0])
             assert abs(got - tb.coeff) <= 1e-9
 
+    def test_rounded_phase_is_checked(self):
+        # on Bohr's series the exact lift outgrows double precision at N = 9:
+        # the verdict raises rather than pair a phase that misses the
+        # coefficients with a residual that phase does not have
+        f = scenarios.bohr_example(8)
+        g = scenarios.negate(f)
+        result = is_equivalent_truncated(f, g)
+        assert result.equivalent
+        assert result.system.residual <= result.system.tol
+        basis, r, _ = compute_basis(f.exponents())
+        for tt, tg in zip(twist(f, basis, r, result.phase).terms, g.terms):
+            assert abs(tt.coeff - tg.coeff) <= 2 * result.system.tol
+        for n in (9, 20):
+            f = scenarios.bohr_example(n)
+            with pytest.raises(PrecisionLimit, match="phase vector lost precision"):
+                is_equivalent_truncated(f, scenarios.negate(f))
+
     def test_shift_equivalence(self):
         # vertical shifts are twists: always equivalent, for any tau
         rng = random.Random(2718)
@@ -485,9 +511,10 @@ class TestClosureDemo:
             assert point.feasible
             assert point.min_norm == pytest.approx(PI * lcm, rel=1e-12)
         assert lcm == 500899824099675
-        # the phase vector is the lift with w size-reduced modulo lcm Z
-        phase = is_equivalent_truncated(f, scenarios.negate(f)).phase
-        assert abs(phase[0]) <= PI * (lcm + 1)
+        # the exact lift has w size-reduced modulo lcm Z
+        _, r, _ = compute_basis(f.exponents())
+        _, lift = _decide(r, extract_phase_targets(f, scenarios.negate(f)))
+        assert abs(lift.theta[0] + TWO_PI * lift.w[0]) <= PI * (lcm + 1)
 
     def test_twisted_ordinary_series_thirty_terms(self):
         # unit pivots over the primes and integral R: the shortest solution
@@ -506,6 +533,21 @@ class TestClosureDemo:
             want = math.sqrt(sum(v * v for v in reduced))
             assert point.feasible
             assert point.min_norm == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_twisted_ordinary_series_rank_twenty_five(self):
+        # 100 terms over the 25 primes below 100: unit pivots with no wrapped
+        # row take the separable closed form, so rank costs no search
+        rng = random.Random(3100)
+        a = scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 101)])
+        basis, r, _ = compute_basis(a.exponents())
+        assert r.ncols == 25
+        y = [rng.uniform(-20.0, 20.0) for _ in range(r.ncols)]
+        start = time.process_time()
+        points = closure_demo(a, twist(a, basis, r, y), 100)
+        assert time.process_time() - start < 1.0
+        want = math.sqrt(sum(((v + PI) % TWO_PI - PI) ** 2 for v in y))
+        assert all(p.feasible for p in points)
+        assert points[-1].min_norm == pytest.approx(want, rel=1e-12)
 
     def test_zero_exponent_truncation_has_zero_norm(self):
         # the first term of an ordinary series has exponent log 1 = 0: the
