@@ -9,6 +9,7 @@ sorted keys, point clouds as re,im CSV, and files are written atomically.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import itertools
 import json
@@ -16,10 +17,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import equivalence, evaluation, scenarios, valuesets, zeros
 from .basis import compute_basis, is_integral
 from .core import spec_tail_bound, validate_series
-from .errors import SeriesError, ValidationError
+from .errors import PrecisionLimit, SeriesError, ValidationError
 from .seriesio import (
     atomic_write_text,
     emit_series_text,
@@ -273,7 +276,11 @@ def _cmd_closure_demo(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = _load(args.series)
-    value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
+    if not cmath.isfinite(value):
+        point = complex(args.sigma, args.t)
+        raise PrecisionLimit(f"the value at {point} is {value}, not a finite double")
     result = {"re": value.real, "im": value.imag}
     _emit(args, _verdict(args, "eval", {"series": args.series}, result))
     return EXIT_OK
@@ -297,7 +304,11 @@ def _cmd_uniform_distance(args) -> int:
         args.grid[0],
         args.grid[1],
     )
-    result = {"distance": evaluation.uniform_distance(a, b, box)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = evaluation.uniform_distance(a, b, box)
+    if not math.isfinite(distance):
+        raise PrecisionLimit(f"the uniform distance is {distance}, not a finite double")
+    result = {"distance": distance}
     _emit(
         args,
         _verdict(

@@ -178,6 +178,77 @@ class Term(NamedTuple):
     coeff: complex
 
 
+class ProductPlan:
+    """How to compute the terms of a series from few exponentials.
+
+    `fresh` lists the terms evaluated directly, in term order; fresh term
+    `fresh[i]` is kept in row i.  `steps` has one `(slot, factors)` pair per
+    term: the row that holds its values, and the rows of the two earlier
+    terms it is the product of (None for a fresh term).  `slots` is the
+    number of rows a block of points needs.
+    """
+
+    __slots__ = ("fresh", "steps", "slots")
+
+    def __init__(
+        self,
+        fresh: tuple[int, ...],
+        steps: tuple[tuple[int, tuple[int, int] | None], ...],
+        slots: int,
+    ):
+        self.fresh = fresh
+        self.steps = steps
+        self.slots = slots
+
+
+def product_plan(exponents: tuple[ExponentVector, ...]) -> ProductPlan:
+    """Write each term as a product of two earlier terms where the exponents allow.
+
+    Term n is the child of (m, p) when exponent_n == exponent_m + exponent_p
+    exactly, with m, p < n and p a fresh term (fresh terms are tried in term
+    order); every other term is fresh.  The decision is exact, so the plan
+    only changes how a value is computed, never which value.  A child's row
+    is given back after the child's last use as a factor, so the number of
+    rows is the number of fresh terms plus the children alive at once.
+    """
+    index = {e: n for n, e in enumerate(exponents)}
+    fresh: list[int] = []
+    pairs: list[tuple[int, int] | None] = []
+    for n, e in enumerate(exponents):
+        pair = None
+        for p in fresh:
+            m = index.get(e - exponents[p], n)
+            if m < n:
+                pair = (m, p)
+                break
+        if pair is None:
+            fresh.append(n)
+        pairs.append(pair)
+    last_use = list(range(len(exponents)))
+    for n, pair in enumerate(pairs):
+        for f in pair or ():
+            last_use[f] = n
+    slot_of = {n: i for i, n in enumerate(fresh)}
+    free: list[int] = []
+    slots = len(fresh)
+    steps: list[tuple[int, tuple[int, int] | None]] = []
+    for n, pair in enumerate(pairs):
+        if pair is None:
+            steps.append((slot_of[n], None))
+            continue
+        # the row is taken before the factors give theirs back, so a product
+        # never overwrites one of its own factors
+        if not free:
+            free.append(slots)
+            slots += 1
+        slot_of[n] = free.pop()
+        steps.append((slot_of[n], (slot_of[pair[0]], slot_of[pair[1]])))
+        for f in dict.fromkeys((*pair, n)):
+            if last_use[f] == n and pairs[f] is not None:
+                free.append(slot_of[f])
+    return ProductPlan(tuple(fresh), tuple(steps), slots)
+
+
 @dataclass(frozen=True)
 class TailMajorant:
     """Geometric bound on the omitted terms of a truncated series.
@@ -202,6 +273,16 @@ class TailMajorant:
             raise ValueError("min_gap must be > 0")
 
 
+class _Derived:
+    """What a series computes from its exponents alone, on first use."""
+
+    __slots__ = ("lams", "plan")
+
+    def __init__(self):
+        self.lams: tuple[float, ...] | None = None
+        self.plan: ProductPlan | None = None
+
+
 class SeriesSpec:
     """A finite truncation of a general Dirichlet series.
 
@@ -210,7 +291,7 @@ class SeriesSpec:
     optional certified majorant for the omitted terms.
     """
 
-    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_lams")
+    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_derived")
 
     def __init__(
         self,
@@ -223,7 +304,7 @@ class SeriesSpec:
         self._terms = tuple(Term(exp, complex(coeff)) for exp, coeff in terms)
         self._abscissa = float(abscissa)
         self._tail = tail
-        self._lams: tuple[float, ...] | None = None
+        self._derived = _Derived()
 
     @property
     def symbols(self) -> SymbolTable:
@@ -252,21 +333,34 @@ class SeriesSpec:
 
     def numeric_exponents(self) -> tuple[float, ...]:
         """Double values of the exponents, computed on the first call only."""
-        if self._lams is None:
-            self._lams = tuple(t.exponent.numeric_value(self._symbols) for t in self._terms)
-        return self._lams
+        derived = self._derived
+        if derived.lams is None:
+            derived.lams = tuple(t.exponent.numeric_value(self._symbols) for t in self._terms)
+        return derived.lams
+
+    def product_plan(self) -> ProductPlan:
+        """The exponents' product plan (see `product_plan`), built on the
+        first call only."""
+        derived = self._derived
+        if derived.plan is None:
+            derived.plan = product_plan(self.exponents())
+        return derived.plan
 
     def with_coeffs(self, coeffs: Iterable[complex]) -> "SeriesSpec":
         """Same exponents and metadata, new coefficients (moduli may change)."""
         coeffs = tuple(complex(c) for c in coeffs)
         if len(coeffs) != len(self._terms):
             raise ValueError("coefficient count does not match term count")
-        return SeriesSpec(
+        spec = SeriesSpec(
             self._symbols,
             zip(self.exponents(), coeffs),
             self._abscissa,
             self._tail,
         )
+        # same exponents: whichever of the two computes their values or plan
+        # first computes them for both
+        spec._derived = self._derived
+        return spec
 
     def take_terms(self, n: int) -> "SeriesSpec":
         """First n terms.  A proper truncation drops the tail majorant, which

@@ -3,9 +3,14 @@
 One evaluator serves points, grids, strips, lines and contours: the sum runs
 in term order (increasing exponent) in double-precision complex arithmetic,
 for a scalar and for an array alike, so a point gets the bits it would get
-inside any array.  Certified comparisons lean on tail majorants, not on
-summation heroics.  Grid suprema approximate sup norms on compact boxes; grid
-density is a verification parameter chosen by the caller.
+inside any array.  The terms follow the series' product plan
+(`SeriesSpec.product_plan`): a fresh term is one complex `exp`, and a term
+whose exponent is exactly the sum of two earlier ones is their product.  The
+points are summed in blocks of `BLOCK`, so the stored terms of a block stay
+in cache and no scratch buffer grows with the number of points.  Certified
+comparisons lean on tail majorants, not on summation heroics.  Grid suprema
+approximate sup norms on compact boxes; grid density is a verification
+parameter chosen by the caller.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,26 +62,64 @@ class GridBox:
         return np.linspace(self.t_range[0], self.t_range[1], self.t_steps + 1)
 
 
+#: Points per block: every term alive at once keeps one block of this many
+#: complex values, 128 KiB, so a block's working set stays in cache.
+BLOCK = 8192
+
+
+def plan_sum(
+    spec: SeriesSpec, size: int, fresh: Callable[[slice, np.ndarray], None]
+) -> np.ndarray:
+    """sum_n c_n term_n at `size` points, one block of points at a time.
+
+    The terms follow `spec.product_plan()`: `fresh(block, rows)`, called
+    once per block in block order, writes fresh term `plan.fresh[i]` at the
+    points of `block` into `rows[i]`; then, in term order, a child term is
+    the product of the two rows it is planned from, and each term adds
+    c_n term_n to the sum.  Each product is taken
+    out of place into a contiguous row: NumPy multiplies a one-element array
+    in place, or a strided one, by another loop than a contiguous one, and on
+    CPUs where the vector loop fuses multiply-adds the two round differently.
+    So a point gets the same bits in a block of any length.
+    """
+    plan = spec.product_plan()
+    out = np.zeros(size, dtype=complex)
+    store = np.empty((plan.slots, min(size, BLOCK)), dtype=complex)
+    weighted = np.empty(store.shape[1], dtype=complex)
+    for lo in range(0, size, BLOCK):
+        block = slice(lo, min(lo + BLOCK, size))
+        acc = out[block]
+        rows = store[:, : len(acc)]
+        fresh(block, rows[: len(plan.fresh)])
+        terms, w = list(rows), weighted[: len(acc)]
+        for (slot, factors), coeff in zip(plan.steps, spec.coeffs()):
+            if factors is not None:
+                np.multiply(terms[factors[0]], terms[factors[1]], out=terms[slot])
+            np.multiply(terms[slot], coeff, out=w)
+            acc += w
+    return out
+
+
 def evaluate(
     spec: SeriesSpec, point: EvalPoint | complex | np.ndarray
 ) -> complex | np.ndarray:
     """sum a(n) exp(-lambda(n) s) at s = sigma + it, summed in term order.
 
     A point (an EvalPoint or a complex number) gives a complex; an array of
-    points gives an array of values of the same shape.
+    points gives an array of values of the same shape.  A fresh term of the
+    product plan is exp(-lambda(n) s); a child term is the product of two
+    earlier terms.
     """
     s = np.asarray(point.s if isinstance(point, EvalPoint) else point, dtype=complex)
-    out = np.zeros(s.shape, dtype=complex)
-    buf = np.empty(s.shape, dtype=complex)
-    term = np.empty(s.shape, dtype=complex)
-    for lam, coeff in zip(spec.numeric_exponents(), spec.coeffs()):
-        np.multiply(s, -lam, out=buf)
-        np.exp(buf, out=buf)
-        # not in place: NumPy multiplies a one-element array in place by
-        # another loop than a longer one, and on CPUs where the vector loop
-        # fuses multiply-adds the two round differently
-        np.multiply(buf, coeff, out=term)
-        out += term
+    flat = s.ravel()
+    lams = spec.numeric_exponents()
+    neg = np.array([-lams[n] for n in spec.product_plan().fresh])
+
+    def fresh(block: slice, rows: np.ndarray) -> None:
+        np.multiply.outer(neg, flat[block], out=rows)
+        np.exp(rows, out=rows)
+
+    out = plan_sum(spec, flat.size, fresh).reshape(s.shape)
     return complex(out) if out.ndim == 0 else out
 
 

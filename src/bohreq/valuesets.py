@@ -5,8 +5,12 @@ the series directly at sampled points (with `evaluation.evaluate`); route B
 samples the equivalence class, twisting by random phase vectors drawn from
 the period box [0, 2pi d)^k with d the lcm of expansion-matrix denominators
 (for an integral matrix this is the plain torus box).  Route B sums the torus
-lift sum_n c_n exp(i R_n . y - lambda_n sigma) one term at a time, so its
-transient memory does not grow with the number of terms.  Cloud proximity is
+lift sum_n c_n exp(i R_n . y - lambda_n sigma) over the series' product plan
+(`evaluation.plan_sum`): a fresh term is one complex exp, a child term the
+product of two stored ones, since exponents that add have rows R_n that add.
+Both routes work through the points in blocks of `evaluation.BLOCK`: route B
+draws its phases and sigmas block by block from the same stream, and route A
+keeps only its cell picks and the output at full length.  Cloud proximity is
 measured by the two-sided Hausdorff distance between finite point sets.
 """
 
@@ -21,8 +25,8 @@ import numpy as np
 from .basis import compute_basis, denominator_lcm
 from .core import SeriesSpec
 from .equivalence import TWO_PI, PhaseVector
-from .errors import BadRange, EmptyCloud
-from .evaluation import evaluate
+from .errors import BadRange, EmptyCloud, PrecisionLimit
+from .evaluation import BLOCK, evaluate, plan_sum
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,31 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _modulus_cap(spec: SeriesSpec, sigma_lo: float, sigma_hi: float) -> float:
-    """Triangle-inequality bound on |f| over the closed sigma band."""
-    return math.fsum(
-        abs(term.coeff) * max(math.exp(-lam * sigma_lo), math.exp(-lam * sigma_hi))
-        for lam, term in zip(spec.numeric_exponents(), spec.terms)
-    )
+    """Triangle-inequality bound on |f| over the closed sigma band.
+
+    Raises PrecisionLimit when the bound is not a finite double: the values
+    themselves would then overflow.
+    """
+    try:
+        cap = math.fsum(
+            abs(term.coeff) * max(math.exp(-lam * sigma_lo), math.exp(-lam * sigma_hi))
+            for lam, term in zip(spec.numeric_exponents(), spec.terms)
+        )
+    except OverflowError:
+        cap = math.inf
+    if not math.isfinite(cap):
+        raise PrecisionLimit(
+            f"the triangle bound on |f| for sigma in [{sigma_lo}, {sigma_hi}] "
+            "is beyond double precision"
+        )
+    return cap
 
 
 def _check_modulus(values: np.ndarray, cap: float) -> None:
     worst = float(np.max(np.abs(values))) if len(values) else 0.0
-    if worst > cap * (1.0 + 1e-9) + 1e-12:
-        raise ArithmeticError(
+    # written so that a NaN modulus fails the test too
+    if not worst <= cap * (1.0 + 1e-9) + 1e-12:
+        raise PrecisionLimit(
             f"sampled modulus {worst:.6g} exceeds triangle bound {cap:.6g}"
         )
 
@@ -87,6 +105,7 @@ def sample_strip_direct(
         raise BadRange(f"need t_max > 0, got {t_max}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
+    cap = _modulus_cap(spec, sigma1, sigma2)
     rng = np.random.default_rng(seed)
     width, height = sigma2 - sigma1, 2.0 * t_max
     cells = max(1, count // 16)
@@ -109,14 +128,20 @@ def sample_strip_direct(
     # the n points of a cell form a shifted rank-1 lattice: stratified, jittered
     # in sigma; golden-ratio steps in t
     per_cell = np.bincount(pick, minlength=len(centres))
-    rank = np.arange(count) - (np.cumsum(per_cell) - per_cell)[pick]
-    shift = rng.uniform(size=len(centres))[pick]
-    u = (rank + rng.uniform(size=count)) / per_cell[pick]
-    v = (rank * _GOLDEN + shift) % 1.0
-    sig = sigma1 + (pick // n_t + u) * d_sig
-    t = -t_max + (pick % n_t + v) * d_t
-    values = evaluate(spec, sig + 1j * t)
-    _check_modulus(values, _modulus_cap(spec, sigma1, sigma2))
+    first = np.cumsum(per_cell) - per_cell
+    shift = rng.uniform(size=len(centres))
+    values = np.empty(count, dtype=complex)
+    # points are built and evaluated one block at a time; the last draw is
+    # sequential, so drawing it per block gives the same numbers
+    for lo in range(0, count, BLOCK):
+        cell = pick[lo : lo + BLOCK]
+        rank = np.arange(lo, lo + len(cell)) - first[cell]
+        u = (rank + rng.uniform(size=len(cell))) / per_cell[cell]
+        v = (rank * _GOLDEN + shift[cell]) % 1.0
+        sig = sigma1 + (cell // n_t + u) * d_sig
+        t = -t_max + (cell % n_t + v) * d_t
+        values[lo : lo + len(cell)] = evaluate(spec, sig + 1j * t)
+    _check_modulus(values, cap)
     meta = {
         "sigma1": sigma1,
         "sigma2": sigma2,
@@ -125,6 +150,11 @@ def sample_strip_direct(
         "seed": seed,
     }
     return ValueCloud(values, "direct-strip", meta)
+
+
+def _stream(seed: int, skip: int) -> np.random.Generator:
+    """default_rng(seed) with its first `skip` doubles already drawn."""
+    return np.random.Generator(np.random.PCG64(seed).advance(skip))
 
 
 def sample_strip_via_equivalence(
@@ -144,17 +174,32 @@ def sample_strip_via_equivalence(
         raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
+    cap = _modulus_cap(spec, sigma1, sigma2)
     _, expansion, _ = compute_basis([term.exponent for term in spec.terms])
     d = denominator_lcm(expansion, expansion.nrows) if expansion.nrows else 1
     k = expansion.ncols
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, TWO_PI * d, size=(k, count))
-    sig = rng.uniform(sigma1, sigma2, count)
+    # the draws are those of default_rng(seed).uniform(0, 2pi d, (k, count))
+    # followed by count sigmas, made block by block: one generator per row of
+    # phases and one for the sigmas, each advanced to where its numbers start
+    # in that one stream, so no count-sized array of phases is held
+    phase_draws = [_stream(seed, j * count) for j in range(k)]
+    sigma_draws = _stream(seed, k * count)
+    fresh_terms = list(spec.product_plan().fresh)
     rows = np.array(expansion.float_rows(), dtype=float).reshape(len(spec.terms), k)
-    values = np.zeros(count, dtype=complex)
-    for row, lam, coeff in zip(rows, spec.numeric_exponents(), spec.coeffs()):
-        values += coeff * np.exp(1j * (row @ phases)) * np.exp(-lam * sig)
-    _check_modulus(values, _modulus_cap(spec, sigma1, sigma2))
+    rows = rows[fresh_terms]
+    lams = spec.numeric_exponents()
+    neg = np.array([-lams[n] for n in fresh_terms])
+
+    def fresh(block: slice, terms: np.ndarray) -> None:
+        # exp(i R_n . y - lambda_n sigma), one complex exp per fresh term
+        points = block.stop - block.start
+        phases = np.array([g.uniform(0.0, TWO_PI * d, points) for g in phase_draws])
+        np.multiply.outer(neg, sigma_draws.uniform(sigma1, sigma2, points), out=terms.real)
+        terms.imag = rows @ phases.reshape(k, points)
+        np.exp(terms, out=terms)
+
+    values = plan_sum(spec, count, fresh)
+    _check_modulus(values, cap)
     meta = {
         "sigma1": sigma1,
         "sigma2": sigma2,
@@ -173,11 +218,16 @@ def sample_line(
         raise BadRange(f"need t_max > 0, got {t_max}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
+    cap = _modulus_cap(spec, sigma0, sigma0)
     rng = np.random.default_rng(seed)
-    # one jittered sample per equal subinterval: quasi-uniform coverage of the line
-    t = -t_max + (np.arange(count) + rng.uniform(size=count)) * (2.0 * t_max / count)
-    values = evaluate(spec, sigma0 + 1j * t)
-    _check_modulus(values, _modulus_cap(spec, sigma0, sigma0))
+    values = np.empty(count, dtype=complex)
+    # one jittered sample per equal subinterval: quasi-uniform coverage of the
+    # line, drawn and evaluated one block at a time
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        t = -t_max + (np.arange(lo, hi) + rng.uniform(size=hi - lo)) * (2.0 * t_max / count)
+        values[lo:hi] = evaluate(spec, sigma0 + 1j * t)
+    _check_modulus(values, cap)
     meta = {"sigma0": sigma0, "t_max": t_max, "count": count, "seed": seed}
     return ValueCloud(values, "direct-line", meta)
 

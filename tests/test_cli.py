@@ -261,6 +261,31 @@ class TestCommands:
         assert payload["route"] == "direct-line"
         assert len(payload["points"]) == 5
 
+    def test_overflow_and_non_finite_results_are_one_error_line(self, tmp_path, capsys):
+        # 30^{400} is beyond a double: samplers, eval and uniform-distance
+        # refuse with a PrecisionLimit instead of a traceback or a NaN
+        f = str(tmp_path / "h30.json")
+        write_series_file(scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)]), f)
+        sampling = ["--t-max", "10", "--count", "5", "--seed", "1"]
+        strip = ["--sigma-min", "-400", "--sigma-max", "1"]
+        for argv in (
+            ["line-set", "--series", f, "--sigma0", "-400", *sampling],
+            ["value-set", "--series", f, "--route", "direct", *strip, *sampling],
+            ["value-set", "--series", f, "--route", "equivalence", *strip, *sampling],
+            ["eval", "--series", f, "--sigma", "-400", "--t", "1"],
+            [
+                "uniform-distance", "--series", f, "--series2", f,
+                "--sigma-min", "-400", "--sigma-max", "-399",
+                "--t-min", "0", "--t-max", "1", "--grid", "2x2",
+            ],
+        ):
+            assert run_command(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("bohreq: error: ")
+
     def test_sigma_star_and_zeros_commands(self, tmp_path, capsys):
         f = tmp_path / "onetwo.json"
         syms = SymbolTable([("L2", math.log(2))])

@@ -14,6 +14,7 @@ from bohreq.core import (
     SymbolTable,
     TailMajorant,
     numeric_value,
+    product_plan,
     spec_tail_bound,
     tail_bound,
     validate_series,
@@ -24,6 +25,7 @@ from bohreq.errors import (
     NonpositiveSigma,
     UnknownSymbol,
 )
+from helpers import smooth_spec
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -193,3 +195,71 @@ class TestSeriesSpec:
         spec = scenarios.bohr_example(3)
         with pytest.raises(ValueError):
             spec.with_coeffs([1.0])
+
+
+def poly_series(degree: int) -> SeriesSpec:
+    """P(e^{-s}) = sum_{k <= degree} e^{-k s} over the unit symbol."""
+    return SeriesSpec(
+        SymbolTable([(UNIT_SYMBOL, 1.0)]),
+        [(ExponentVector({UNIT_SYMBOL: k}), 1.0) for k in range(degree + 1)],
+    )
+
+
+def fresh_terms(spec: SeriesSpec) -> list[int]:
+    return list(spec.product_plan().fresh)
+
+
+def replay(plan, exponents) -> None:
+    """Run a plan on exponents instead of values: each row holds the exponent
+    of the term last written to it, so a child must read two exponents that
+    add up to its own, and never write over one of them."""
+    rows = {i: exponents[n] for i, n in enumerate(plan.fresh)}
+    for n, ((slot, factors), e) in enumerate(zip(plan.steps, exponents)):
+        assert 0 <= slot < plan.slots
+        if factors is None:
+            assert plan.fresh[slot] == n
+        else:
+            a, b = factors
+            assert slot not in factors
+            assert rows[a] + rows[b] == e
+            rows[slot] = e
+        assert rows[slot] == e
+
+
+class TestProductPlan:
+    def test_harmonic_fresh_terms_are_one_and_the_primes(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        fresh = [n + 1 for n in fresh_terms(spec)]
+        assert fresh == [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        replay(spec.product_plan(), spec.exponents())
+
+    def test_polynomial_in_one_exponential_has_two_fresh_terms(self):
+        spec = poly_series(16)
+        assert fresh_terms(spec) == [0, 1]
+        replay(spec.product_plan(), spec.exponents())
+
+    def test_bohr_terms_are_all_fresh(self):
+        spec = scenarios.bohr_example(20)
+        assert fresh_terms(spec) == list(range(20))
+
+    def test_slots_are_given_back(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 101)])
+        plan = spec.product_plan()
+        assert {slot for slot, _ in plan.steps} == set(range(plan.slots))
+        assert plan.slots < 100
+
+    def test_random_series_replay(self):
+        rng = random.Random(919)
+        for _ in range(40):
+            spec = smooth_spec(rng, max_terms=20)
+            replay(product_plan(spec.exponents()), spec.exponents())
+            support = sorted(rng.sample(range(1, 200), 40))
+            spec = scenarios.ordinary_series([(n, 1.0) for n in support])
+            replay(spec.product_plan(), spec.exponents())
+
+    def test_with_coeffs_hands_on_values_and_plan(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 13)])
+        lams, plan = spec.numeric_exponents(), spec.product_plan()
+        twin = spec.with_coeffs([2.0] * 12)
+        assert twin.numeric_exponents() is lams
+        assert twin.product_plan() is plan

@@ -7,9 +7,12 @@ import pytest
 
 from bohreq import scenarios
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
-from bohreq.errors import BadRange, EmptyCloud
+from bohreq.basis import compute_basis
+from bohreq.errors import BadRange, EmptyCloud, PrecisionLimit
+from bohreq.evaluation import BLOCK
 from bohreq.valuesets import (
     ValueCloud,
+    _check_modulus,
     hausdorff,
     kronecker_find_t,
     sample_line,
@@ -127,6 +130,39 @@ class TestSampling:
         ):
             cap = 2.0 ** -0.5 + 3.0 ** -0.5 + 1e-9
             assert np.max(np.abs(cloud.points)) <= cap
+
+    def test_equivalence_route_across_blocks_is_the_torus_sum(self):
+        # one point past a block, against the torus lift summed whole
+        spec = scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 13)])
+        count = BLOCK + 1
+        cloud = sample_strip_via_equivalence(spec, 1.0, 2.0, count, seed=21)
+        _, r, _ = compute_basis(list(spec.exponents()))
+        rows = np.array(r.float_rows(), dtype=float).reshape(12, r.ncols)
+        rng = np.random.default_rng(21)
+        y = rng.uniform(0.0, 2 * math.pi, size=(r.ncols, count))
+        sig = rng.uniform(1.0, 2.0, count)
+        expect = sum(
+            c * np.exp(1j * (row @ y) - lam * sig)
+            for row, lam, c in zip(rows, spec.numeric_exponents(), spec.coeffs())
+        )
+        assert np.allclose(cloud.points, expect, rtol=0.0, atol=1e-14)
+
+    def test_bound_beyond_doubles_is_precision_limit(self):
+        # 30^{400} overflows a double: refused before any point is drawn
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        with pytest.raises(PrecisionLimit):
+            sample_line(spec, -400.0, 10.0, 5, seed=1)
+        with pytest.raises(PrecisionLimit):
+            sample_strip_direct(spec, -400.0, 1.0, 10.0, 5, seed=1)
+        with pytest.raises(PrecisionLimit):
+            sample_strip_via_equivalence(spec, -400.0, 1.0, 5, seed=1)
+
+    def test_nan_modulus_fails_the_bound(self):
+        with pytest.raises(PrecisionLimit):
+            _check_modulus(np.array([complex("nan")]), 1.0)
+        with pytest.raises(PrecisionLimit):
+            _check_modulus(np.array([0.5, 2.0]), 1.0)
+        _check_modulus(np.array([0.5, 1.0]), 1.0)
 
 
 class TestHausdorff:
