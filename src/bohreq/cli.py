@@ -17,9 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import equivalence, evaluation, scenarios, valuesets, zeros
+from . import equivalence, scenarios
 from .basis import compute_basis, is_integral
 from .core import spec_tail_bound, validate_series
 from .errors import PrecisionLimit, SeriesError, ValidationError
@@ -30,6 +28,9 @@ from .seriesio import (
     parse_series_file,
     write_series_file,
 )
+
+# The float layer (NumPy, `evaluation`, `valuesets`, `zeros`) is imported in
+# the handlers that call it, so the exact-layer commands start without NumPy.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,15 +71,16 @@ def _verdict(args, command: str, inputs: dict, result: dict, seed=None) -> dict:
     return record
 
 
-def _cloud_text(cloud: valuesets.ValueCloud, fmt: str) -> str:
+def _cloud_text(cloud: "valuesets.ValueCloud", fmt: str) -> str:
+    points = cloud.points.tolist()
     if fmt == "csv":
         lines = ["re,im"]
-        lines += [f"{float(z.real)!r},{float(z.imag)!r}" for z in cloud.points]
+        lines += [f"{z.real!r},{z.imag!r}" for z in points]
         return "\n".join(lines) + "\n"
     payload = {
         "route": cloud.route,
         "meta": cloud.meta,
-        "points": [{"re": z.real, "im": z.imag} for z in cloud.points],
+        "points": [{"re": z.real, "im": z.imag} for z in points],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -275,6 +277,10 @@ def _cmd_closure_demo(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import evaluation
+
     spec = _load(args.series)
     with np.errstate(over="ignore", invalid="ignore"):
         value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
@@ -296,6 +302,10 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_uniform_distance(args) -> int:
+    import numpy as np
+
+    from . import evaluation
+
     a = _load(args.series)
     b = _load(args.series2)
     box = evaluation.GridBox(
@@ -319,6 +329,8 @@ def _cmd_uniform_distance(args) -> int:
 
 
 def _cmd_value_set(args) -> int:
+    from . import valuesets
+
     spec = _load(args.series)
     if args.route == "direct":
         cloud = valuesets.sample_strip_direct(
@@ -333,6 +345,8 @@ def _cmd_value_set(args) -> int:
 
 
 def _cmd_line_set(args) -> int:
+    from . import valuesets
+
     spec = _load(args.series)
     cloud = valuesets.sample_line(spec, args.sigma0, args.t_max, args.count, args.seed)
     _emit(args, {}, text=_cloud_text(cloud, args.format))
@@ -340,6 +354,8 @@ def _cmd_line_set(args) -> int:
 
 
 def _cmd_sigma_star(args) -> int:
+    from . import zeros
+
     spec = _load(args.series)
     v = complex(args.v_re, args.v_im)
     value = zeros.sigma_star(
@@ -354,6 +370,8 @@ def _cmd_sigma_star(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from . import zeros
+
     spec = _load(args.series)
     rect = zeros.Rectangle((args.sigma_min, args.sigma_max), (args.t_min, args.t_max))
     count = zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)
@@ -363,6 +381,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_kronecker(args) -> int:
+    from . import valuesets
+
     spec = _load(args.series)
     basis, _, _ = compute_basis([t.exponent for t in spec.terms])
     values = [beta.numeric_value(spec.symbols) for beta in basis.elements]

@@ -67,8 +67,8 @@ class PrecisionLimit(SeriesError):
     """A verdict needs more precision than double-precision phases carry."""
 
 
-class BadRange(SeriesError):
-    pass
+class BadRange(SeriesError, ValueError):
+    """A range, point or step count that does not describe a valid region."""
 
 
 class EmptyCloud(SeriesError):

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import SeriesSpec
+from .errors import BadRange
 from .scenarios import bohr_exponent, tau
 
 
@@ -33,7 +34,7 @@ class EvalPoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise ValueError(f"evaluation point must be finite: {self}")
+            raise BadRange(f"evaluation point must be finite: {self}")
 
     @property
     def s(self) -> complex:
@@ -50,10 +51,11 @@ class GridBox:
     t_steps: int = 1
 
     def __post_init__(self):
-        if self.sigma_range[0] > self.sigma_range[1] or self.t_range[0] > self.t_range[1]:
-            raise ValueError(f"box ranges must satisfy min <= max: {self}")
+        (s0, s1), (t0, t1) = self.sigma_range, self.t_range
+        if not (s0 <= s1 and t0 <= t1):  # also refuses a NaN end
+            raise BadRange(f"box ranges must satisfy min <= max: {self}")
         if self.sigma_steps < 1 or self.t_steps < 1:
-            raise ValueError(f"step counts must be >= 1: {self}")
+            raise BadRange(f"step counts must be >= 1: {self}")
 
     def sigma_points(self) -> np.ndarray:
         return np.linspace(self.sigma_range[0], self.sigma_range[1], self.sigma_steps + 1)

@@ -274,10 +274,10 @@ def kronecker_find_t(
     max_grid_points samples) followed by iterative local refinement.  Any
     returned hit is re-verified; notFound is a value, not an error.
     """
-    if not tol > 0:
-        raise BadRange(f"need tol > 0, got {tol}")
-    if not t_max_search > 0:
-        raise BadRange(f"need t_max_search > 0, got {t_max_search}")
+    if not 0 < tol < math.inf:
+        raise BadRange(f"need a finite tol > 0, got {tol}")
+    if not 0 < t_max_search < math.inf:
+        raise BadRange(f"need a finite t_max_search > 0, got {t_max_search}")
     beta = np.asarray(list(basis_values), dtype=float)
     y = np.asarray(list(target), dtype=float)
     if beta.shape != y.shape:

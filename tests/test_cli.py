@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bohreq
 from bohreq import scenarios
 from bohreq.basis import compute_basis
-from bohreq.cli import run_command
+from bohreq.cli import _cloud_text, run_command
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable, TailMajorant
 from bohreq.equivalence import twist
 from bohreq.errors import ParseError, ValidationError
@@ -17,6 +22,7 @@ from bohreq.seriesio import (
     parse_series_text,
     write_series_file,
 )
+from bohreq.valuesets import ValueCloud
 
 
 def sample_spec() -> SeriesSpec:
@@ -246,6 +252,20 @@ class TestCommands:
         assert lines[0] == "re,im"
         assert len(lines) == 201
         float(lines[1].split(",")[0])  # parses as a number
+        # signed zero, subnormals and huge values keep their shortest repr
+        cloud = ValueCloud(
+            [complex(-0.0, 5e-324), complex(1e-310, -1e300), complex(1e300, -0.0)], "test"
+        )
+        expected = [(float(z.real), float(z.imag)) for z in cloud.points]
+        assert _cloud_text(cloud, "csv") == "re,im\n" + "".join(
+            f"{repr(re)},{repr(im)}\n" for re, im in expected
+        )
+        payload = {
+            "route": "test",
+            "meta": {},
+            "points": [{"re": re, "im": im} for re, im in expected],
+        }
+        assert _cloud_text(cloud, "json") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_line_set_json_format(self, files, capsys):
         _, f, _ = files
@@ -278,6 +298,27 @@ class TestCommands:
                 "--sigma-min", "-400", "--sigma-max", "-399",
                 "--t-min", "0", "--t-max", "1", "--grid", "2x2",
             ],
+        ):
+            assert run_command(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("bohreq: error: ")
+
+    def test_bad_ranges_are_one_error_line(self, files, capsys):
+        # non-finite points, inverted or NaN boxes, empty grids and an
+        # unbounded Kronecker search are refused before any evaluation
+        _, f, g = files
+        box = ["--t-min", "0", "--t-max", "1"]
+        distance = ["uniform-distance", "--series", f, "--series2", g, *box]
+        for argv in (
+            ["eval", "--series", f, "--sigma", "nan"],
+            ["eval", "--series", f, "--sigma", "1", "--t", "inf"],
+            [*distance, "--sigma-min", "0", "--sigma-max", "1", "--grid", "0x0"],
+            [*distance, "--sigma-min", "2", "--sigma-max", "1"],
+            [*distance, "--sigma-min", "nan", "--sigma-max", "1"],
+            ["kronecker", "--series", f, "--target", "1", "--t-max-search", "inf"],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()
@@ -382,3 +423,84 @@ class TestCommands:
         first = capsys.readouterr().out
         run_command(["equiv", "--series", f, "--series2", g])
         assert capsys.readouterr().out == first
+
+
+_EXACT_COMMANDS = """
+import json
+import sys
+
+from bohreq.cli import run_command
+
+for argv in json.loads(sys.argv[1]):
+    assert run_command(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "numpy")))
+"""
+
+_SUBMODULE_ATTRIBUTES = """
+import sys
+
+import bohreq
+
+assert "numpy" not in sys.modules
+assert issubclass(bohreq.errors.BadRange, bohreq.errors.SeriesError)
+assert callable(bohreq.valuesets.sample_line)
+assert bohreq.zeros.count_zeros is bohreq.count_zeros
+assert not hasattr(bohreq, "no_such_module")
+"""
+
+
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(bohreq.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+class TestLazyImports:
+    def test_exact_commands_never_import_numpy(self, tmp_path):
+        f, g, tw = (str(tmp_path / name) for name in ("f.json", "g.json", "tw.json"))
+        write_series_file(scenarios.bohr_example(3), f)
+        write_series_file(scenarios.negate(scenarios.bohr_example(3)), g)
+        pair = ["--series", f, "--series2", g]
+        commands = [
+            ["bohr-example", "--n", "4", "--out", str(tmp_path / "b.json")],
+            ["basis", "--series", f],
+            ["twist", "--series", f, "--phases", "1.25", "--out", tw],
+            ["solve-phases", *pair],
+            ["equiv", "--series", f, "--series2", tw],
+            ["closure-demo", *pair, "--nmax", "3"],
+            ["tail", "--series", f, "--sigma", "2"],
+        ]
+        for argv in commands:
+            if "--out" not in argv:
+                argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXACT_COMMANDS, json.dumps(commands)],
+            capture_output=True, text=True, env=_package_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        for argv in commands:
+            assert Path(argv[-1]).stat().st_size > 0
+
+    def test_public_names_resolve(self):
+        namespace: dict = {}
+        exec("from bohreq import *", namespace)
+        listing = dir(bohreq)
+        for name in bohreq.__all__:
+            value = getattr(bohreq, name)
+            assert namespace[name] is value
+            assert name in listing
+        assert len(bohreq.__all__) == len(set(bohreq.__all__)) == 35
+        from bohreq import zeros
+
+        assert zeros.count_zeros is bohreq.count_zeros
+        with pytest.raises(AttributeError):
+            bohreq.no_such_name
+
+    def test_submodules_resolve_as_attributes(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SUBMODULE_ATTRIBUTES],
+            capture_output=True, text=True, env=_package_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
