@@ -19,14 +19,13 @@ from pathlib import Path
 
 from . import equivalence, scenarios
 from .basis import compute_basis, is_integral
-from .core import spec_tail_bound, validate_series
+from .core import spec_tail_bound
 from .errors import PrecisionLimit, SeriesError, ValidationError
 from .seriesio import (
     atomic_write_text,
     emit_series_text,
     format_rational,
     parse_series_file,
-    write_series_file,
 )
 
 # The float layer (NumPy, `evaluation`, `valuesets`, `zeros`) is imported in
@@ -48,27 +47,20 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load(path: str):
-    return validate_series(parse_series_file(path))
-
-
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    body = text if text is not None else json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        atomic_write_text(args.out, body)
+def _emit(args, text: str) -> None:
+    if args.out:
+        atomic_write_text(args.out, text)
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(text)
 
 
-def _verdict(args, command: str, inputs: dict, result: dict, seed=None) -> dict:
+def _verdict(command: str, inputs: dict, result: dict) -> str:
     record = {
         "command": command,
         "inputs": {name: _digest(path) for name, path in inputs.items()},
         "result": result,
     }
-    if seed is not None:
-        record["seed"] = seed
-    return record
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def _cloud_text(cloud: "valuesets.ValueCloud", fmt: str) -> str:
@@ -109,7 +101,6 @@ def build_parser() -> _Parser:
         p.add_argument("--series", required=name != "bohr-example", help="series file (JSON)")
         if series2:
             p.add_argument("--series2", required=True, help="second series file")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if sampling:
             p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -121,8 +112,13 @@ def build_parser() -> _Parser:
     p = add("twist", "twist coefficients by a phase vector over the basis")
     p.add_argument("--phases", type=_phases_arg, required=True, help="comma-separated radians")
 
-    add("solve-phases", "feasibility of the phase congruence system", series2=True)
-    add("equiv", "decide equivalence of two aligned truncations", series2=True)
+    for name, help_text in (
+        ("solve-phases", "feasibility of the phase congruence system"),
+        ("equiv", "decide equivalence of two aligned truncations"),
+    ):
+        p = add(name, help_text, series2=True)
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="modulus and phase tolerance (default 1e-9)")
 
     p = add("closure-demo", "per-truncation feasibility and minimal phase norms", series2=True)
     p.add_argument("--nmax", type=int, required=True)
@@ -154,7 +150,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=10000)
 
     p = add("sigma-star", "largest abscissa whose right half-strip has a zero of f - v")
-    p.set_defaults(tol=1e-3)  # bisection width, not a phase tolerance
+    p.add_argument("--tol", type=float, default=1e-3, help="bisection width (default 1e-3)")
     p.add_argument("--v-re", type=float, default=0.0)
     p.add_argument("--v-im", type=float, default=0.0)
     p.add_argument("--t-min", type=float, required=True)
@@ -173,6 +169,8 @@ def build_parser() -> _Parser:
 
     p = add("kronecker", "find a shift time realizing target basis phases")
     p.add_argument("--target", type=_phases_arg, required=True, help="radians per basis element")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest phase miss accepted (default 1e-9)")
     p.add_argument("--t-max-search", type=float, default=1e5)
 
     p = add("bohr-example", "emit the counterexample series truncation")
@@ -189,7 +187,7 @@ def _matrix_obj(matrix) -> list[dict[str, str]]:
 
 
 def _cmd_basis(args) -> int:
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     basis, expansion, selection = compute_basis([t.exponent for t in spec.terms])
     result = {
         "basis": [
@@ -210,21 +208,21 @@ def _cmd_basis(args) -> int:
             )
         ),
     }
-    _emit(args, _verdict(args, "basis", {"series": args.series}, result))
+    _emit(args, _verdict("basis", {"series": args.series}, result))
     return EXIT_OK
 
 
 def _cmd_twist(args) -> int:
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     basis, expansion, _ = compute_basis([t.exponent for t in spec.terms])
     twisted = equivalence.twist(spec, basis, expansion, args.phases)
-    _emit(args, {}, text=emit_series_text(twisted))
+    _emit(args, emit_series_text(twisted))
     return EXIT_OK
 
 
 def _cmd_solve_phases(args) -> int:
-    a = _load(args.series)
-    b = _load(args.series2)
+    a = parse_series_file(args.series)
+    b = parse_series_file(args.series2)
     targets = equivalence.extract_phase_targets(a, b, args.tol)
     _, expansion, _ = compute_basis([t.exponent for t in a.terms])
     system = equivalence.solve_phase_system(expansion, targets, args.tol)
@@ -239,16 +237,14 @@ def _cmd_solve_phases(args) -> int:
     else:
         result["witness"] = list(system.witness)
         result["defect"] = system.defect
-    _emit(
-        args,
-        _verdict(args, "solve-phases", {"series": args.series, "series2": args.series2}, result),
-    )
+    pair = {"series": args.series, "series2": args.series2}
+    _emit(args, _verdict("solve-phases", pair, result))
     return EXIT_OK if system.feasible else EXIT_NEGATIVE
 
 
 def _cmd_equiv(args) -> int:
-    a = _load(args.series)
-    b = _load(args.series2)
+    a = parse_series_file(args.series)
+    b = parse_series_file(args.series2)
     outcome = equivalence.is_equivalent_truncated(a, b, args.tol)
     result: dict = {"equivalent": outcome.equivalent}
     if outcome.equivalent:
@@ -256,23 +252,22 @@ def _cmd_equiv(args) -> int:
         result["residual"] = outcome.system.residual
     else:
         result["reason"] = outcome.reason
-    _emit(args, _verdict(args, "equiv", {"series": args.series, "series2": args.series2}, result))
+    pair = {"series": args.series, "series2": args.series2}
+    _emit(args, _verdict("equiv", pair, result))
     return EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 
 def _cmd_closure_demo(args) -> int:
-    a = _load(args.series)
-    b = _load(args.series2)
+    a = parse_series_file(args.series)
+    b = parse_series_file(args.series2)
     points = equivalence.closure_demo(a, b, args.nmax)
     result = {
         "points": [
             {"n": p.n, "feasible": p.feasible, "min_norm": p.min_norm} for p in points
         ]
     }
-    _emit(
-        args,
-        _verdict(args, "closure-demo", {"series": args.series, "series2": args.series2}, result),
-    )
+    pair = {"series": args.series, "series2": args.series2}
+    _emit(args, _verdict("closure-demo", pair, result))
     return EXIT_OK
 
 
@@ -281,23 +276,23 @@ def _cmd_eval(args) -> int:
 
     from . import evaluation
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     with np.errstate(over="ignore", invalid="ignore"):
         value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
     if not cmath.isfinite(value):
         point = complex(args.sigma, args.t)
         raise PrecisionLimit(f"the value at {point} is {value}, not a finite double")
     result = {"re": value.real, "im": value.imag}
-    _emit(args, _verdict(args, "eval", {"series": args.series}, result))
+    _emit(args, _verdict("eval", {"series": args.series}, result))
     return EXIT_OK
 
 
 def _cmd_tail(args) -> int:
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     if spec.tail is None:
         raise ValidationError("series file declares no tail majorant")
     result = {"sigma": args.sigma, "bound": spec_tail_bound(spec, args.sigma)}
-    _emit(args, _verdict(args, "tail", {"series": args.series}, result))
+    _emit(args, _verdict("tail", {"series": args.series}, result))
     return EXIT_OK
 
 
@@ -306,8 +301,8 @@ def _cmd_uniform_distance(args) -> int:
 
     from . import evaluation
 
-    a = _load(args.series)
-    b = _load(args.series2)
+    a = parse_series_file(args.series)
+    b = parse_series_file(args.series2)
     box = evaluation.GridBox(
         (args.sigma_min, args.sigma_max),
         (args.t_min, args.t_max),
@@ -319,19 +314,15 @@ def _cmd_uniform_distance(args) -> int:
     if not math.isfinite(distance):
         raise PrecisionLimit(f"the uniform distance is {distance}, not a finite double")
     result = {"distance": distance}
-    _emit(
-        args,
-        _verdict(
-            args, "uniform-distance", {"series": args.series, "series2": args.series2}, result
-        ),
-    )
+    pair = {"series": args.series, "series2": args.series2}
+    _emit(args, _verdict("uniform-distance", pair, result))
     return EXIT_OK
 
 
 def _cmd_value_set(args) -> int:
     from . import valuesets
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     if args.route == "direct":
         cloud = valuesets.sample_strip_direct(
             spec, args.sigma_min, args.sigma_max, args.t_max, args.count, args.seed
@@ -340,23 +331,23 @@ def _cmd_value_set(args) -> int:
         cloud = valuesets.sample_strip_via_equivalence(
             spec, args.sigma_min, args.sigma_max, args.count, args.seed
         )
-    _emit(args, {}, text=_cloud_text(cloud, args.format))
+    _emit(args, _cloud_text(cloud, args.format))
     return EXIT_OK
 
 
 def _cmd_line_set(args) -> int:
     from . import valuesets
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     cloud = valuesets.sample_line(spec, args.sigma0, args.t_max, args.count, args.seed)
-    _emit(args, {}, text=_cloud_text(cloud, args.format))
+    _emit(args, _cloud_text(cloud, args.format))
     return EXIT_OK
 
 
 def _cmd_sigma_star(args) -> int:
     from . import zeros
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     v = complex(args.v_re, args.v_im)
     value = zeros.sigma_star(
         spec, v, (args.t_min, args.t_max), args.sigma_floor, args.tol, args.steps
@@ -365,39 +356,36 @@ def _cmd_sigma_star(args) -> int:
         "sigma_star": None if math.isinf(value) else value,
         "zero_found": not math.isinf(value),
     }
-    _emit(args, _verdict(args, "sigma-star", {"series": args.series}, result))
+    _emit(args, _verdict("sigma-star", {"series": args.series}, result))
     return EXIT_OK
 
 
 def _cmd_zeros(args) -> int:
     from . import zeros
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     rect = zeros.Rectangle((args.sigma_min, args.sigma_max), (args.t_min, args.t_max))
     count = zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)
     result = {"count": count}
-    _emit(args, _verdict(args, "zeros", {"series": args.series}, result))
+    _emit(args, _verdict("zeros", {"series": args.series}, result))
     return EXIT_OK
 
 
 def _cmd_kronecker(args) -> int:
     from . import valuesets
 
-    spec = _load(args.series)
+    spec = parse_series_file(args.series)
     basis, _, _ = compute_basis([t.exponent for t in spec.terms])
     values = [beta.numeric_value(spec.symbols) for beta in basis.elements]
     hit = valuesets.kronecker_find_t(values, args.target, args.tol, args.t_max_search)
     result = {"found": hit.found, "t": hit.t, "residual": hit.residual}
-    _emit(args, _verdict(args, "kronecker", {"series": args.series}, result))
+    _emit(args, _verdict("kronecker", {"series": args.series}, result))
     return EXIT_OK if hit.found else EXIT_NEGATIVE
 
 
 def _cmd_bohr_example(args) -> int:
     spec = scenarios.bohr_example(args.n)
-    if args.out:
-        write_series_file(spec, args.out)
-        return EXIT_OK
-    _emit(args, {}, text=emit_series_text(spec))
+    _emit(args, emit_series_text(spec))
     return EXIT_OK
 
 

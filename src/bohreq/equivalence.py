@@ -28,10 +28,15 @@ from typing import NamedTuple, Sequence
 
 from .basis import Basis, BohrMatrix, compute_basis, expand_over_pivots
 from .core import SeriesSpec
-from .errors import DimensionMismatch, ModulusMismatch, PrecisionLimit, SupportMismatch
+from .errors import (
+    BadRange,
+    DimensionMismatch,
+    ModulusMismatch,
+    PrecisionLimit,
+    SupportMismatch,
+)
 from .lattice import (
     integer_left_kernel,
-    integer_right_kernel,
     lll_reduce,
     size_reduce,
     solve_integer_rows,
@@ -135,14 +140,22 @@ def twist(
     return spec.with_coeffs(coeffs)
 
 
+def _check_tol(tol: float) -> None:
+    # written so that a NaN tol fails too
+    if not 0 < tol < math.inf:
+        raise BadRange(f"need a finite tol > 0, got {tol}")
+
+
 def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> PhaseTargets:
     """Phase targets theta(n) making b a twist of a, or a proof none exist.
 
     Both specs must carry the identical exponent list (align first by taking
     the union of exponent sets with zero coefficients where a series is
     missing a term).  Raises ModulusMismatch or SupportMismatch, with 1-based
-    term positions, when the series cannot be equivalent at all.
+    term positions, when the series cannot be equivalent at all, and BadRange
+    unless 0 < tol < inf.
     """
+    _check_tol(tol)
     if len(a.terms) != len(b.terms):
         raise DimensionMismatch(
             f"term counts differ: {len(a.terms)} vs {len(b.terms)}"
@@ -247,9 +260,10 @@ def _pivot_lift(
     theta_P) / 2pi.  Rows with integral R'_n hold for every w (the kernel check
     made c_n an integer), so only the others enter, each scaled by the lcm d_n
     of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  L, the
-    z with R'_n . z integral on every row, has the right kernel of that system
-    cut to its first r coordinates as basis, and w comes size-reduced modulo
-    L.  With no wrapped row every w works, and L = Z^r is returned as None.
+    z with R'_n . z integral on every row, has the kernel of that system cut
+    to its first r coordinates as basis; the one diagonalization that solves
+    the system gives it.  w comes size-reduced modulo L.  With no wrapped row
+    every w works, and L = Z^r is returned as None.
     """
     r = len(pivots)
     if not wrapped:
@@ -266,13 +280,13 @@ def _pivot_lift(
         system.append(scaled + [d if t == i else 0 for t in range(m)])
         terms = [d * thetas[n]] + [-c * th for c, th in zip(scaled, theta_p) if c]
         rhs.append(round(math.fsum(terms) / TWO_PI))
-    solution = solve_integer_rows(system, rhs)
+    solution, kernel = solve_integer_rows(system, rhs)
     if solution is None:
         raise PrecisionLimit(
             "integer lifts are inconsistent: the system sits beyond what "
             "double-precision targets can certify"
         )
-    lattice = [v[:r] for v in integer_right_kernel(system)]
+    lattice = [v[:r] for v in kernel]
     return size_reduce(solution[:r], lattice), lattice
 
 
@@ -363,8 +377,10 @@ def solve_phase_system(
     `phase` is the lift Y (R_P Y = phi, 0 in the directions R_P leaves free)
     rounded to doubles, and `residual` the worst miss of that rounded vector.
     Raises PrecisionLimit when the integer lift is inconsistent or the rounded
-    phase misses a target by more than tol (Bohr's series from N = 9).
+    phase misses a target by more than tol (Bohr's series from N = 9), and
+    BadRange unless 0 < tol < inf.
     """
+    _check_tol(tol)
     kernel, outcome = _decide(expansion, targets, tol)
     common = dict(row_indices=tuple(targets.indices()), targets=targets, kernel=kernel, tol=tol)
     if not isinstance(outcome, _Lift):
@@ -489,7 +505,10 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
     """Per-truncation feasibility scan of the first-N phase systems.
 
     For each N <= n_max the first N terms are aligned and the congruence
-    system is decided.  A feasible N reports the minimum |Y| over all its
+    system is decided on the first N rows of one R, computed once for the
+    first n_max terms: earliest-first pivoting makes a prefix's basis and R
+    the prefix of the full ones, and rows below N use only the columns of
+    sources below N.  A feasible N reports the minimum |Y| over all its
     solutions, for a basis of any rank, from the exact pivot lift (checked
     exactly, never rounded to a phase vector; see `_min_norm`).
     Feasibility at every N with min norms diverging is the finite signature
@@ -500,16 +519,14 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
         raise DimensionMismatch(
             f"n_max {n_max} outside 1..{min(len(a.terms), len(b.terms))}"
         )
+    _, expansion, _ = compute_basis([t.exponent for t in a.terms[:n_max]])
     out: list[ClosurePoint] = []
     for n in range(1, n_max + 1):
-        head_a = a.take_terms(n)
-        head_b = b.take_terms(n)
         try:
-            targets = extract_phase_targets(head_a, head_b)
+            targets = extract_phase_targets(a.take_terms(n), b.take_terms(n))
         except (ModulusMismatch, SupportMismatch):
             out.append(ClosurePoint(n, False, None))
             continue
-        _, expansion, _ = compute_basis([t.exponent for t in head_a.terms])
         _, outcome = _decide(expansion, targets, certify=True)
         feasible = isinstance(outcome, _Lift)
         out.append(ClosurePoint(n, feasible, _min_norm(outcome) if feasible else None))

@@ -1,4 +1,4 @@
-"""Exact integer lattice routines: echelon forms, left kernels, diagonalization.
+"""Exact integer lattice routines: echelon forms, kernels, diagonalization.
 
 Everything here runs on Python ints (arbitrary precision), so results are
 exact.  Matrices are lists of row lists; inputs are never mutated.
@@ -36,17 +36,15 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[in
     return out, scale
 
 
-def row_echelon(matrix: Sequence[Sequence[int]], transform: bool = False):
+def row_echelon(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Integer row echelon form by Euclidean pivoting.
 
-    Returns (H, U, rank) with U unimodular and U @ matrix == H when transform
-    is requested, else (H, None, rank).  Pivots are positive and sit in
-    staircase position; rows below the staircase are zero.
+    Returns (H, rank).  Pivots are positive and sit in staircase position;
+    rows below the staircase are zero.
     """
     H = [list(map(int, row)) for row in matrix]
     m = len(H)
     n = len(H[0]) if m else 0
-    U = _identity(m) if transform else None
     r = 0
     for col in range(n):
         if r == m:
@@ -58,16 +56,11 @@ def row_echelon(matrix: Sequence[Sequence[int]], transform: bool = False):
             i0 = min(nonzero, key=lambda i: (abs(H[i][col]), i))
             if i0 != r:
                 H[r], H[i0] = H[i0], H[r]
-                if U is not None:
-                    U[r], U[i0] = U[i0], U[r]
             p = H[r][col]
             settled = True
             for i in range(r + 1, m):
                 if H[i][col] != 0:
-                    q = H[i][col] // p
-                    _row_axpy(H, i, r, q)
-                    if U is not None:
-                        _row_axpy(U, i, r, q)
+                    _row_axpy(H, i, r, H[i][col] // p)
                     if H[i][col] != 0:
                         settled = False
             if settled:
@@ -75,10 +68,8 @@ def row_echelon(matrix: Sequence[Sequence[int]], transform: bool = False):
         if H[r][col] != 0:
             if H[r][col] < 0:
                 H[r] = [-x for x in H[r]]
-                if U is not None:
-                    U[r] = [-x for x in U[r]]
             r += 1
-    return H, U, r
+    return H, r
 
 
 def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -89,7 +80,7 @@ def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     if not rows:
         return []
-    H, _, rank = row_echelon(rows)
+    H, rank = row_echelon(rows)
     H = H[:rank]
     n = len(H[0]) if H else 0
     pivots = []
@@ -110,45 +101,36 @@ def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def integer_left_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Hermite-reduced basis of {m integer : m^T A = 0} for rational A.
 
-    Empty list when the rows are linearly independent over Q.  The lattice is
-    saturated: any integer vector annihilating A lies in the span returned.
+    Empty list when the rows are linearly independent over Q.  The rows of U
+    past the rank in U A V = D annihilate A, and U is unimodular, so the
+    lattice is saturated: any integer vector annihilating A lies in the span
+    returned.
     """
-    if not rows:
-        return []
     A, _ = clear_denominators(rows)
-    if not A or not A[0]:
-        # zero columns constrain nothing: the kernel is all of Z^m
-        return _identity(len(rows))
-    _, U, rank = row_echelon(A, transform=True)
-    kernel = U[rank:]
-    return hermite_normalize(kernel)
-
-
-def integer_right_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Hermite-reduced basis of {v integer : rows @ v = 0} for an integer matrix."""
-    if not rows or not rows[0]:
-        return []
-    transposed = [
-        [Fraction(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))
-    ]
-    return integer_left_kernel(transposed)
+    U, _, _, rank = diagonalize(A)
+    return hermite_normalize(U[rank:])
 
 
 def solve_integer_rows(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """Some integer solution z of matrix @ z = rhs, or None when there is none."""
+    """Some integer solution z of matrix @ z = rhs (None when there is none), and the kernel.
+
+    Returns (z or None, kernel): the kernel is a Hermite-reduced basis of {v
+    integer : matrix @ v = 0}, the columns of V past the rank in U A V = D,
+    saturated because V is unimodular.  One diagonalization gives both.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     u, diag, v, rank = diagonalize(matrix)
+    kernel = hermite_normalize([[v[r][c] for r in range(n)] for c in range(rank, n)])
     ub = [sum(u[i][j] * rhs[j] for j in range(m)) for i in range(m)]
     w = [0] * n
     for i in range(rank):
         if ub[i] % diag[i] != 0:
-            return None
+            return None, kernel
         w[i] = ub[i] // diag[i]
-    for i in range(rank, m):
-        if ub[i] != 0:
-            return None
-    return [sum(v[r][c] * w[c] for c in range(n)) for r in range(n)]
+    if any(ub[rank:]):
+        return None, kernel
+    return [sum(v[r][c] * w[c] for c in range(n)) for r in range(n)], kernel
 
 
 def _gram_schmidt(basis: list[list[int]]):
@@ -224,7 +206,8 @@ def diagonalize(matrix: Sequence[Sequence[int]]):
     Returns (U, diag, V, rank) where diag lists the positive diagonal entries
     d_0..d_{rank-1}.  This is the Smith-style reduction used to decouple
     simultaneous integer congruences; the full divisibility normalization is
-    not needed for that and is skipped.
+    not needed for that and is skipped.  It is the only routine here that
+    builds U or V: both kernels and the integer solution are read off it.
     """
     A = [list(map(int, row)) for row in matrix]
     m = len(A)

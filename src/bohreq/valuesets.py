@@ -99,10 +99,10 @@ def sample_strip_direct(
     systematic resampling, and the points drawn in one cell form a randomly
     shifted lattice inside it.
     """
-    if not sigma1 < sigma2:
-        raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
-    if not t_max > 0:
-        raise BadRange(f"need t_max > 0, got {t_max}")
+    if not -math.inf < sigma1 < sigma2 < math.inf:
+        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
+    if not 0 < t_max < math.inf:
+        raise BadRange(f"need a finite t_max > 0, got {t_max}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
     cap = _modulus_cap(spec, sigma1, sigma2)
@@ -170,8 +170,8 @@ def sample_strip_via_equivalence(
     expansion denominators over all rows), twists the coefficients, and
     evaluates at a uniform sigma in the strip with t = 0.
     """
-    if not sigma1 < sigma2:
-        raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
+    if not -math.inf < sigma1 < sigma2 < math.inf:
+        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
     cap = _modulus_cap(spec, sigma1, sigma2)
@@ -214,8 +214,10 @@ def sample_line(
     spec: SeriesSpec, sigma0: float, t_max: float, count: int, seed: int
 ) -> ValueCloud:
     """Values on the vertical line sigma = sigma0, t stratified over [-t_max, t_max]."""
-    if not t_max > 0:
-        raise BadRange(f"need t_max > 0, got {t_max}")
+    if not math.isfinite(sigma0):
+        raise BadRange(f"need a finite sigma0, got {sigma0}")
+    if not 0 < t_max < math.inf:
+        raise BadRange(f"need a finite t_max > 0, got {t_max}")
     if not count > 0:
         raise BadRange(f"need count > 0, got {count}")
     cap = _modulus_cap(spec, sigma0, sigma0)

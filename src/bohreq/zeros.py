@@ -51,10 +51,10 @@ class Rectangle:
     t_range: tuple[float, float]
 
     def __post_init__(self):
-        if not (self.sigma_range[0] < self.sigma_range[1]):
-            raise BadRange(f"degenerate sigma range {self.sigma_range}")
-        if not (self.t_range[0] < self.t_range[1]):
-            raise BadRange(f"degenerate t range {self.t_range}")
+        if not -math.inf < self.sigma_range[0] < self.sigma_range[1] < math.inf:
+            raise BadRange(f"degenerate or unbounded sigma range {self.sigma_range}")
+        if not -math.inf < self.t_range[0] < self.t_range[1] < math.inf:
+            raise BadRange(f"degenerate or unbounded t range {self.t_range}")
 
     def corners(self) -> tuple[complex, complex, complex, complex]:
         (s0, s1), (t0, t1) = self.sigma_range, self.t_range
@@ -230,8 +230,8 @@ def sigma_star(
     abscissa; wide windows approximate it by almost periodicity.
     """
     _check_steps(steps)
-    if not tol > 0:
-        raise BadRange(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise BadRange(f"need a finite tol > 0, got {tol}")
     if not t_window[0] < t_window[1]:
         raise BadRange(f"degenerate t window {t_window}")
     v = complex(v)

@@ -327,6 +327,58 @@ class TestCommands:
             assert len(lines) == 1, captured.err
             assert lines[0].startswith("bohreq: error: ")
 
+    def test_tol_is_checked_where_it_is_read(self, files, capsys):
+        # a negative, NaN or infinite tol is refused, not read as a modulus
+        # mismatch, a pass or a one-step bisection; the commands that never
+        # read tol do not accept it
+        _, f, g = files
+        for argv in (
+            ["equiv", "--series", f, "--series2", f, "--tol", "-1"],
+            ["equiv", "--series", f, "--series2", g, "--tol", "nan"],
+            ["solve-phases", "--series", f, "--series2", f, "--tol", "-1"],
+            [
+                "sigma-star", "--series", f, "--t-min", "0", "--t-max", "1",
+                "--sigma-floor", "-1", "--tol", "inf",
+            ],
+        ):
+            assert run_command(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("bohreq: error: need a finite tol > 0")
+        for argv in (
+            ["basis", "--series", f, "--tol", "1e-9"],
+            ["closure-demo", "--series", f, "--series2", g, "--nmax", "2", "--tol", "-1"],
+        ):
+            assert run_command(argv) == 64, argv
+            assert capsys.readouterr().out == ""
+
+    def test_non_finite_ranges_are_one_error_line(self, files):
+        # refused before NumPy sees them: no traceback and no RuntimeWarning,
+        # so each run is its own process with stderr read whole
+        _, f, _ = files
+        sampling = ["--count", "5", "--seed", "1"]
+        strip = ["--sigma-min", "0", "--sigma-max", "inf", *sampling]
+        for argv in (
+            ["value-set", "--series", f, "--route", "direct", *strip],
+            ["value-set", "--series", f, "--route", "equivalence", *strip],
+            ["line-set", "--series", f, "--sigma0", "1", "--t-max", "inf", *sampling],
+            [
+                "zeros", "--series", f, "--sigma-min", "0", "--sigma-max", "inf",
+                "--t-min", "0", "--t-max", "1",
+            ],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bohreq", *argv],
+                capture_output=True, text=True, env=_package_env(), timeout=120,
+            )
+            assert proc.returncode == 1, argv
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1, proc.stderr
+            assert lines[0].startswith("bohreq: error: ")
+
     def test_sigma_star_and_zeros_commands(self, tmp_path, capsys):
         f = tmp_path / "onetwo.json"
         syms = SymbolTable([("L2", math.log(2))])

@@ -62,19 +62,6 @@ def random_fraction_matrix(rng, nrows, ncols, max_den=4):
     ]
 
 
-class TestRowEchelon:
-    def test_transform_reproduces_echelon(self):
-        rng = random.Random(21)
-        for _ in range(50):
-            a = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(4)]
-            h, u, rank = row_echelon(a, transform=True)
-            for i in range(4):
-                for j in range(3):
-                    assert sum(u[i][k] * a[k][j] for k in range(4)) == h[i][j]
-            assert all(all(x == 0 for x in row) for row in h[rank:])
-            assert abs(frac_det(u)) == 1
-
-
 class TestIntegerLeftKernel:
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(22)
@@ -119,6 +106,10 @@ class TestClearDenominators:
         assert ints == [[3, 6], [4, 0]]
 
 
+def annihilates(matrix, vector) -> bool:
+    return all(sum(a * x for a, x in zip(row, vector)) == 0 for row in matrix)
+
+
 class TestIntegerSolve:
     def test_solution_when_consistent(self):
         rng = random.Random(25)
@@ -127,13 +118,35 @@ class TestIntegerSolve:
             k = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             z_true = [rng.randint(-5, 5) for _ in range(n)]
             b = [sum(ki * zi for ki, zi in zip(row, z_true)) for row in k]
-            z = solve_integer_rows(k, b)
+            z, _ = solve_integer_rows(k, b)
             assert z is not None
             assert [sum(ki * zi for ki, zi in zip(row, z)) for row in k] == b
 
     def test_none_when_inconsistent(self):
         # 2 z = 1 has no integer solution
-        assert solve_integer_rows([[2]], [1]) is None
+        assert solve_integer_rows([[2]], [1]) == (None, [])
+
+    def test_kernel_is_saturated(self):
+        # every small integer vector the matrix sends to 0 lies in the span of
+        # the returned kernel (oracle: box enumeration)
+        rng = random.Random(29)
+        for _ in range(25):
+            n = rng.randint(2, 4)
+            k = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            _, kernel = solve_integer_rows(k, [rng.randint(-5, 5) for _ in k])
+            for vec in itertools.product(range(-3, 4), repeat=n):
+                if annihilates(k, vec):
+                    assert in_lattice(list(vec), kernel)
+
+    def test_kernel_annihilates_and_is_hermite_form_of_transposed_left_kernel(self):
+        rng = random.Random(30)
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            k = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            transposed = [[Fraction(k[i][j]) for i in range(m)] for j in range(n)]
+            _, kernel = solve_integer_rows(k, [rng.randint(-9, 9) for _ in range(m)])
+            assert all(any(v) and annihilates(k, v) for v in kernel)
+            assert kernel == integer_left_kernel(transposed)
 
 
 class TestSizeReduce:
@@ -163,7 +176,7 @@ class TestSizeReduce:
         for _ in range(30):
             n = rng.randint(2, 4)
             basis = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n - 1)]
-            h, _, rank = row_echelon(basis)
+            _, rank = row_echelon(basis)
             if rank < n - 1:
                 continue
             reduced = lll_reduce(basis)
