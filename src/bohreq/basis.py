@@ -4,7 +4,10 @@ For a finite exponent list Lambda the basis B is chosen by scanning Lambda in
 order and keeping every exponent whose coordinate vector is rationally
 independent of those already kept.  The expansion matrix R (Lambda = R B) and
 the selection matrix T (B = T Lambda) are exact; R rows reconstruct the
-exponents in ExponentVector arithmetic, not merely numerically.
+exponents in ExponentVector arithmetic, not merely numerically.  The
+elimination behind them works in integers first, `Fraction` only where a
+division is inexact: ordinary series have integer coordinates and a 0/1 R on
+the pivots, so they make no Fraction until R is built.
 """
 
 from __future__ import annotations
@@ -90,6 +93,19 @@ class Basis:
         return len(self.elements)
 
 
+def _exact(q: int | Fraction) -> int | Fraction:
+    """q as an int when it is whole, else the Fraction itself."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def _ratio(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b exactly: an int when the division is exact, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quot
+    return _exact(a / b)
+
+
 def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fraction]]]:
     """Earliest-first pivots of a vector list and each vector's expression over them.
 
@@ -97,7 +113,11 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     nonzero rational): exponent vectors, or Bohr-matrix rows.  A vector becomes
     a pivot when it is independent of every pivot kept before it.  Returns the
     pivot positions and, for every vector, its exact coefficients over the
-    pivots (a unit row for a pivot, an empty row for a zero vector).
+    pivots (a unit row for a pivot, an empty row for a zero vector), as
+    Fractions.  The arithmetic is integers first, `Fraction` only where a
+    division is inexact (`divmod` for int / int, a whole Fraction turned back
+    into an int), so integral inputs make no Fraction until the rows are
+    returned.
     """
     pivots: list[int] = []
     rows: list[dict[int, Fraction]] = []
@@ -106,30 +126,30 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     # coordinates contain another row's lead, so reducing a vector by one row
     # neither adds a lead coordinate nor changes another lead's value: the
     # leads among the vector's own coordinates are all the rows it needs, and
-    # their reductions commute.
-    echelon: dict[object, tuple[dict, dict[int, Fraction]]] = {}
+    # their reductions commute.  Entries are ints where whole (see `_exact`).
+    echelon: dict[object, tuple[dict, dict[int, int | Fraction]]] = {}
 
     for idx, vec in enumerate(vectors):
-        work = dict(vec.items())
-        combo: dict[int, Fraction] = {}
+        work = {name: _exact(q) for name, q in vec.items()}
+        combo: dict[int, int | Fraction] = {}
         for lead in [name for name in work if name in echelon]:
             coords, expr = echelon[lead]
-            f = work[lead] / coords[lead]
+            f = _ratio(work[lead], coords[lead])
             for name, q in coords.items():
-                new = work.get(name, Fraction(0)) - f * q
+                new = _exact(work.get(name, 0) - f * q)
                 if new:
                     work[name] = new
                 else:
                     work.pop(name, None)
             for j, q in expr.items():
-                combo[j] = combo.get(j, Fraction(0)) + f * q
+                combo[j] = _exact(combo.get(j, 0) + f * q)
         if not work:
-            rows.append({j: q for j, q in combo.items() if q})
+            rows.append({j: Fraction(q) for j, q in combo.items() if q})
             continue
         k = len(pivots)
         pivots.append(idx)
         rows.append({k: Fraction(1)})
-        expr = {k: Fraction(1)}
+        expr = {k: 1}
         for j, q in combo.items():
             if q:
                 expr[j] = -q
@@ -137,15 +157,15 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
         for coords, other_expr in echelon.values():
             c = coords.get(lead)
             if c:
-                f = c / work[lead]
+                f = _ratio(c, work[lead])
                 for name, q in work.items():
-                    new = coords.get(name, Fraction(0)) - f * q
+                    new = _exact(coords.get(name, 0) - f * q)
                     if new:
                         coords[name] = new
                     else:
                         coords.pop(name, None)
                 for j, q in expr.items():
-                    other_expr[j] = other_expr.get(j, Fraction(0)) - f * q
+                    other_expr[j] = _exact(other_expr.get(j, 0) - f * q)
         echelon[lead] = (work, expr)
     return pivots, rows
 

@@ -182,11 +182,24 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
 def _expand_rows(
     expansion: BohrMatrix, idx: Sequence[int]
 ) -> tuple[list[dict[int, Fraction]], list[int], list[dict[int, Fraction]]]:
-    """The selected rows, their pivots and every row's expression R' over them."""
+    """The selected rows, their pivots and every row's expression R' over them.
+
+    Rows already in pivot form, each either the next unit row e_k or supported
+    on the columns of the k pivots before it (the rows `compute_basis` gives
+    for an unskipped prefix), are their own expression over the unit rows, so
+    they are returned as R' unchanged.  Any other selection is expanded.
+    """
     if any(not 0 <= i < expansion.nrows for i in idx):
         raise DimensionMismatch(f"row selection outside 0..{expansion.nrows - 1}")
     rows = [dict(expansion.row_items(i)) for i in idx]
-    return (rows, *expand_over_pivots(rows))
+    pivots: list[int] = []
+    for n, row in enumerate(rows):
+        k = len(pivots)
+        if row == {k: 1}:
+            pivots.append(n)
+        elif row and max(row) >= k:
+            return (rows, *expand_over_pivots(rows))
+    return rows, pivots, rows
 
 
 def _wrapped_rows(expr: list[dict[int, Fraction]]) -> list[int]:

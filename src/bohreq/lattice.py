@@ -155,22 +155,25 @@ def _gram_schmidt(basis: list[list[int]]):
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]):
-    """Exact LLL reduction (delta = 3/4) of an independent integer basis."""
+    """Exact LLL reduction (delta = 3/4) of an independent integer basis.
+
+    The result is size-reduced (every |mu_ij| <= 1/2) and meets the Lovasz
+    condition; the loop ends because each swap shrinks a positive integer
+    potential, so there is no iteration cap.
+    """
     b = [list(map(int, row)) for row in basis]
     if len(b) <= 1:
         return b
     delta = Fraction(3, 4)
     mu, norms, _ = _gram_schmidt(b)
     i = 1
-    guard = 0
     while i < len(b):
-        guard += 1
-        if guard > 10_000:
-            break
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                for l in range(j):
+                    mu[i][l] -= q * mu[j][l]
         mu, norms, _ = _gram_schmidt(b)
         if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1

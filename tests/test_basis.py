@@ -11,6 +11,7 @@ from bohreq.basis import (
     BohrMatrix,
     compute_basis,
     denominator_lcm,
+    expand_over_pivots,
     is_integral,
     make_integral_truncated,
     reconstruct_exponent,
@@ -88,6 +89,91 @@ class TestComputeBasis:
         swapped = [exps[0], exps[1], exps[3], exps[2]]
         basis_b, _, _ = compute_basis(swapped)
         assert set(basis_a.elements) == set(basis_b.elements)
+
+
+def solve_over(columns, target):
+    """Coefficients c with sum_k c_k columns[k] = target, by fraction-exact
+    Gauss-Jordan elimination (columns independent), or None when there are none."""
+    width = len(columns)
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    for c in range(width):
+        p = next(i for i in range(c, len(aug)) if aug[i][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(len(aug)):
+            if i != c and aug[i][c] != 0:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
+    if any(row[width] != 0 for row in aug[width:]):
+        return None
+    return {c: aug[c][width] for c in range(width) if aug[c][width] != 0}
+
+
+def reference_expansion(vectors):
+    """Earliest-first pivots and expressions over them, all in Fractions."""
+    keys = sorted({key for vec in vectors for key, _ in vec.items()})
+    pivots, columns, rows = [], [], []
+    for idx, vec in enumerate(vectors):
+        coords = dict(vec.items())
+        dense = [Fraction(coords.get(key, 0)) for key in keys]
+        expr = solve_over(columns, dense)
+        if expr is None:
+            rows.append({len(pivots): Fraction(1)})
+            pivots.append(idx)
+            columns.append(dense)
+        else:
+            rows.append(expr)
+    return pivots, rows
+
+
+class TestExpandOverPivots:
+    @staticmethod
+    def random_vectors(rng, keys, count):
+        vectors = []
+        for _ in range(count):
+            roll = rng.random()
+            if roll < 0.1:
+                vectors.append({})
+            elif roll < 0.2 and vectors:
+                vectors.append(dict(rng.choice(vectors)))
+            elif roll < 0.5 and vectors:
+                # a rational combination of earlier vectors: a dependent one
+                combo = {}
+                for vec in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+                    c = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 1, 2, 3)))
+                    for key, q in vec.items():
+                        combo[key] = combo.get(key, 0) + c * q
+                vectors.append({key: q for key, q in combo.items() if q})
+            else:
+                vectors.append({
+                    key: Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 1, 1, 2, 5, 6)))
+                    for key in rng.sample(keys, rng.randint(1, len(keys)))
+                })
+        return vectors
+
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(1101)
+        names = ["A", "B", "C", "D", "E"]
+        integral = fractional = 0
+        for trial in range(150):
+            if trial % 2:
+                vectors = [ExponentVector(v) for v in
+                           self.random_vectors(rng, names, rng.randint(1, 12))]
+            else:
+                vectors = self.random_vectors(rng, list(range(5)), rng.randint(1, 12))
+            pivots, rows = expand_over_pivots(vectors)
+            assert (pivots, rows) == reference_expansion(vectors)
+            for row in rows:
+                assert all(type(q) is Fraction and q != 0 for q in row.values())
+                integral += sum(q.denominator == 1 for q in row.values())
+                fractional += sum(q.denominator != 1 for q in row.values())
+        assert integral > 0 and fractional > 0
+
+    def test_integer_rows(self):
+        # int entries take the integer path and still come back as Fractions
+        pivots, rows = expand_over_pivots([{0: 2}, {0: 4, 1: 3}, {0: 1}, {1: 6}, {}])
+        assert pivots == [0, 1]
+        assert rows == [{0: 1}, {1: 1}, {0: Fraction(1, 2)}, {0: -4, 1: 2}, {}]
+        assert all(type(q) is Fraction for row in rows for q in row.values())
 
 
 class TestExactReconstruction:

@@ -14,6 +14,7 @@ from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import (
     PhaseTargets,
     _decide,
+    _expand_rows,
     circle_distance,
     closure_demo,
     extract_phase_targets,
@@ -167,6 +168,55 @@ class TestExtractPhaseTargets:
     def test_alignment_required(self):
         with pytest.raises(DimensionMismatch):
             extract_phase_targets(spec_236(), spec_23())
+
+
+class TestExpandRows:
+    """The pivot-form shortcut agrees with a fresh expansion of the same rows."""
+
+    @staticmethod
+    def expanded(matrix, idx):
+        rows = [dict(matrix.row_items(i)) for i in idx]
+        return (rows, *expand_over_pivots(rows))
+
+    def test_basis_prefixes(self):
+        rng = random.Random(1102)
+        syms = SymbolTable([("A", 1.11), ("B", 2.23), ("C", 3.31)])
+        specs = [scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 41)])]
+        specs += [scenarios.bohr_example(12)]
+        exps = [s.exponents() for s in specs]
+        exps += [random_exponent_list(rng, syms, max_terms=10) for _ in range(40)]
+        shortcuts = expansions = 0
+        for lams in exps:
+            _, r, _ = compute_basis(lams)
+            for h in range(1, r.nrows + 1):
+                prefix = list(range(h))
+                skipped = [i for i in prefix if rng.random() >= 0.3] or [0]
+                for idx in (prefix, skipped):
+                    got = _expand_rows(r, idx)
+                    assert got == self.expanded(r, idx)
+                    assert all(type(q) is Fraction for row in got[2] for q in row.values())
+                    if got[2] is got[0]:
+                        shortcuts += 1
+                    else:
+                        expansions += 1
+                # an unskipped prefix of R is always in pivot form
+                rows, _, expr = _expand_rows(r, prefix)
+                assert expr is rows
+        assert shortcuts > 0 and expansions > 0
+
+    def test_matrices_not_in_unit_form(self):
+        # hand-built rows as in the torus-oracle comparison: a prefix whose
+        # pivot rows are not unit rows must be expanded
+        rng = random.Random(1103)
+        expansions = 0
+        for k in [1] * 20 + [2] * 20 + [3] * 20:
+            rows = random_congruence_rows(rng, k)
+            matrix = BohrMatrix([dict(enumerate(row)) for row in rows], ncols=k)
+            idx = list(range(len(rows)))
+            got = _expand_rows(matrix, idx)
+            assert got == self.expanded(matrix, idx)
+            expansions += got[2] is not got[0]
+        assert expansions > 0
 
 
 class TestIntegerKernel:

@@ -183,6 +183,41 @@ class TestSizeReduce:
             assert hermite_normalize(reduced) == hermite_normalize(basis)
 
 
+def gram_schmidt_data(basis):
+    """mu coefficients and squared Gram-Schmidt norms, in fractions."""
+    star, norms = [], []
+    mu = [[Fraction(0)] * len(basis) for _ in basis]
+    for i, row in enumerate(basis):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(Fraction(a) * b for a, b in zip(row, star[j])) / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+class TestLLL:
+    def test_output_is_lll_reduced(self):
+        # size-reduced (|mu_ij| <= 1/2) and Lovasz (delta = 3/4), same lattice
+        rng = random.Random(2811)
+        checked = 0
+        while checked < 200:
+            dim = rng.randint(2, 6)
+            count = rng.randint(2, dim)
+            basis = [[rng.randint(-50, 50) for _ in range(dim)] for _ in range(count)]
+            if row_echelon(basis)[1] < count:
+                continue
+            reduced = lll_reduce(basis)
+            assert hermite_normalize(reduced) == hermite_normalize(basis)
+            mu, norms = gram_schmidt_data(reduced)
+            for i in range(count):
+                assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+            for i in range(1, count):
+                assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
+            checked += 1
+
+
 class TestDiagonalize:
     def test_exact_factorization_and_unimodularity(self):
         rng = random.Random(24)
