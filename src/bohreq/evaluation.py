@@ -11,10 +11,15 @@ in cache and no scratch buffer grows with the number of points.  Certified
 comparisons lean on tail majorants, not on summation heroics.  Grid suprema
 approximate sup norms on compact boxes; grid density is a verification
 parameter chosen by the caller.
+
+Importing this module (the base of the float layer) pins glibc's mmap and
+trim thresholds (`MMAP_THRESHOLD`, `TRIM_THRESHOLD`), so the resident set of
+a process that samples again and again follows what its live arrays need.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +30,36 @@ import numpy as np
 from .core import SeriesSpec
 from .errors import BadRange
 from .scenarios import bohr_exponent, tau
+
+
+#: Allocations of at least this many bytes get a mapping of their own, given
+#: back to the system when freed.  glibc starts at 128 KiB but raises the
+#: threshold to the size of each mapping freed, up to 32 MiB; after that,
+#: arrays of 1e6 points are cut from the brk heap, whose freed space stays
+#: resident, so repeated sampling grows the resident set by 16 MB steps at
+#: points that depend on the order of frees.  Pinned here, an array of 1e6
+#: points holds pages for its lifetime only, while the per-block scratch of
+#: `plan_sum` (at most a few MiB) stays on the heap and is reused.
+MMAP_THRESHOLD = 4 << 20
+#: Free space at the top of the heap kept for reuse, twice the mmap threshold
+#: as glibc's own adjustment sets it, so scratch freed between blocks is not
+#: given back and faulted in again.
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from <malloc.h>
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap and trim thresholds where the C library has `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library by name
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_pin_mmap_threshold()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Series evaluation, vertical shifts, uniform distances, exact shift phases."""
 
 import cmath
+import ctypes
 import math
 import random
 from fractions import Fraction
@@ -284,3 +285,26 @@ class TestGridBox:
         assert len(box.sigma_points()) == 5
         assert len(box.t_points()) == 9
         assert box.sigma_points()[-1] == 1.0
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+class TestMmapThreshold:
+    def test_large_array_is_mapped_after_one_of_its_size_is_freed(self):
+        # glibc's dynamic threshold would cut the second array from the brk
+        # heap, which keeps freed space resident
+        try:
+            mallinfo2 = ctypes.CDLL(None).mallinfo2
+        except (AttributeError, OSError, TypeError):
+            pytest.skip("no glibc mallinfo2")
+        mallinfo2.argtypes, mallinfo2.restype = (), _MallInfo2
+        first = np.ones(1 << 20, dtype=complex)
+        del first
+        mapped = mallinfo2().hblkhd
+        second = np.ones(1 << 20, dtype=complex)
+        assert mallinfo2().hblkhd - mapped >= second.nbytes
