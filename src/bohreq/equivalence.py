@@ -36,6 +36,7 @@ from .errors import (
     SupportMismatch,
 )
 from .lattice import (
+    gram_schmidt,
     integer_left_kernel,
     lll_reduce,
     size_reduce,
@@ -275,8 +276,8 @@ def _pivot_lift(
     of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  L, the
     z with R'_n . z integral on every row, has the kernel of that system cut
     to its first r coordinates as basis; the one diagonalization that solves
-    the system gives it.  w comes size-reduced modulo L.  With no wrapped row
-    every w works, and L = Z^r is returned as None.
+    the system gives it, LLL-reduced once per decision.  w comes size-reduced
+    modulo L.  With no wrapped row every w works, and L = Z^r is returned as None.
     """
     r = len(pivots)
     if not wrapped:
@@ -299,7 +300,7 @@ def _pivot_lift(
             "integer lifts are inconsistent: the system sits beyond what "
             "double-precision targets can certify"
         )
-    lattice = [v[:r] for v in kernel]
+    lattice = lll_reduce([v[:r] for v in kernel])
     return size_reduce(solution[:r], lattice), lattice
 
 
@@ -307,7 +308,8 @@ class _Lift(NamedTuple):
     """The exact lift R_P Y = theta_P + 2pi (w + z), z in L (`lattice`, None for Z^r).
 
     `rows` are the constrained rows of R and `pivots` the positions of R_P
-    among them; `units[p]` is j when pivot row p is the unit row e_j, else None.
+    among them; `units[p]` is j when pivot row p is the unit row e_j, else
+    None.  `lattice` is the LLL-reduced basis of L that `_pivot_lift` gives.
     """
 
     rows: list[dict[int, Fraction]]
@@ -457,14 +459,14 @@ def _min_norm(lift: _Lift) -> float:
     phase wraps to its principal angle.  Otherwise |R_P^+ phi|^2 = phi^T G phi
     with G = (R_P R_P^T)^-1, the identity for unit pivot rows.  With s =
     theta_P / 2pi + w this is 4pi^2 |s + z|_G^2, minimised exactly over the
-    LLL-reduced basis of L by Fincke-Pohst enumeration in rationals, each
-    level's candidates nearest first (Schnorr-Euchner), pruned at the best
-    norm found.
+    lift's basis of L (LLL-reduced once per decision, in `_pivot_lift`) by
+    Fincke-Pohst enumeration in rationals, each level's candidates nearest
+    first (Schnorr-Euchner), pruned at the best norm found.
     """
     if lift.lattice is None and None not in lift.units:
         return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
     r = len(lift.w)
-    gens = lll_reduce(lift.lattice) if lift.lattice else [_dense({i: 1}, r) for i in range(r)]
+    gens = lift.lattice or [_dense({i: 1}, r) for i in range(r)]
     gram = [{i: Fraction(1)} for i in range(r)]
     if None in lift.units:
         # G's rows are the expressions of the unit vectors over the rows of R_P R_P^T.
@@ -477,18 +479,9 @@ def _min_norm(lift: _Lift) -> float:
         return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
 
     s = [Fraction(theta / TWO_PI) + wp for theta, wp in zip(lift.theta, lift.w)]
-    # Gram-Schmidt data in the metric G: g_i = g*_i + sum_{l<i} mu[i][l] g*_l,
-    # |g*_l|^2 = norms[l], and s = sum_l sigma[l] g*_l (L has full rank r).
-    mu = [[0] * r for _ in range(r)]
-    norms: list[Fraction] = []
-    sigma: list[Fraction] = []
-    for i in range(r):
-        for j in range(i):
-            dot = inner(gens[i], gens[j])
-            mu[i][j] = (dot - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))) / norms[j]
-        norms.append(inner(gens[i], gens[i]) - sum(mu[i][l] ** 2 * norms[l] for l in range(i)))
-        dot = inner(s, gens[i])
-        sigma.append((dot - sum(mu[i][l] * sigma[l] * norms[l] for l in range(i))) / norms[i])
+    # Gram-Schmidt in the metric G: s = sum_l sigma[l] g*_l (L has full rank r).
+    mu, norms = gram_schmidt([*gens, s], inner)
+    sigma = mu[r]
     # |s + sum_i x_i g_i|^2 = sum_l norms[l] (sigma[l] + x_l + sum_{i>l} mu[i][l] x_i)^2
     x = [0] * r
     best: Fraction | None = None

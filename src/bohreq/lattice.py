@@ -1,7 +1,7 @@
-"""Exact integer lattice routines: echelon forms, kernels, diagonalization.
+"""Exact integer lattice routines: echelon forms, kernels, diagonalization, LLL.
 
-Everything here runs on Python ints (arbitrary precision), so results are
-exact.  Matrices are lists of row lists; inputs are never mutated.
+Everything here is exact, in Python ints and `Fraction`s; one Gram-Schmidt
+serves LLL and Babai.  Matrices are lists of row lists; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -133,73 +133,80 @@ def solve_integer_rows(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
     return [sum(v[r][c] * w[c] for c in range(n)) for r in range(n)], kernel
 
 
-def _gram_schmidt(basis: list[list[int]]):
-    """Exact Gram-Schmidt data (mu coefficients and squared norms) over Q."""
-    n = len(basis)
-    dim = len(basis[0]) if n else 0
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    star: list[list[Fraction]] = []
+def gram_schmidt(rows: Sequence[Sequence], inner=lambda u, v: sum(x * y for x, y in zip(u, v))):
+    """Exact Gram-Schmidt data (mu, norms) of the rows in the inner product given.
+
+    b_i = b*_i + sum_{j<i} mu[i][j] b*_j, from inner products alone (no b*
+    vectors), and norms[j] = <b*_j, b*_j> for every row but the last, the ones
+    divided by.  The last row may be any target t, and mu[-1] is then its
+    coordinates over the b*_j.  A zero norm to divide by is a ValueError.
+    """
+    mu: list[list[Fraction]] = []
     norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
+    for i, u in enumerate(rows):
+        mu.append([])
         for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = sum(
-                (Fraction(basis[i][k]) * star[j][k] for k in range(dim)), Fraction(0)
-            ) / norms[j]
-            v = [v[k] - mu[i][j] * star[j][k] for k in range(dim)]
-        star.append(v)
-        norms.append(sum((x * x for x in v), Fraction(0)))
-    return mu, norms, star
+            dot = inner(u, rows[j]) - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))
+            mu[i].append(dot / norms[j])
+        if i < len(rows) - 1:
+            norms.append(Fraction(inner(u, u)) - sum(m * m * b for m, b in zip(mu[i], norms)))
+            if not norms[i]:
+                raise ValueError(f"rows 0..{i} are linearly dependent")
+    return mu, norms
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]):
     """Exact LLL reduction (delta = 3/4) of an independent integer basis.
 
-    The result is size-reduced (every |mu_ij| <= 1/2) and meets the Lovasz
-    condition; the loop ends because each swap shrinks a positive integer
-    potential, so there is no iteration cap.
+    One `gram_schmidt`, then mu and the norms are kept exact in place (Cohen,
+    Alg. 2.6.3) through full size reduction of b_i, the Lovasz test, and a swap
+    with b_{i-1} when it fails.  The result is size-reduced (|mu_ij| <= 1/2) and
+    Lovasz-reduced; each swap shrinks a positive integer potential, so there is
+    no iteration cap.  Dependent rows raise ValueError.
     """
     b = [list(map(int, row)) for row in basis]
     if len(b) <= 1:
         return b
-    delta = Fraction(3, 4)
-    mu, norms, _ = _gram_schmidt(b)
+    # a zero target row makes gram_schmidt give (and check) every basis norm
+    mu, norms = gram_schmidt([*b, [0] * len(b[0])])
+    mu.pop()
     i = 1
     while i < len(b):
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                mu[i][j] -= q
                 for l in range(j):
                     mu[i][l] -= q * mu[j][l]
-        mu, norms, _ = _gram_schmidt(b)
-        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+        m = mu[i][i - 1]
+        if norms[i] >= (Fraction(3, 4) - m * m) * norms[i - 1]:
             i += 1
-        else:
-            b[i], b[i - 1] = b[i - 1], b[i]
-            mu, norms, _ = _gram_schmidt(b)
-            i = max(i - 1, 1)
+            continue
+        b[i], b[i - 1] = b[i - 1], b[i]
+        new = norms[i] + m * m * norms[i - 1]
+        mu[i - 1], mu[i] = mu[i][:i - 1], mu[i - 1] + [m * norms[i - 1] / new]
+        norms[i - 1], norms[i] = new, norms[i - 1] * norms[i] / new
+        for row in mu[i + 1:]:
+            row[i - 1], row[i] = row[i], row[i - 1] - m * row[i]
+            row[i - 1] += mu[i][i - 1] * row[i]
+        i = max(i - 1, 1)
     return b
 
 
 def size_reduce(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
-    """Shrink a vector modulo a lattice: LLL-reduce, then Babai nearest plane."""
+    """Shrink a vector modulo the lattice of `basis` by Babai's nearest plane.
+
+    The basis is used as given (independent rows; LLL-reduce it for a short result).
+    """
     z = list(vector)
-    if not basis:
-        return z
-    reduced = lll_reduce(basis)
-    _, norms, star = _gram_schmidt(reduced)
-    for j in range(len(reduced) - 1, -1, -1):
-        if norms[j] == 0:
-            continue
-        coeff = sum(
-            (Fraction(z[k]) * star[j][k] for k in range(len(z))), Fraction(0)
-        ) / norms[j]
-        q = round(coeff)
+    mu, _ = gram_schmidt([*basis, z])
+    for j in range(len(basis) - 1, -1, -1):
+        q = round(mu[-1][j])
         if q:
-            z = [a - q * b for a, b in zip(z, reduced[j])]
+            z = [a - q * b for a, b in zip(z, basis[j])]
+            for l in range(j):
+                mu[-1][l] -= q * mu[j][l]
     return z
 
 

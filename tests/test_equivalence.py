@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bohreq import scenarios
+from bohreq import equivalence, lattice, scenarios
 from bohreq.basis import BohrMatrix, compute_basis, expand_over_pivots
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import (
@@ -20,6 +20,7 @@ from bohreq.equivalence import (
     extract_phase_targets,
     integer_kernel,
     is_equivalent_truncated,
+    principal_angle,
     solve_phase_system,
     twist,
 )
@@ -598,6 +599,66 @@ class TestClosureDemo:
         want = math.sqrt(sum(((v + PI) % TWO_PI - PI) ** 2 for v in y))
         assert all(p.feasible for p in points)
         assert points[-1].min_norm == pytest.approx(want, rel=1e-12)
+
+    def test_twisted_series_without_two_rank_twelve(self):
+        # the 2^-s coefficient is zero, so the pivot row for L2 is 4^-s = 2 e_2
+        # and rows such as 6^-s and 8^-s are wrapped: L has rank 12 at N = 40.
+        # From N = 6 on, 3^-s and 6^-s fix Y_2 modulo 2pi as well, so every
+        # Y_p is fixed and the minimum is sqrt(sum_{p <= N} principal_angle(y_p)^2)
+        def twisted(n_terms, seed):
+            a = scenarios.ordinary_series(
+                [(n, 0.0 if n == 2 else 1.0 / n) for n in range(1, n_terms + 1)]
+            )
+            basis, r, _ = compute_basis(a.exponents())
+            rng = random.Random(seed)
+            y = [rng.uniform(-20.0, 20.0) for _ in range(r.ncols)]
+            return a, twist(a, basis, r, y), basis, r, y
+
+        a, b, basis, r, y = twisted(40, 4040)
+        assert r.ncols == 12
+        a100, b100, basis100, r100, _ = twisted(100, 4100)
+        start = time.process_time()
+        points = closure_demo(a, b, 40)
+        result = is_equivalent_truncated(a100, b100)
+        assert time.process_time() - start < 5.0
+        _, lift = _decide(r, extract_phase_targets(a, b))
+        assert len(lift.lattice) == 12
+        assert all(p.feasible for p in points)
+        for point in points[5:]:
+            angles = [principal_angle(v) for v, i in zip(y, basis.source_indices) if i < point.n]
+            want = math.sqrt(sum(v * v for v in angles))
+            assert point.min_norm == pytest.approx(want, rel=1e-12)
+        assert result.equivalent
+        again = twist(a100, basis100, r100, result.phase)
+        for got, term in zip(again.terms, b100.terms):
+            assert abs(got.coeff - term.coeff) <= 1e-8 * max(1.0, abs(term.coeff))
+
+    def test_each_decision_reduces_its_lattice_once(self, monkeypatch):
+        # `_pivot_lift` LLL-reduces L once; Babai and the closure search reuse it
+        calls = {"lll": 0, "lattices": 0}
+        real_lll, real_lift = lattice.lll_reduce, equivalence._pivot_lift
+
+        def counted_lll(basis):
+            calls["lll"] += 1
+            return real_lll(basis)
+
+        def counted_lift(*args):
+            w, lat = real_lift(*args)
+            calls["lattices"] += lat is not None
+            return w, lat
+
+        monkeypatch.setattr(lattice, "lll_reduce", counted_lll)
+        monkeypatch.setattr(equivalence, "lll_reduce", counted_lll)
+        monkeypatch.setattr(equivalence, "_pivot_lift", counted_lift)
+        f = scenarios.bohr_example(20)
+        closure_demo(f, scenarios.negate(f), 20)
+        assert calls == {"lll": 19, "lattices": 19}
+        a = scenarios.ordinary_series([(n, 0.0 if n == 2 else 1.0 / n) for n in range(1, 21)])
+        basis, r, _ = compute_basis(a.exponents())
+        y = [0.5 + j for j in range(r.ncols)]
+        calls.update(lll=0, lattices=0)
+        closure_demo(a, twist(a, basis, r, y), 20)
+        assert calls["lll"] == calls["lattices"] > 0
 
     def test_zero_exponent_truncation_has_zero_norm(self):
         # the first term of an ordinary series has exponent log 1 = 0: the

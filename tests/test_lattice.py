@@ -4,9 +4,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from bohreq.lattice import (
     clear_denominators,
     diagonalize,
+    gram_schmidt,
     hermite_normalize,
     integer_left_kernel,
     lll_reduce,
@@ -183,8 +186,8 @@ class TestSizeReduce:
             assert hermite_normalize(reduced) == hermite_normalize(basis)
 
 
-def gram_schmidt_data(basis):
-    """mu coefficients and squared Gram-Schmidt norms, in fractions."""
+def star_gram_schmidt(basis):
+    """mu coefficients, squared norms and the b* vectors themselves, in fractions."""
     star, norms = [], []
     mu = [[Fraction(0)] * len(basis) for _ in basis]
     for i, row in enumerate(basis):
@@ -194,7 +197,48 @@ def gram_schmidt_data(basis):
             v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
         star.append(v)
         norms.append(sum(x * x for x in v))
+    return mu, norms, star
+
+
+def gram_schmidt_data(basis):
+    """mu coefficients and squared Gram-Schmidt norms, in fractions."""
+    mu, norms, _ = star_gram_schmidt(basis)
     return mu, norms
+
+
+def reference_lll(basis):
+    """LLL with the same loop order that recomputes all of Gram-Schmidt after every step."""
+    b = [list(row) for row in basis]
+    if len(b) <= 1:
+        return b
+    mu, norms = gram_schmidt_data(b)
+    i = 1
+    while i < len(b):
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            if q:
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                for l in range(j):
+                    mu[i][l] -= q * mu[j][l]
+        mu, norms = gram_schmidt_data(b)
+        if norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]:
+            i += 1
+        else:
+            b[i], b[i - 1] = b[i - 1], b[i]
+            mu, norms = gram_schmidt_data(b)
+            i = max(i - 1, 1)
+    return b
+
+
+def reference_babai(vector, basis):
+    """Nearest plane on the b* vectors: each coefficient is <z, b*_j> / |b*_j|^2."""
+    z = list(vector)
+    _, norms, star = star_gram_schmidt(basis)
+    for j in range(len(basis) - 1, -1, -1):
+        q = round(sum(Fraction(a) * b for a, b in zip(z, star[j])) / norms[j])
+        if q:
+            z = [a - q * b for a, b in zip(z, basis[j])]
+    return z
 
 
 class TestLLL:
@@ -216,6 +260,60 @@ class TestLLL:
             for i in range(1, count):
                 assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
             checked += 1
+
+    def test_in_place_updates_match_recomputed_gram_schmidt(self):
+        # the in-place mu and norm updates are exact and run in the reference's
+        # order, so LLL gives the very same basis and Babai the same vector;
+        # ranks stop at 6 because the reference takes seconds beyond that
+        rng = random.Random(1212)
+        checked = 0
+        while checked < 300:
+            dim = rng.randint(2, 8)
+            count = rng.randint(1, min(dim, 6))
+            basis = [[rng.randint(-40, 40) for _ in range(dim)] for _ in range(count)]
+            if row_echelon(basis)[1] < count:
+                continue
+            reduced = lll_reduce(basis)
+            assert reduced == reference_lll(basis)
+            v = [rng.randint(-10**6, 10**6) for _ in range(dim)]
+            assert size_reduce(v, reduced) == reference_babai(v, reference_lll(basis))
+            checked += 1
+
+    def test_dependent_rows_raise_value_error(self):
+        for basis in ([[1, 2], [2, 4]], [[1, 0], [0, 0]]):
+            with pytest.raises(ValueError, match=r"rows 0\.\.1 are linearly dependent"):
+                lll_reduce(basis)
+        with pytest.raises(ValueError, match=r"rows 0\.\.1 are linearly dependent"):
+            size_reduce([3, 1], [[1, 2], [2, 4]])
+
+
+class TestGramSchmidt:
+    def test_matches_star_vectors_with_a_target_row(self):
+        rng = random.Random(1213)
+        for _ in range(50):
+            dim = rng.randint(1, 6)
+            basis = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+            if row_echelon(basis)[1] < len(basis):
+                continue
+            target = [rng.randint(-99, 99) for _ in range(dim)]
+            mu, norms = gram_schmidt([*basis, target])
+            ref_mu, ref_norms, star = star_gram_schmidt(basis)
+            assert norms == ref_norms
+            assert all(mu[i] == ref_mu[i][:i] for i in range(len(basis)))
+            assert mu[-1] == [
+                sum(Fraction(a) * b for a, b in zip(target, s)) / n for s, n in zip(star, ref_norms)
+            ]
+
+    def test_trailing_target_may_be_dependent(self):
+        mu, norms = gram_schmidt([[1, 0], [2, 0]])
+        assert mu == [[], [2]] and norms == [1]
+
+    def test_inner_product_is_a_parameter(self):
+        # <u, v> = u^T diag(1, 4) v
+        rows = [[1, 1], [1, 0], [0, 1]]
+        mu, norms = gram_schmidt(rows, lambda u, v: u[0] * v[0] + 4 * u[1] * v[1])
+        assert mu == [[], [Fraction(1, 5)], [Fraction(4, 5), -1]]
+        assert norms == [5, Fraction(4, 5)]
 
 
 class TestDiagonalize:
