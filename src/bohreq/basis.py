@@ -44,6 +44,17 @@ class BohrMatrix:
         self._rows = tuple(cleaned)
         self._ncols = ncols
 
+    @classmethod
+    def _clean(cls, rows: Iterable[dict[int, Fraction]], ncols: int) -> BohrMatrix:
+        """A matrix of rows already clean: int columns in range, nonzero Fractions.
+
+        For rows this module has just built; takes them as they are, unchecked.
+        """
+        matrix = cls.__new__(cls)
+        matrix._rows = tuple(rows)
+        matrix._ncols = ncols
+        return matrix
+
     @property
     def nrows(self) -> int:
         return len(self._rows)
@@ -184,8 +195,8 @@ def compute_basis(
     if not exps:
         raise EmptyInput("cannot compute a basis of an empty exponent list")
     source, r_rows = expand_over_pivots(exps)
-    expansion = BohrMatrix(r_rows, len(source))
-    selection = BohrMatrix([{i: Fraction(1)} for i in source], len(exps))
+    expansion = BohrMatrix._clean(r_rows, len(source))
+    selection = BohrMatrix._clean([{i: Fraction(1)} for i in source], len(exps))
     return Basis(tuple(exps[i] for i in source), tuple(source)), expansion, selection
 
 
@@ -230,5 +241,5 @@ def make_integral_truncated(
     ]
     return (
         Basis(scaled, basis.source_indices),
-        BohrMatrix(rows, expansion.ncols),
+        BohrMatrix._clean(rows, expansion.ncols),
     )

@@ -345,13 +345,17 @@ def _cmd_line_set(args) -> int:
 
 
 def _cmd_sigma_star(args) -> int:
+    import numpy as np
+
     from . import zeros
 
     spec = parse_series_file(args.series)
     v = complex(args.v_re, args.v_im)
-    value = zeros.sigma_star(
-        spec, v, (args.t_min, args.t_max), args.sigma_floor, args.tol, args.steps
-    )
+    # an overflow on the contour is reported as one PrecisionLimit line
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = zeros.sigma_star(
+            spec, v, (args.t_min, args.t_max), args.sigma_floor, args.tol, args.steps
+        )
     result = {
         "sigma_star": None if math.isinf(value) else value,
         "zero_found": not math.isinf(value),
@@ -361,11 +365,14 @@ def _cmd_sigma_star(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    import numpy as np
+
     from . import zeros
 
     spec = parse_series_file(args.series)
     rect = zeros.Rectangle((args.sigma_min, args.sigma_max), (args.t_min, args.t_max))
-    count = zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        count = zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)
     result = {"count": count}
     _emit(args, _verdict("zeros", {"series": args.series}, result))
     return EXIT_OK

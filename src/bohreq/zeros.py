@@ -1,9 +1,13 @@
 """Argument-principle zero counting and zero-free abscissae.
 
 count_zeros walks a rectangle boundary counterclockwise accumulating argument
-increments of f - v; increments above pi/2 trigger adaptive bisection of the
-offending segment, so a zero sitting on (or hugging) the contour surfaces as
-BoundaryTooClose or NonconvergentSubdivision rather than a silent miscount.
+increments of f - v.  Each side works on arrays: its samples are evaluated in
+one call and every segment's increment is taken in one NumPy pass; segments
+whose increment exceeds pi/2 are bisected one level at a time, each level's
+midpoints evaluated in one call.  A zero sitting on (or hugging) the contour
+surfaces as BoundaryTooClose or NonconvergentSubdivision rather than a silent
+miscount, and a series that overflows a double on the contour as
+PrecisionLimit.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
@@ -27,6 +31,7 @@ from .errors import (
     BoundaryTooClose,
     DegenerateTarget,
     NonconvergentSubdivision,
+    PrecisionLimit,
 )
 from .evaluation import evaluate
 
@@ -77,47 +82,72 @@ def _side_argument(
 ) -> float:
     """Total argument increment of f - v from a to b along the segment.
 
-    The steps + 1 evenly spaced samples are evaluated in one array call;
-    only bisection midpoints are evaluated one at a time.
+    The steps + 1 evenly spaced samples are evaluated in one array call, and
+    every segment's increment is taken in one array pass.  Segments whose
+    increment exceeds pi/2 (or is NaN) are halved level by level, each
+    level's midpoints in one array call.  The accepted increments are summed
+    one after another in order along the side.  A sample that is not finite
+    raises PrecisionLimit: no refinement can mend an overflow.
     """
 
-    def w_at(p):
-        """f - v at a + (b - a) p, for a number p or an array of them."""
+    def w_at(p: np.ndarray) -> np.ndarray:
+        """f - v at the points a + (b - a) p, p in increasing order."""
         s = a + (b - a) * p
         w = evaluate(spec, s) - v
-        close = np.flatnonzero(np.abs(w) <= margin)
-        if close.size:
-            i = close[0]
-            raise BoundaryTooClose(complex(np.ravel(s)[i]), float(abs(np.ravel(w)[i])), margin)
+        modulus = np.abs(w)
+        if not ((margin < modulus) & (modulus < math.inf)).all():
+            bad = np.flatnonzero(~np.isfinite(modulus))
+            if bad.size:
+                i = bad[0]
+                raise PrecisionLimit(
+                    f"f(s) - v = {complex(w[i])} is not a finite double"
+                    f" at boundary point {complex(s[i])}"
+                )
+            i = np.flatnonzero(modulus <= margin)[0]
+            raise BoundaryTooClose(complex(s[i]), float(modulus[i]), margin)
         return w
 
-    ps = np.arange(steps + 1) / steps
-    samples = list(zip(ps.tolist(), w_at(ps).tolist()))
+    p = np.arange(steps + 1) / steps
+    w = w_at(p)
     count = steps + 1
-    total = 0.0
-    for i in range(steps):
-        stack = [(*samples[i], *samples[i + 1])]
-        while stack:
-            p1, w1, p2, w2 = stack.pop()
-            delta = cmath.phase(w2 / w1)
-            if abs(delta) <= HALF_PI:
-                total += delta
-                continue
-            count += 1
-            if count > MAX_SIDE_SAMPLES:
-                raise NonconvergentSubdivision(
-                    f"side {a} -> {b} needed more than {MAX_SIDE_SAMPLES} samples"
-                )
-            pm = 0.5 * (p1 + p2)
-            wm = w_at(pm)
-            stack.append((pm, wm, p2, w2))
-            stack.append((p1, w1, pm, wm))
-    return total
+    p1, p2, w1, w2 = p[:-1], p[1:], w[:-1], w[1:]
+    lefts, deltas = [], []
+    while True:
+        ratio = w2 / w1
+        delta = np.arctan2(ratio.imag, ratio.real)
+        ok = np.abs(delta) <= HALF_PI
+        lefts.append(p1[ok])
+        deltas.append(delta[ok])
+        todo = ~ok
+        if not todo.any():
+            break
+        p1, p2, w1, w2 = p1[todo], p2[todo], w1[todo], w2[todo]
+        count += p1.size
+        if count > MAX_SIDE_SAMPLES:
+            raise NonconvergentSubdivision(
+                f"side {a} -> {b} needed more than {MAX_SIDE_SAMPLES} samples"
+            )
+        pm = 0.5 * (p1 + p2)
+        wm = w_at(pm)
+        # halves interleaved, left before right, so each level stays in order
+        p1, p2 = np.column_stack((p1, pm)).ravel(), np.column_stack((pm, p2)).ravel()
+        w1, w2 = np.column_stack((w1, wm)).ravel(), np.column_stack((wm, w2)).ravel()
+    total = np.concatenate(deltas)
+    if len(lefts) > 1:
+        total = total[np.argsort(np.concatenate(lefts))]
+    return float(np.add.accumulate(total)[-1])
 
 
 def _check_steps(steps: int) -> None:
     if steps < 1:
         raise BadRange(f"need steps >= 1, got {steps}")
+
+
+def _finite_target(v: complex) -> complex:
+    v = complex(v)
+    if not cmath.isfinite(v):
+        raise BadRange(f"need a finite target v, got {v}")
+    return v
 
 
 def winding_number(
@@ -129,7 +159,7 @@ def winding_number(
     those whose argument increment exceeds pi/2.
     """
     _check_steps(steps)
-    v = complex(v)
+    v = _finite_target(v)
     margin = boundary_margin(v)
     constant = _constant_value(spec)
     if constant is not None:
@@ -234,7 +264,9 @@ def sigma_star(
         raise BadRange(f"need a finite tol > 0, got {tol}")
     if not t_window[0] < t_window[1]:
         raise BadRange(f"degenerate t window {t_window}")
-    v = complex(v)
+    if not math.isfinite(sigma_floor):
+        raise BadRange(f"need a finite sigma_floor, got {sigma_floor}")
+    v = _finite_target(v)
     profile = _merged_against(spec, v)
     if not profile:
         raise DegenerateTarget(f"f - v vanishes identically for v = {v}")
@@ -288,7 +320,7 @@ def attains_value(
         raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
     if not t_window[0] < t_window[1]:
         raise BadRange(f"degenerate t window {t_window}")
-    v = complex(v)
+    v = _finite_target(v)
     t0, t1 = t_window
     last: Exception | None = None
     for jitter in _JITTERS:

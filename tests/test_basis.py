@@ -191,6 +191,29 @@ class TestExactReconstruction:
                 assert len(items) == 1 and items[0][1] == 1
                 assert exps[items[0][0]] == basis.elements[j]
 
+    def test_built_matrices_pass_the_public_checks(self):
+        # compute_basis and make_integral_truncated skip the constructor's
+        # checks; their rows must be what the checked constructor would keep
+        rng = random.Random(1307)
+        syms = SymbolTable([("A", 0.9182), ("B", -2.417), ("C", 5.55)])
+        for _ in range(40):
+            exps = random_exponent_list(rng, syms)
+            basis, r, t = compute_basis(exps)
+            _, r_int = make_integral_truncated(basis, r, rng.randint(1, len(exps)))
+            for m in (r, t, r_int):
+                rows = [dict(m.row_items(i)) for i in range(m.nrows)]
+                assert m == BohrMatrix(rows, m.ncols)
+                assert all(type(q) is Fraction and q != 0 for row in rows for q in row.values())
+
+    def test_public_constructor_checks_its_rows(self):
+        m = BohrMatrix([{0: 2, 1: 0}, {1: "1/3"}], ncols=2)
+        assert m.dense_rows() == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
+        assert m.row_items(0) == ((0, Fraction(2)),)
+        with pytest.raises(ValueError):
+            BohrMatrix([{2: 1}], ncols=2)
+        with pytest.raises(ValueError):
+            BohrMatrix([], ncols=-1)
+
 
 class TestIsIntegral:
     def test_ordinary_integral(self):

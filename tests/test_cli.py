@@ -355,12 +355,18 @@ class TestCommands:
             assert capsys.readouterr().out == ""
 
     def test_non_finite_ranges_are_one_error_line(self, files):
-        # refused before NumPy sees them: no traceback and no RuntimeWarning,
-        # so each run is its own process with stderr read whole
+        # refused before NumPy sees them, or (the rectangle at sigma -800) an
+        # overflow on the contour: no traceback and no RuntimeWarning, so each
+        # run is its own process with stderr read whole
         _, f, _ = files
         sampling = ["--count", "5", "--seed", "1"]
         strip = ["--sigma-min", "0", "--sigma-max", "inf", *sampling]
+        box = ["--t-min", "0", "--t-max", "1"]
         for argv in (
+            ["zeros", "--series", f, "--v-re", "nan", "--sigma-min", "0", "--sigma-max", "1", *box],
+            ["sigma-star", "--series", f, "--v-im", "inf", *box],
+            ["sigma-star", "--series", f, "--sigma-floor", "inf", *box],
+            ["zeros", "--series", f, "--sigma-min", "-800", "--sigma-max", "-700", *box],
             ["value-set", "--series", f, "--route", "direct", *strip],
             ["value-set", "--series", f, "--route", "equivalence", *strip],
             ["line-set", "--series", f, "--sigma0", "1", "--t-max", "inf", *sampling],

@@ -1,16 +1,27 @@
 """Winding numbers, zero counts, and zero-free abscissae."""
 
+import cmath
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
-from bohreq import scenarios
+from bohreq import scenarios, zeros
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
-from bohreq.errors import BadRange, DegenerateTarget
+from bohreq.errors import (
+    BadRange,
+    BoundaryTooClose,
+    DegenerateTarget,
+    NonconvergentSubdivision,
+    PrecisionLimit,
+)
+from bohreq.evaluation import evaluate
 from bohreq.zeros import (
     Rectangle,
     attains_value,
+    boundary_margin,
     count_zeros,
     sigma_sequence,
     sigma_star,
@@ -187,3 +198,207 @@ class TestSigmaSequence:
         values = sigma_sequence(scenarios.bohr_example(4), 3, (-50, 50), tol=1e-3)
         assert all(math.isfinite(v) for v in values)
         assert values[0] <= values[1] <= values[2]
+
+
+# -- the array walk against the depth-first scalar walk -----------------------
+
+
+def reference_side(spec, v, a, b, steps, margin, depth=None):
+    """The depth-first scalar walk: one phase and one evaluation per segment.
+
+    Sums the accepted increments left to right along the side.  `depth`, a
+    one-element list, gets the deepest bisection level reached.
+    """
+
+    def w_at(p):
+        s = a + (b - a) * p
+        w = evaluate(spec, s) - v
+        close = np.flatnonzero(np.abs(w) <= margin)
+        if close.size:
+            i = close[0]
+            raise BoundaryTooClose(complex(np.ravel(s)[i]), float(abs(np.ravel(w)[i])), margin)
+        return w
+
+    ps = np.arange(steps + 1) / steps
+    samples = list(zip(ps.tolist(), w_at(ps).tolist()))
+    count = steps + 1
+    total = 0.0
+    for i in range(steps):
+        stack = [(*samples[i], *samples[i + 1], 0)]
+        while stack:
+            p1, w1, p2, w2, level = stack.pop()
+            if depth is not None:
+                depth[0] = max(depth[0], level)
+            delta = cmath.phase(w2 / w1)
+            if abs(delta) <= zeros.HALF_PI:
+                total += delta
+                continue
+            count += 1
+            if count > zeros.MAX_SIDE_SAMPLES:
+                raise NonconvergentSubdivision(f"side {a} -> {b} needed more samples")
+            pm = 0.5 * (p1 + p2)
+            wm = w_at(pm)
+            stack.append((pm, wm, p2, w2, level + 1))
+            stack.append((p1, w1, pm, wm, level + 1))
+    return total
+
+
+def reference_winding(spec, v, rect, steps=256, depth=None):
+    """winding_number with the scalar walk on each side."""
+    v = complex(v)
+    margin = boundary_margin(v)
+    c = rect.corners()
+    total = 0.0
+    for a, b in zip(c, c[1:] + c[:1]):
+        total += reference_side(spec, v, a, b, steps, margin, depth)
+    turns = round(total / zeros.TWO_PI)
+    return int(turns), abs(total - zeros.TWO_PI * turns)
+
+
+def poly_in_exp(coeffs) -> SeriesSpec:
+    """P(e^{-s}) = sum_k c_k e^{-k s}."""
+    syms = SymbolTable([("ONE", 1.0)])
+    return SeriesSpec(syms, [(ExponentVector({"ONE": k}), c) for k, c in enumerate(coeffs)])
+
+
+def random_poly(rng: random.Random, degree: int = 16) -> SeriesSpec:
+    return poly_in_exp(
+        [
+            rng.uniform(0.5, 1.5) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            for _ in range(degree + 1)
+        ]
+    )
+
+
+def harmonic_30() -> SeriesSpec:
+    return scenarios.ordinary_series([(n, 1.0 / n) for n in range(1, 31)])
+
+
+def walk_cases():
+    """Seeded (spec, v, rectangle) triples over the three benchmark families."""
+    rng = random.Random(1313)
+    cases = []
+    for _ in range(6):
+        s0 = complex(rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0))
+        spec = random_poly(rng)
+        v = evaluate(spec, s0)
+        lo = rng.uniform(-3.0, -1.0)
+        t0 = rng.uniform(-4.0, 0.0)
+        sigma = (lo, lo + rng.uniform(1.5, 3.0))
+        cases.append((spec, v, Rectangle(sigma, (t0, t0 + rng.uniform(3.0, 7.0)))))
+    spec = harmonic_30()
+    for _ in range(4):
+        v = evaluate(spec, complex(rng.uniform(0.6, 1.0), rng.uniform(-12.0, 12.0)))
+        window = (rng.uniform(-21, -19), rng.uniform(19, 21))
+        cases.append((spec, v, Rectangle((rng.uniform(-0.2, 0.3), 2.0), window)))
+    spec = scenarios.bohr_example(8)
+    for _ in range(4):
+        v = evaluate(spec, complex(rng.uniform(0.2, 0.6), rng.uniform(-5.0, 5.0)))
+        sigma = (rng.uniform(-2.0, 0.0), rng.uniform(1.0, 3.0))
+        cases.append((spec, v, Rectangle(sigma, (-10.0, 10.0))))
+    return cases
+
+
+class TestArrayWalk:
+    def test_matches_scalar_walk(self):
+        bisected = 0
+        for spec, v, rect in walk_cases():
+            depth = [0]
+            turns, defect = reference_winding(spec, v, rect, depth=depth)
+            got_turns, got_defect = winding_number(spec, v, rect)
+            assert got_turns == turns
+            # the increments' last bits may differ (NumPy's division and
+            # arctan2 round apart from cmath's), never the count
+            assert abs(got_defect - defect) <= 1e-12
+            bisected += depth[0] > 0
+        assert bisected >= 3  # the cases exercise the bisection levels
+
+    def test_sigma_star_matches_scalar_walk(self, monkeypatch):
+        rng = random.Random(2626)
+        poly, h30, bohr = random_poly(rng), harmonic_30(), scenarios.bohr_example(8)
+        cases = [
+            (one_plus_two(), 0.0, (0, 20), -5.0, 1e-3),
+            (one_plus_two(), 3.0, (0, 20), -5.0, 1e-3),
+            (poly, evaluate(poly, complex(0.1, 1.0)), (0.5, 0.5 + 2 * math.pi), -3.0, 1e-4),
+            (h30, evaluate(h30, complex(0.8, 3.0)), (-20.0, 20.0), -1.0, 1e-3),
+            (bohr, evaluate(bohr, complex(0.4, 2.0)), (-10.0, 10.0), -2.0, 1e-3),
+        ]
+        got = [sigma_star(f, v, w, floor, tol) for f, v, w, floor, tol in cases]
+        monkeypatch.setattr(zeros, "_side_argument", reference_side)
+        want = [sigma_star(f, v, w, floor, tol) for f, v, w, floor, tol in cases]
+        assert got == want
+        assert all(math.isfinite(x) for x in got)
+
+    def test_one_array_call_per_level(self, monkeypatch):
+        # every evaluation of a walk takes an array, and a side makes one
+        # call for its samples plus one per bisection level
+        shapes = []
+
+        def recording(spec, point):
+            shapes.append(np.shape(point))
+            return evaluate(spec, point)
+
+        for spec, v, rect in walk_cases():
+            depth = [0]
+            reference_winding(spec, v, rect, depth=depth)
+            shapes.clear()
+            monkeypatch.setattr(zeros, "evaluate", recording)
+            count_zeros(spec, v, rect)
+            monkeypatch.undo()
+            assert len(shapes) <= 4 * (1 + depth[0])
+            assert all(len(shape) == 1 for shape in shapes)
+
+
+class TestWalkErrors:
+    def test_sample_cap_is_enforced(self, monkeypatch):
+        # the left edge runs 1e-7 to the right of the 22 zeros of 1 + 2^{-s}
+        # on sigma = 0 with t in [0, 200]; each bends the argument by about pi
+        # within ~1e-7 of t, so the side needs several hundred midpoints
+        rect = Rectangle((1e-7, 1.0), (0.0, 200.0))
+        assert count_zeros(one_plus_two(), 0.0, rect) == 0
+        monkeypatch.setattr(zeros, "MAX_SIDE_SAMPLES", 300)
+        with pytest.raises(NonconvergentSubdivision):
+            count_zeros(one_plus_two(), 0.0, rect)
+
+    def test_too_close_midpoint_reports_a_point_of_its_side(self):
+        # the left edge sigma = 0 passes through the zero at t = pi / log 2,
+        # between two samples: a bisection midpoint lands within the margin
+        spec, v = one_plus_two(), 0.0
+        margin = boundary_margin(v)
+        with pytest.raises(BoundaryTooClose) as info:
+            count_zeros(spec, v, Rectangle((0.0, 1.0), (4.0, 5.0)))
+        err = info.value
+        assert err.point.real == 0.0 and 4.0 < err.point.imag < 5.0
+        assert err.point.imag * 256 % 1 != 0  # a midpoint, not a sample
+        assert err.modulus <= margin == err.margin
+        assert abs(evaluate(spec, err.point) - v) <= margin
+
+    def test_overflow_raises_precision_limit_at_once(self):
+        # 30^{800} and 30^{400} are beyond a double; the walk refuses at the
+        # first sample instead of bisecting to the cap on every jitter rung
+        spec = harmonic_30()
+        start = time.process_time()
+        with pytest.raises(PrecisionLimit, match="not a finite double"):
+            count_zeros(spec, 0.5, Rectangle((-800.0, -700.0), (0.0, 1.0)))
+        with pytest.raises(PrecisionLimit):
+            sigma_star(spec, 0.5, (-5.0, 5.0), sigma_floor=-400.0)
+        assert time.process_time() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "v", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
+    )
+    def test_non_finite_target_refused(self, v):
+        spec = one_plus_two()
+        with pytest.raises(BadRange, match="finite target"):
+            winding_number(spec, v, Rectangle((-1, 1), (0, 10)))
+        with pytest.raises(BadRange, match="finite target"):
+            count_zeros(spec, v, Rectangle((-1, 1), (0, 10)))
+        with pytest.raises(BadRange, match="finite target"):
+            sigma_star(spec, v, (0, 20), sigma_floor=-5.0)
+        with pytest.raises(BadRange, match="finite target"):
+            attains_value(spec, v, -1.0, 1.0, (0, 10))
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_floor_refused(self, floor):
+        with pytest.raises(BadRange, match="sigma_floor"):
+            sigma_star(one_plus_two(), 0.0, (0, 20), sigma_floor=floor)
