@@ -262,11 +262,8 @@ class TailMajorant:
     lambda_next: ExponentVector
     coeff_bound: float
     min_gap: float
-    kind: str = "geometric"
 
     def __post_init__(self):
-        if self.kind != "geometric":
-            raise ValueError(f"unsupported tail majorant kind {self.kind!r}")
         if not (self.coeff_bound >= 0.0):
             raise ValueError("coeff_bound must be >= 0")
         if not (self.min_gap > 0.0):

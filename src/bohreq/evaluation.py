@@ -7,10 +7,11 @@ inside any array.  The terms follow the series' product plan
 (`SeriesSpec.product_plan`): a fresh term is one complex `exp`, and a term
 whose exponent is exactly the sum of two earlier ones is their product.  The
 points are summed in blocks of `BLOCK`, so the stored terms of a block stay
-in cache and no scratch buffer grows with the number of points.  Certified
-comparisons lean on tail majorants, not on summation heroics.  Grid suprema
-approximate sup norms on compact boxes; grid density is a verification
-parameter chosen by the caller.
+in cache and no scratch buffer grows with the number of points.  Overflow is
+decided here: a value that is not a finite double raises PrecisionLimit.
+Certified comparisons lean on tail majorants, not on summation heroics.  Grid
+suprema approximate sup norms on compact boxes; grid density is a
+verification parameter chosen by the caller.
 
 Importing this module (the base of the float layer) pins glibc's mmap and
 trim thresholds (`MMAP_THRESHOLD`, `TRIM_THRESHOLD`), so the resident set of
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import SeriesSpec
-from .errors import BadRange
+from .errors import BadRange, PrecisionLimit
 from .scenarios import bohr_exponent, tau
 
 
@@ -145,7 +146,8 @@ def evaluate(
     A point (an EvalPoint or a complex number) gives a complex; an array of
     points gives an array of values of the same shape.  A fresh term of the
     product plan is exp(-lambda(n) s); a child term is the product of two
-    earlier terms.
+    earlier terms.  A value that is not a finite double raises
+    PrecisionLimit naming the first such point.
     """
     s = np.asarray(point.s if isinstance(point, EvalPoint) else point, dtype=complex)
     flat = s.ravel()
@@ -156,7 +158,15 @@ def evaluate(
         np.multiply.outer(neg, flat[block], out=rows)
         np.exp(rows, out=rows)
 
-    out = plan_sum(spec, flat.size, fresh).reshape(s.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = plan_sum(spec, flat.size, fresh)
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise PrecisionLimit(
+            f"the value at {complex(flat[i])} is {complex(out[i])}, not a finite double"
+        )
+    out = out.reshape(s.shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -180,8 +190,13 @@ def shift_series(spec: SeriesSpec, tau_shift: float) -> SeriesSpec:
 
 
 def uniform_distance(a: SeriesSpec, b: SeriesSpec, box: GridBox) -> float:
-    """max |a(s) - b(s)| over the box grid."""
-    return float(np.max(np.abs(evaluate_grid(a, box) - evaluate_grid(b, box))))
+    """max |a(s) - b(s)| over the box grid; PrecisionLimit when it is not a
+    finite double, as the difference of two finite values can be."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = float(np.max(np.abs(evaluate_grid(a, box) - evaluate_grid(b, box))))
+    if not math.isfinite(distance):
+        raise PrecisionLimit(f"the uniform distance is {distance}, not a finite double")
+    return distance
 
 
 class ShiftPhase(NamedTuple):

@@ -118,8 +118,12 @@ def sample_strip_direct(
     centres = (sig_mid[:, None] + 1j * t_mid[None, :]).ravel()
     lams = spec.numeric_exponents()
     f_prime = spec.with_coeffs([-lam * c for lam, c in zip(lams, spec.coeffs())])
-    deriv = evaluate(f_prime, centres)
-    cumulative = np.cumsum(deriv.real**2 + deriv.imag**2)
+    try:
+        deriv = evaluate(f_prime, centres)
+    except PrecisionLimit:  # f' is beyond a double: equal weights below
+        deriv = np.zeros_like(centres)
+    with np.errstate(over="ignore"):  # |f'|^2 of a finite f' may still overflow
+        cumulative = np.cumsum(deriv.real**2 + deriv.imag**2)
     if not (math.isfinite(cumulative[-1]) and cumulative[-1] > 0.0):
         cumulative = np.arange(1.0, len(centres) + 1.0)
     # systematic resampling: one uniform offset, count equally spaced positions
@@ -249,6 +253,10 @@ def hausdorff(a: ValueCloud, b: ValueCloud) -> float:
     return float(max(d_ab, d_ba))
 
 
+#: Most samples of kronecker_find_t's coarse grid: a finer step is widened.
+MAX_GRID_POINTS = 5_000_000
+
+
 class KroneckerResult(NamedTuple):
     found: bool
     t: float | None
@@ -267,13 +275,12 @@ def kronecker_find_t(
     target: PhaseVector,
     tol: float,
     t_max_search: float,
-    max_grid_points: int = 5_000_000,
 ) -> KroneckerResult:
     """Search for a shift time realizing target phases on all basis frequencies.
 
     Finds t in [0, t_max_search] with max_j |(-t beta_j - y_j) mod 2pi| <= tol
     by a coarse grid (step tied to tol and the largest frequency, capped at
-    max_grid_points samples) followed by iterative local refinement.  Any
+    MAX_GRID_POINTS samples) followed by iterative local refinement.  Any
     returned hit is re-verified; notFound is a value, not an error.
     """
     if not 0 < tol < math.inf:
@@ -292,7 +299,7 @@ def kronecker_find_t(
         return KroneckerResult(residual <= tol, 0.0 if residual <= tol else None,
                                residual if residual <= tol else None)
     step = min(0.45 * tol / lipschitz, 0.05 / lipschitz)
-    step = max(step, t_max_search / max_grid_points)
+    step = max(step, t_max_search / MAX_GRID_POINTS)
     accept = tol + 0.55 * lipschitz * step
 
     def refine(lo: float, hi: float) -> tuple[float, float]:

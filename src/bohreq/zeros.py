@@ -6,15 +6,16 @@ one call and every segment's increment is taken in one NumPy pass; segments
 whose increment exceeds pi/2 are bisected one level at a time, each level's
 midpoints evaluated in one call.  A zero sitting on (or hugging) the contour
 surfaces as BoundaryTooClose or NonconvergentSubdivision rather than a silent
-miscount, and a series that overflows a double on the contour as
-PrecisionLimit.
+miscount; a series that overflows a double on the contour surfaces as the
+PrecisionLimit that `evaluate` raises.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
 f - v outweighs the rest and no zero can live.  Since the t window is a
 stand-in for the full half-plane, windows are re-padded outward by tiny
 deterministic jitters when a zero lands exactly on their edge (the common case
-for real-coefficient series, whose real zeros sit at t = 0).
+for real-coefficient series, whose real zeros sit at t = 0); one ladder,
+`_first_clear`, tries these rectangles and sigma_star's shifted edges in order.
 """
 
 from __future__ import annotations
@@ -22,17 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import ExponentVector, SeriesSpec
-from .errors import (
-    BadRange,
-    BoundaryTooClose,
-    DegenerateTarget,
-    NonconvergentSubdivision,
-    PrecisionLimit,
-)
+from .errors import BadRange, BoundaryTooClose, DegenerateTarget, NonconvergentSubdivision
 from .evaluation import evaluate
 
 TWO_PI = 2.0 * math.pi
@@ -86,8 +82,8 @@ def _side_argument(
     every segment's increment is taken in one array pass.  Segments whose
     increment exceeds pi/2 (or is NaN) are halved level by level, each
     level's midpoints in one array call.  The accepted increments are summed
-    one after another in order along the side.  A sample that is not finite
-    raises PrecisionLimit: no refinement can mend an overflow.
+    one after another in order along the side.  `evaluate` raises
+    PrecisionLimit at a sample that is not finite: no refinement mends that.
     """
 
     def w_at(p: np.ndarray) -> np.ndarray:
@@ -95,14 +91,7 @@ def _side_argument(
         s = a + (b - a) * p
         w = evaluate(spec, s) - v
         modulus = np.abs(w)
-        if not ((margin < modulus) & (modulus < math.inf)).all():
-            bad = np.flatnonzero(~np.isfinite(modulus))
-            if bad.size:
-                i = bad[0]
-                raise PrecisionLimit(
-                    f"f(s) - v = {complex(w[i])} is not a finite double"
-                    f" at boundary point {complex(s[i])}"
-                )
+        if not (margin < modulus).all():
             i = np.flatnonzero(modulus <= margin)[0]
             raise BoundaryTooClose(complex(s[i]), float(modulus[i]), margin)
         return w
@@ -187,28 +176,32 @@ def count_zeros(spec: SeriesSpec, v: complex, rect: Rectangle, steps: int = 256)
     return turns
 
 
-def _count_padded(
-    spec: SeriesSpec,
-    v: complex,
-    sigma_lo: float,
-    sigma_hi: float,
-    t_window: tuple[float, float],
-    steps: int,
-) -> int:
-    """count_zeros with the outward t-window jitter ladder."""
-    t0, t1 = t_window
-    span = t1 - t0
-    last: Exception | None = None
+def _first_clear(
+    spec: SeriesSpec, v: complex, ladders: Iterable[Iterable[Rectangle]], steps: int
+) -> tuple[Rectangle, int]:
+    """The first rectangle, ladder after ladder, whose contour clears every zero
+    of f - v, and its count.  When every walk clips a zero, the error of the
+    first ladder's last rectangle is raised: later ladders only dodge it.
+    """
+    first: Exception | None = None
+    for ladder in ladders:
+        last = None
+        for rect in ladder:
+            try:
+                return rect, count_zeros(spec, v, rect, steps)
+            except (BoundaryTooClose, NonconvergentSubdivision) as err:
+                last = err
+        first = first or last
+    assert first is not None
+    raise first
+
+
+def _t_padded(sigmas: tuple[float, float], window: tuple[float, float]) -> Iterator[Rectangle]:
+    """sigmas x window, then with its t edges padded outward by each jitter."""
+    t0, t1 = window
     for jitter in _JITTERS:
-        pad = jitter * (1.0 + abs(span))
-        try:
-            return count_zeros(
-                spec, v, Rectangle((sigma_lo, sigma_hi), (t0 - pad, t1 + pad)), steps
-            )
-        except (BoundaryTooClose, NonconvergentSubdivision) as err:
-            last = err
-    assert last is not None
-    raise last
+        pad = jitter * (1.0 + abs(t1 - t0))
+        yield Rectangle(sigmas, (t0 - pad, t1 + pad))
 
 
 def _merged_against(spec: SeriesSpec, v: complex) -> list[tuple[float, float]]:
@@ -275,30 +268,22 @@ def sigma_star(
     sigma_top = _dominance_sigma_top(profile, sigma_floor)
     if sigma_top <= sigma_floor:
         return float("-inf")
-    if _count_padded(spec, v, sigma_floor, sigma_top, t_window, steps) == 0:
+    _, inside = _first_clear(spec, v, [_t_padded((sigma_floor, sigma_top), t_window)], steps)
+    if inside == 0:
         return float("-inf")
     lo, hi = sigma_floor, sigma_top
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        found = None
+        if not lo < mid < hi:
+            break  # no double lies between lo and hi
         # a zero exactly on the bisection edge gets dodged deterministically
-        for shift in (0.0, 0.137, -0.211, 0.331):
-            candidate = mid + shift * (hi - lo) * 0.25
-            if not lo < candidate < hi:
-                continue
-            try:
-                found = (candidate, _count_padded(spec, v, candidate, sigma_top, t_window, steps))
-                break
-            except (BoundaryTooClose, NonconvergentSubdivision):
-                continue
-        if found is None:
-            # let the error propagate with the untouched midpoint
-            found = (mid, _count_padded(spec, v, mid, sigma_top, t_window, steps))
-        mid, inside = found
+        edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
+        ladders = (_t_padded((c, sigma_top), t_window) for c in edges if lo < c < hi)
+        rect, inside = _first_clear(spec, v, ladders, steps)
         if inside > 0:
-            lo = mid
+            lo = rect.sigma_range[0]
         else:
-            hi = mid
+            hi = rect.sigma_range[0]
     return 0.5 * (lo + hi)
 
 
@@ -322,17 +307,13 @@ def attains_value(
         raise BadRange(f"degenerate t window {t_window}")
     v = _finite_target(v)
     t0, t1 = t_window
-    last: Exception | None = None
-    for jitter in _JITTERS:
+
+    def padded(jitter: float) -> Rectangle:
         pad_s = jitter * (1.0 + (sigma2 - sigma1))
         pad_t = jitter * (1.0 + (t1 - t0))
-        rect = Rectangle((sigma1 + pad_s, sigma2 - pad_s), (t0 - pad_t, t1 + pad_t))
-        try:
-            return count_zeros(spec, v, rect, steps) >= 1
-        except (BoundaryTooClose, NonconvergentSubdivision) as err:
-            last = err
-    assert last is not None
-    raise last
+        return Rectangle((sigma1 + pad_s, sigma2 - pad_s), (t0 - pad_t, t1 + pad_t))
+
+    return _first_clear(spec, v, [map(padded, _JITTERS)], steps)[1] >= 1
 
 
 def sigma_sequence(

@@ -4,6 +4,7 @@ import cmath
 import ctypes
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from bohreq import core, scenarios, valuesets
 from bohreq.basis import compute_basis
 from bohreq.core import UNIT_SYMBOL, ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import twist
+from bohreq.errors import PrecisionLimit
 from bohreq.evaluation import (
     BLOCK,
     EvalPoint,
@@ -235,6 +237,40 @@ class TestUniformDistance:
             for m in (1, 2, 3)
         ]
         assert dists[0] > dists[1] > dists[2]
+
+
+class TestOverflow:
+    """A value beyond a double raises PrecisionLimit, and NumPy stays quiet."""
+
+    def test_evaluate_names_the_first_bad_point(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        points = np.array([2.0 + 1.0j, -400.0 + 1.0j, -800.0 + 0.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLimit, match=r"at \(-400\+1j\).*not a finite double"):
+                evaluate(spec, points)
+            with pytest.raises(PrecisionLimit, match="not a finite double"):
+                evaluate(spec, EvalPoint(-400.0, 1.0))
+            assert evaluate(spec, points[:1])[0] == evaluate(spec, points[0])
+
+    def test_uniform_distance_of_an_overflowing_series(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        box = GridBox((-400.0, -399.0), (0.0, 1.0), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLimit, match="not a finite double"):
+                uniform_distance(spec, spec, box)
+
+    def test_uniform_distance_whose_difference_overflows(self):
+        # both series are finite doubles everywhere; only a - b is not
+        syms = SymbolTable([("L2", math.log(2))])
+        a = SeriesSpec(syms, [(ExponentVector(), 1.5e308), (L2, 1.0)])
+        b = SeriesSpec(syms, [(ExponentVector(), -1.5e308), (L2, 1.0)])
+        box = GridBox((0.0, 1.0), (-1.0, 1.0), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLimit, match="uniform distance is inf"):
+                uniform_distance(a, b, box)
 
 
 class TestShiftPhaseExact:

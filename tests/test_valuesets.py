@@ -1,11 +1,12 @@
 """Value-set sampling routes, Hausdorff comparison, Kronecker time finding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bohreq import scenarios
+from bohreq import scenarios, valuesets
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.basis import compute_basis
 from bohreq.errors import BadRange, EmptyCloud, PrecisionLimit
@@ -156,6 +157,43 @@ class TestSampling:
             sample_strip_direct(spec, -400.0, 1.0, 10.0, 5, seed=1)
         with pytest.raises(PrecisionLimit):
             sample_strip_via_equivalence(spec, -400.0, 1.0, 5, seed=1)
+
+    @pytest.mark.parametrize(
+        "spec, sigma1, sigma2",
+        [
+            # |f'| is a finite double near 1e156 whose square is not
+            (scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)]), -106.0, -105.0),
+            # f = 1 + e^{-1000 s} is finite, f' = -1000 e^{-1000 s} is not
+            (
+                SeriesSpec(
+                    SymbolTable([("ONE", 1.0)]),
+                    [(ExponentVector(), 1.0), (ExponentVector({"ONE": 1000}), 1.0)],
+                ),
+                -0.7085,
+                -0.7075,
+            ),
+        ],
+    )
+    def test_pilot_beyond_doubles_gives_equal_weights(self, monkeypatch, spec, sigma1, sigma2):
+        # the |f'|^2 pilot falls back to equal weights, without a warning: the
+        # points are those drawn for a constant series, whose weights are equal
+        evaluate = valuesets.evaluate
+        calls = []
+        monkeypatch.setattr(
+            valuesets, "evaluate", lambda f, s: calls.append((f, s)) or evaluate(f, s)
+        )
+
+        def sample(f):
+            calls.clear()
+            cloud = sample_strip_direct(f, sigma1, sigma2, 10.0, 200, seed=4)
+            return cloud, np.concatenate([s for g, s in calls if g is f])
+
+        constant = SeriesSpec(SymbolTable([("L2", LOG2)]), [(ExponentVector(), 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud, points = sample(spec)
+        assert np.array_equal(points, sample(constant)[1])
+        assert np.array_equal(cloud.points, evaluate(spec, points))
 
     def test_nan_modulus_fails_the_bound(self):
         with pytest.raises(PrecisionLimit):

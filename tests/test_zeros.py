@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -375,13 +376,18 @@ class TestWalkErrors:
 
     def test_overflow_raises_precision_limit_at_once(self):
         # 30^{800} and 30^{400} are beyond a double; the walk refuses at the
-        # first sample instead of bisecting to the cap on every jitter rung
+        # first sample instead of bisecting to the cap on every jitter rung,
+        # and NumPy warns of nothing
         spec = harmonic_30()
         start = time.process_time()
-        with pytest.raises(PrecisionLimit, match="not a finite double"):
-            count_zeros(spec, 0.5, Rectangle((-800.0, -700.0), (0.0, 1.0)))
-        with pytest.raises(PrecisionLimit):
-            sigma_star(spec, 0.5, (-5.0, 5.0), sigma_floor=-400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLimit, match="not a finite double"):
+                count_zeros(spec, 0.5, Rectangle((-800.0, -700.0), (0.0, 1.0)))
+            with pytest.raises(PrecisionLimit):
+                sigma_star(spec, 0.5, (-5.0, 5.0), sigma_floor=-400.0)
+            with pytest.raises(PrecisionLimit):
+                attains_value(spec, 0.5, -800.0, -700.0, (0.0, 1.0))
         assert time.process_time() - start < 1.0
 
     @pytest.mark.parametrize(
@@ -402,3 +408,98 @@ class TestWalkErrors:
     def test_non_finite_sigma_floor_refused(self, floor):
         with pytest.raises(BadRange, match="sigma_floor"):
             sigma_star(one_plus_two(), 0.0, (0, 20), sigma_floor=floor)
+
+
+#: The t windows of the jitter ladder around (-5, 5), in the order tried.
+PADDED_WINDOWS = [
+    (-5.0, 5.0),
+    (-5.00000341, 5.00000341),
+    (-5.0000209, 5.0000209),
+    (-5.000121, 5.000121),
+    (-5.000737, 5.000737),
+]
+
+
+class TestLadder:
+    @staticmethod
+    def clipping(monkeypatch, passes: int = 0) -> list[Rectangle]:
+        """Make count_zeros return 1 for its first `passes` calls, then raise
+        BoundaryTooClose at a point naming the rectangle; returns the log."""
+        tried = []
+
+        def fake(spec, v, rect, steps=256):
+            tried.append(rect)
+            if len(tried) <= passes:
+                return 1
+            raise BoundaryTooClose(complex(rect.sigma_range[0], rect.t_range[1]), 0.0, 1.0)
+
+        monkeypatch.setattr(zeros, "count_zeros", fake)
+        return tried
+
+    def test_attains_value_order(self, monkeypatch):
+        tried = self.clipping(monkeypatch)
+        with pytest.raises(BoundaryTooClose) as info:
+            attains_value(one_plus_two(), 0.0, -1.0, 1.0, (0.0, 10.0))
+        assert [(r.sigma_range, r.t_range) for r in tried] == [
+            ((-1.0, 1.0), (0.0, 10.0)),
+            ((-0.99999907, 0.99999907), (-3.41e-06, 10.00000341)),
+            ((-0.9999943, 0.9999943), (-2.09e-05, 10.0000209)),
+            ((-0.999967, 0.999967), (-0.000121, 10.000121)),
+            ((-0.999799, 0.999799), (-0.000737, 10.000737)),
+        ]
+        assert info.value.point == complex(-0.999799, 10.000737)
+
+    def test_sigma_star_order(self, monkeypatch):
+        # the full strip [-1, 2] holds a zero; then every rung of every
+        # shifted bisection edge clips one
+        tried = self.clipping(monkeypatch, passes=1)
+        with pytest.raises(BoundaryTooClose) as info:
+            sigma_star(harmonic_30(), 0.5, (-5.0, 5.0), -1.0)
+        edges = [0.5, 0.60275, 0.34175, 0.7482500000000001]
+        assert [(r.sigma_range, r.t_range) for r in tried] == [((-1.0, 2.0), (-5.0, 5.0))] + [
+            ((edge, 2.0), window) for edge in edges for window in PADDED_WINDOWS
+        ]
+        # the error is the unshifted edge's, from its last rung
+        assert info.value.point == complex(0.5, 5.000737)
+
+    def test_clipped_bisection_edge_raises_the_unshifted_error(self, monkeypatch):
+        # bisecting to 1e-12 brings the edge within the margin of the zero
+        # that sets sigma*; no shift dodges it, and the unshifted edge's own
+        # error is raised without walking its contours again
+        spec = harmonic_30()
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return count_zeros(*args)
+
+        monkeypatch.setattr(zeros, "count_zeros", counting)
+        with pytest.raises(BoundaryTooClose) as info:
+            sigma_star(spec, 0.5, (-5.0, 5.0), -1.0, tol=1e-12)
+        assert len(calls) == 47
+        unshifted = calls[-20:][4]
+        assert unshifted.t_range == PADDED_WINDOWS[-1]
+        assert info.value.point.real == unshifted.sigma_range[0]
+        assert info.value.point == pytest.approx(
+            complex(0.15382111817598343, 3.324305358114593), rel=1e-12
+        )
+        assert abs(evaluate(spec, info.value.point) - 0.5) <= info.value.margin
+
+    def test_bracket_of_adjacent_doubles_ends_the_bisection(self, monkeypatch):
+        # 1e9 - 1e9 e^{26} e^{-20 s} vanishes at s = 1.3 with |f'| = 2e10 there,
+        # so one ulp off the zero |f| is far above the margin and no edge
+        # clips it: a tol below one ulp must stop at adjacent doubles
+        spec = SeriesSpec(
+            SymbolTable([("ONE", 1.0)]),
+            [(ExponentVector(), 1e9), (ExponentVector({"ONE": 20}), -1e9 * math.exp(26.0))],
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            assert len(calls) < 200, "the bisection does not end"
+            return count_zeros(*args)
+
+        monkeypatch.setattr(zeros, "count_zeros", counting)
+        got = sigma_star(spec, 0.0, (-0.1, 0.13), 0.0, tol=1e-17)
+        assert got == pytest.approx(1.3, abs=1e-15)
