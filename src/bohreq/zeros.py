@@ -7,7 +7,8 @@ whose increment exceeds pi/2 are bisected one level at a time, each level's
 midpoints evaluated in one call.  A zero sitting on (or hugging) the contour
 surfaces as BoundaryTooClose or NonconvergentSubdivision rather than a silent
 miscount; a series that overflows a double on the contour surfaces as the
-PrecisionLimit that `evaluate` raises.
+PrecisionLimit that `evaluate` raises, and an f - v that overflows where f
+does not as the PrecisionLimit of the walk's own check.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
@@ -20,7 +21,6 @@ for real-coefficient series, whose real zeros sit at t = 0); one ladder,
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -28,7 +28,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import ExponentVector, SeriesSpec
-from .errors import BadRange, BoundaryTooClose, DegenerateTarget, NonconvergentSubdivision
+from .errors import (
+    BadRange,
+    BoundaryTooClose,
+    DegenerateTarget,
+    NonconvergentSubdivision,
+    PrecisionLimit,
+)
 from .evaluation import evaluate
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +79,7 @@ def _constant_value(spec: SeriesSpec) -> complex | None:
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _side_argument(
     spec: SeriesSpec, v: complex, a: complex, b: complex, steps: int, margin: float
 ) -> float:
@@ -80,10 +87,12 @@ def _side_argument(
 
     The steps + 1 evenly spaced samples are evaluated in one array call, and
     every segment's increment is taken in one array pass.  Segments whose
-    increment exceeds pi/2 (or is NaN) are halved level by level, each
-    level's midpoints in one array call.  The accepted increments are summed
-    one after another in order along the side.  `evaluate` raises
-    PrecisionLimit at a sample that is not finite: no refinement mends that.
+    increment exceeds pi/2 (or is NaN), or whose ratio w2 / w1 is not a
+    finite double, are halved level by level, each level's midpoints in one
+    array call.  The accepted increments are summed one after another in
+    order along the side.  A sample where f - v or |f - v| is not a finite
+    double raises PrecisionLimit (NumPy's warnings are off): no refinement
+    mends that.
     """
 
     def w_at(p: np.ndarray) -> np.ndarray:
@@ -91,9 +100,14 @@ def _side_argument(
         s = a + (b - a) * p
         w = evaluate(spec, s) - v
         modulus = np.abs(w)
-        if not (margin < modulus).all():
-            i = np.flatnonzero(modulus <= margin)[0]
-            raise BoundaryTooClose(complex(s[i]), float(modulus[i]), margin)
+        if not ((margin < modulus) & (modulus < math.inf)).all():
+            i = np.argmax(modulus)  # the first infinite one, if any
+            if modulus[i] < math.inf:
+                i = np.flatnonzero(modulus <= margin)[0]
+                raise BoundaryTooClose(complex(s[i]), float(modulus[i]), margin)
+            raise PrecisionLimit(
+                f"f(s) - v at {complex(s[i])} is {complex(w[i])}, not a finite double"
+            )
         return w
 
     p = np.arange(steps + 1) / steps
@@ -104,7 +118,7 @@ def _side_argument(
     while True:
         ratio = w2 / w1
         delta = np.arctan2(ratio.imag, ratio.real)
-        ok = np.abs(delta) <= HALF_PI
+        ok = (np.abs(delta) <= HALF_PI) & np.isfinite(ratio)
         lefts.append(p1[ok])
         deltas.append(delta[ok])
         todo = ~ok
@@ -134,8 +148,8 @@ def _check_steps(steps: int) -> None:
 
 def _finite_target(v: complex) -> complex:
     v = complex(v)
-    if not cmath.isfinite(v):
-        raise BadRange(f"need a finite target v, got {v}")
+    if not math.hypot(v.real, v.imag) < math.inf:  # also refuses a NaN part
+        raise BadRange(f"need a finite target v whose modulus is a double, got {v}")
     return v
 
 
@@ -205,15 +219,26 @@ def _t_padded(sigmas: tuple[float, float], window: tuple[float, float]) -> Itera
 
 
 def _merged_against(spec: SeriesSpec, v: complex) -> list[tuple[float, float]]:
-    """Sorted (numeric exponent, |coefficient|) of f - v, zero coefficients dropped."""
+    """Sorted (numeric exponent, |coefficient|) of f - v, zero coefficients
+    dropped; PrecisionLimit when a modulus is not a finite double."""
     zero = ExponentVector()
     merged: dict[ExponentVector, complex] = {}
     for term in spec.terms:
         merged[term.exponent] = merged.get(term.exponent, 0.0) + term.coeff
     merged[zero] = merged.get(zero, 0.0) - v
-    out = [
-        (exp.numeric_value(spec.symbols), abs(c)) for exp, c in merged.items() if c != 0
-    ]
+    out = []
+    for exp, c in merged.items():
+        mu = exp.numeric_value(spec.symbols)
+        try:
+            modulus = abs(c)
+        except OverflowError:  # both parts finite, the modulus not
+            modulus = math.inf
+        if not modulus < math.inf:
+            raise PrecisionLimit(
+                f"the coefficient of f - v at exponent {mu} is {c}, not a finite double"
+            )
+        if c != 0:
+            out.append((mu, modulus))
     out.sort()
     return out
 

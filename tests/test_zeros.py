@@ -375,23 +375,57 @@ class TestWalkErrors:
         assert abs(evaluate(spec, err.point) - v) <= margin
 
     def test_overflow_raises_precision_limit_at_once(self):
-        # 30^{800} and 30^{400} are beyond a double; the walk refuses at the
-        # first sample instead of bisecting to the cap on every jitter rung,
-        # and NumPy warns of nothing
-        spec = harmonic_30()
+        # 30^{800} and 30^{400} are beyond a double; f = 1.5e308 + 2^{-s} and
+        # v = -1.5e308 are finite, f - v is not; for f = 1.5e308 i + 2^{-s},
+        # f - v is finite and |f - v| is not.  The walk refuses at the first
+        # sample instead of bisecting to the cap on every ladder rung (and
+        # sigma_star, on the latter two, before it walks), and NumPy warns of
+        # nothing
+        syms = SymbolTable([("L2", LOG2)])
+        big = SeriesSpec(syms, [(ExponentVector(), 1.5e308), (ExponentVector({"L2": 1}), 1.0)])
+        turned = SeriesSpec(syms, [(ExponentVector(), 1.5e308j), (ExponentVector({"L2": 1}), 1.0)])
+        cases = [
+            (harmonic_30(), 0.5, (-800.0, -700.0), -400.0, "the value at"),
+            (big, -1.5e308, (0.0, 1.0), -1.0, r"f\(s\) - v at 0j is \(inf"),
+            (turned, -1.5e308, (0.0, 1.0), -1.0, r"f\(s\) - v at 0j is"),
+        ]
         start = time.process_time()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PrecisionLimit, match="not a finite double"):
-                count_zeros(spec, 0.5, Rectangle((-800.0, -700.0), (0.0, 1.0)))
-            with pytest.raises(PrecisionLimit):
-                sigma_star(spec, 0.5, (-5.0, 5.0), sigma_floor=-400.0)
-            with pytest.raises(PrecisionLimit):
-                attains_value(spec, 0.5, -800.0, -700.0, (0.0, 1.0))
+            for spec, v, sigmas, floor, message in cases:
+                with pytest.raises(PrecisionLimit, match=message):
+                    count_zeros(spec, v, Rectangle(sigmas, (0.0, 1.0)))
+                with pytest.raises(PrecisionLimit, match="not a finite double"):
+                    sigma_star(spec, v, (-5.0, 5.0), sigma_floor=floor)
+                with pytest.raises(PrecisionLimit, match="not a finite double"):
+                    attains_value(spec, v, *sigmas, (0.0, 1.0))
         assert time.process_time() - start < 1.0
 
+    def test_overflowing_ratio_is_halved(self):
+        # f = 1e-7 + e^{-1000 s}: |f| runs from 1e-7 to 8e307 along the top
+        # side, one segment, so w2 / w1 is beyond a double there; NumPy makes
+        # it inf - inf i, whose angle -pi/4 is 0.13 off the true -0.92.  The
+        # segment is halved instead of accepted, and NumPy warns of nothing
+        spec = SeriesSpec(
+            SymbolTable([("A", 1000.0)]),
+            [(ExponentVector(), 1e-7), (ExponentVector({"A": 1}), 1.0)],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            turns, defect = winding_number(
+                spec, 0.0, Rectangle((-0.709, 0.0184), (0.0, 1e-3)), steps=1
+            )
+        assert turns == 0 and defect < 1e-12
+
     @pytest.mark.parametrize(
-        "v", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
+        "v",
+        [
+            math.nan,
+            math.inf,
+            complex(0.0, math.nan),
+            complex(-math.inf, 1.0),
+            complex(1.5e308, -1.5e308),
+        ],
     )
     def test_non_finite_target_refused(self, v):
         spec = one_plus_two()
