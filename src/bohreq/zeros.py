@@ -12,18 +12,23 @@ does not as the PrecisionLimit of the walk's own check.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
-f - v outweighs the rest and no zero can live.  Since the t window is a
-stand-in for the full half-plane, windows are re-padded outward by tiny
-deterministic jitters when a zero lands exactly on their edge (the common case
-for real-coefficient series, whose real zeros sit at t = 0); one ladder,
-`_first_clear`, tries these rectangles and sigma_star's shifted edges in order.
+f - v outweighs the rest and no zero can live.  The strip [sigma_floor,
+sigma_top] x t_window is walked once; a bisection step walks only its new left
+edge and reads the rest of its contour off the strip's sides, whose walks keep
+the running sum of their increments (the argument along a side is additive).
+Since the t window is a stand-in for the full half-plane, the strip's window
+is re-padded outward by tiny deterministic jitters when a zero lands exactly
+on its edge (the common case for real-coefficient series, whose real zeros sit
+at t = 0); the window that clears then serves every step, and a bisection
+edge that clips a zero is shifted.  One ladder, `_first_clear`, tries the
+windows, the shifted edges and attains_value's rectangles in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -50,6 +55,9 @@ _JITTERS = (0.0, 3.1e-7, 1.9e-6, 1.1e-5, 6.7e-5)
 #: The accumulated boundary argument must close up to a multiple of 2pi
 #: within this defect before rounding.
 WINDING_DEFECT_LIMIT = 1e-6
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -79,20 +87,39 @@ def _constant_value(spec: SeriesSpec) -> complex | None:
     return None
 
 
+class Side(NamedTuple):
+    """The side a -> b as walked: the running sum of its accepted segments'
+    argument increments, in order along it, and the walk's samples of f - v,
+    level by level (fractions `ps` of the side, values `ws`).  The samples are
+    the accepted segments' ends: the k-th in increasing order is where the
+    k-th segment starts, and the first level starts with a and ends with the
+    last sample, a + (b - a) * 1.0 (b, or a double next to it)."""
+
+    a: complex
+    b: complex
+    cum: np.ndarray
+    ps: list[np.ndarray]
+    ws: list[np.ndarray]
+
+    @property
+    def total(self) -> float:
+        return float(self.cum[-1])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _side_argument(
     spec: SeriesSpec, v: complex, a: complex, b: complex, steps: int, margin: float
-) -> float:
-    """Total argument increment of f - v from a to b along the segment.
+) -> Side:
+    """The argument profile of f - v from a to b along the segment.
 
     The steps + 1 evenly spaced samples are evaluated in one array call, and
     every segment's increment is taken in one array pass.  Segments whose
     increment exceeds pi/2 (or is NaN), or whose ratio w2 / w1 is not a
     finite double, are halved level by level, each level's midpoints in one
     array call.  The accepted increments are summed one after another in
-    order along the side.  A sample where f - v or |f - v| is not a finite
-    double raises PrecisionLimit (NumPy's warnings are off): no refinement
-    mends that.
+    order along the side, and the running sum is kept with the samples.  A
+    sample where f - v or |f - v| is not a finite double raises
+    PrecisionLimit (NumPy's warnings are off): no refinement mends that.
     """
 
     def w_at(p: np.ndarray) -> np.ndarray:
@@ -112,6 +139,7 @@ def _side_argument(
 
     p = np.arange(steps + 1) / steps
     w = w_at(p)
+    ps, ws = [p], [w]
     count = steps + 1
     p1, p2, w1, w2 = p[:-1], p[1:], w[:-1], w[1:]
     lefts, deltas = [], []
@@ -132,13 +160,40 @@ def _side_argument(
             )
         pm = 0.5 * (p1 + p2)
         wm = w_at(pm)
+        ps.append(pm)
+        ws.append(wm)
         # halves interleaved, left before right, so each level stays in order
         p1, p2 = np.column_stack((p1, pm)).ravel(), np.column_stack((pm, p2)).ravel()
         w1, w2 = np.column_stack((w1, wm)).ravel(), np.column_stack((wm, w2)).ravel()
     total = np.concatenate(deltas)
     if len(lefts) > 1:
         total = total[np.argsort(np.concatenate(lefts))]
-    return float(np.add.accumulate(total)[-1])
+    return Side(a, b, np.add.accumulate(total), ps, ws)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _argument_to(
+    spec: SeriesSpec, v: complex, side: Side, point: complex, w_point: complex, margin: float
+) -> float:
+    """Argument increment of f - v along a walked side from its start to
+    `point` on it, where f - v is `w_point`.
+
+    The side's increments up to the last sample before `point` are read from
+    its running sum; the piece from that sample to `point` is taken from
+    their two values when it turns by at most pi/2 (the walk's own rule), and
+    walked otherwise.
+    """
+    a, b = side.a, side.b
+    p, w = np.concatenate(side.ps), np.concatenate(side.ws)
+    s = a + (b - a) * p
+    before = np.abs(s - a) <= abs(point - a)  # the samples up to point
+    k = np.argmax(np.where(before, p, -1.0))
+    ratio = w_point / w[k]
+    delta = np.arctan2(ratio.imag, ratio.real)
+    if not (abs(delta) <= HALF_PI and np.isfinite(ratio)):
+        delta = _side_argument(spec, v, complex(s[k]), point, 1, margin).total
+    i = np.count_nonzero(before) - 1  # sample k starts the i-th segment
+    return (float(side.cum[i - 1]) if i else 0.0) + float(delta)
 
 
 def _check_steps(steps: int) -> None:
@@ -151,6 +206,27 @@ def _finite_target(v: complex) -> complex:
     if not math.hypot(v.real, v.imag) < math.inf:  # also refuses a NaN part
         raise BadRange(f"need a finite target v whose modulus is a double, got {v}")
     return v
+
+
+def _turns(total: float) -> tuple[int, float]:
+    """A closed boundary's argument as whole turns, with the rounding defect."""
+    turns = round(total / TWO_PI)
+    defect = abs(total - TWO_PI * turns)
+    if defect > WINDING_DEFECT_LIMIT:
+        raise NonconvergentSubdivision(
+            f"boundary argument {total:.6f} is {defect:.2e} away from a 2pi multiple"
+        )
+    return int(turns), defect
+
+
+def _contour(
+    spec: SeriesSpec, v: complex, rect: Rectangle, steps: int, margin: float
+) -> tuple[int, float, list[Side]]:
+    """Winding number and defect of f - v around the rectangle, with the
+    profiles of its sides (bottom, right, top, left, counterclockwise)."""
+    c = rect.corners()
+    sides = [_side_argument(spec, v, a, b, steps, margin) for a, b in zip(c, c[1:] + c[:1])]
+    return *_turns(sum(side.total for side in sides)), sides
 
 
 def winding_number(
@@ -171,17 +247,8 @@ def winding_number(
                 f"series is constant {constant} and v = {v}: f - v vanishes identically"
             )
         return 0, 0.0
-    c = rect.corners()
-    total = 0.0
-    for a, b in zip(c, c[1:] + c[:1]):
-        total += _side_argument(spec, v, a, b, steps, margin)
-    turns = round(total / TWO_PI)
-    defect = abs(total - TWO_PI * turns)
-    if defect > WINDING_DEFECT_LIMIT:
-        raise NonconvergentSubdivision(
-            f"boundary argument {total:.6f} is {defect:.2e} away from a 2pi multiple"
-        )
-    return int(turns), defect
+    turns, defect, _ = _contour(spec, v, rect, steps, margin)
+    return turns, defect
 
 
 def count_zeros(spec: SeriesSpec, v: complex, rect: Rectangle, steps: int = 256) -> int:
@@ -190,19 +257,18 @@ def count_zeros(spec: SeriesSpec, v: complex, rect: Rectangle, steps: int = 256)
     return turns
 
 
-def _first_clear(
-    spec: SeriesSpec, v: complex, ladders: Iterable[Iterable[Rectangle]], steps: int
-) -> tuple[Rectangle, int]:
-    """The first rectangle, ladder after ladder, whose contour clears every zero
-    of f - v, and its count.  When every walk clips a zero, the error of the
-    first ladder's last rectangle is raised: later ladders only dodge it.
+def _first_clear(walk: Callable[[_T], _R], ladders: Iterable[Iterable[_T]]) -> tuple[_T, _R]:
+    """The first candidate, ladder after ladder, whose walk clears every zero
+    of f - v, and the walk's result.  When every walk clips a zero, the error
+    of the first ladder's last candidate is raised: later ladders only dodge
+    it.
     """
     first: Exception | None = None
     for ladder in ladders:
         last = None
-        for rect in ladder:
+        for candidate in ladder:
             try:
-                return rect, count_zeros(spec, v, rect, steps)
+                return candidate, walk(candidate)
             except (BoundaryTooClose, NonconvergentSubdivision) as err:
                 last = err
         first = first or last
@@ -272,8 +338,10 @@ def sigma_star(
 ) -> float:
     """Largest sigma (within tol) whose right half-strip still contains a zero.
 
-    Bisects the left edge of [sigma, sigma_top] x t_window with count_zeros;
-    returns -inf when no zero of f - v lies in the searched window at all.
+    Bisects the left edge of [sigma, sigma_top] x t_window: each step walks
+    that edge alone and counts the zeros right of it from the strip's walked
+    bottom, right and top sides; returns -inf when no zero of f - v lies in
+    the searched window at all.
     The result is a window-limited lower bound for the true zero-free
     abscissa; wide windows approximate it by almost periodicity.
     """
@@ -293,9 +361,31 @@ def sigma_star(
     sigma_top = _dominance_sigma_top(profile, sigma_floor)
     if sigma_top <= sigma_floor:
         return float("-inf")
-    _, inside = _first_clear(spec, v, [_t_padded((sigma_floor, sigma_top), t_window)], steps)
+    margin = boundary_margin(v)
+    strip, (inside, _, sides) = _first_clear(
+        lambda rect: _contour(spec, v, rect, steps, margin),
+        [_t_padded((sigma_floor, sigma_top), t_window)],
+    )
     if inside == 0:
         return float("-inf")
+    bottom, right, top, _ = sides
+    t0, t1 = strip.t_range
+
+    def inside_from(c: float) -> int:
+        """Zeros in [c, sigma_top] x the strip's window: its left side is
+        walked, the rest read off the strip's sides."""
+        low, high = complex(c, t0), complex(c, t1)
+        left = _side_argument(spec, v, high, low, steps, margin)
+        w_high, w_low = left.ws[0][[0, -1]]
+        total = (
+            bottom.total
+            - _argument_to(spec, v, bottom, low, w_low, margin)
+            + right.total
+            + _argument_to(spec, v, top, high, w_high, margin)
+            + left.total
+        )
+        return _turns(total)[0]
+
     lo, hi = sigma_floor, sigma_top
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -303,12 +393,11 @@ def sigma_star(
             break  # no double lies between lo and hi
         # a zero exactly on the bisection edge gets dodged deterministically
         edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
-        ladders = (_t_padded((c, sigma_top), t_window) for c in edges if lo < c < hi)
-        rect, inside = _first_clear(spec, v, ladders, steps)
+        c, inside = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
         if inside > 0:
-            lo = rect.sigma_range[0]
+            lo = c
         else:
-            hi = rect.sigma_range[0]
+            hi = c
     return 0.5 * (lo + hi)
 
 
@@ -338,7 +427,10 @@ def attains_value(
         pad_t = jitter * (1.0 + (t1 - t0))
         return Rectangle((sigma1 + pad_s, sigma2 - pad_s), (t0 - pad_t, t1 + pad_t))
 
-    return _first_clear(spec, v, [map(padded, _JITTERS)], steps)[1] >= 1
+    _, inside = _first_clear(
+        lambda rect: count_zeros(spec, v, rect, steps), [map(padded, _JITTERS)]
+    )
+    return inside >= 1
 
 
 def sigma_sequence(

@@ -207,8 +207,9 @@ class TestSigmaSequence:
 def reference_side(spec, v, a, b, steps, margin, depth=None):
     """The depth-first scalar walk: one phase and one evaluation per segment.
 
-    Sums the accepted increments left to right along the side.  `depth`, a
-    one-element list, gets the deepest bisection level reached.
+    Sums the accepted increments left to right along the side and returns
+    the same profile as the array walk, its samples as one level in order.
+    `depth`, a one-element list, gets the deepest bisection level reached.
     """
 
     def w_at(p):
@@ -224,6 +225,7 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
     samples = list(zip(ps.tolist(), w_at(ps).tolist()))
     count = steps + 1
     total = 0.0
+    lefts, cum, starts = [], [], []
     for i in range(steps):
         stack = [(*samples[i], *samples[i + 1], 0)]
         while stack:
@@ -233,6 +235,9 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             delta = cmath.phase(w2 / w1)
             if abs(delta) <= zeros.HALF_PI:
                 total += delta
+                lefts.append(p1)
+                cum.append(total)
+                starts.append(w1)
                 continue
             count += 1
             if count > zeros.MAX_SIDE_SAMPLES:
@@ -241,7 +246,8 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             wm = w_at(pm)
             stack.append((pm, wm, p2, w2, level + 1))
             stack.append((p1, w1, pm, wm, level + 1))
-    return total
+    ps, ws = np.array(lefts + [1.0]), np.array(starts + [samples[-1][1]])
+    return zeros.Side(a, b, np.array(cum), [ps], [ws])
 
 
 def reference_winding(spec, v, rect, steps=256, depth=None):
@@ -251,7 +257,7 @@ def reference_winding(spec, v, rect, steps=256, depth=None):
     c = rect.corners()
     total = 0.0
     for a, b in zip(c, c[1:] + c[:1]):
-        total += reference_side(spec, v, a, b, steps, margin, depth)
+        total += reference_side(spec, v, a, b, steps, margin, depth).total
     turns = round(total / zeros.TWO_PI)
     return int(turns), abs(total - zeros.TWO_PI * turns)
 
@@ -300,6 +306,71 @@ def walk_cases():
     return cases
 
 
+def reference_sigma_star(spec, v, t_window, sigma_floor, tol=1e-3, steps=256):
+    """sigma_star walking a whole contour per bisection step: one count_zeros
+    on [c, sigma_top] x window, each shifted edge through its own padding
+    ladder, the unshifted edge's error raised when none clears."""
+    profile = zeros._merged_against(spec, complex(v))
+    if len(profile) == 1:
+        return float("-inf")
+    sigma_top = zeros._dominance_sigma_top(profile, sigma_floor)
+    if sigma_top <= sigma_floor:
+        return float("-inf")
+
+    def first_count(ladders):
+        first = None
+        for ladder in ladders:
+            last = None
+            for rect in ladder:
+                try:
+                    return rect, count_zeros(spec, v, rect, steps)
+                except (BoundaryTooClose, NonconvergentSubdivision) as err:
+                    last = err
+            first = first or last
+        raise first
+
+    _, inside = first_count([zeros._t_padded((sigma_floor, sigma_top), t_window)])
+    if inside == 0:
+        return float("-inf")
+    lo, hi = sigma_floor, sigma_top
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
+        ladders = (zeros._t_padded((c, sigma_top), t_window) for c in edges if lo < c < hi)
+        rect, inside = first_count(ladders)
+        if inside > 0:
+            lo = rect.sigma_range[0]
+        else:
+            hi = rect.sigma_range[0]
+    return 0.5 * (lo + hi)
+
+
+def sigma_star_cases():
+    """Seeded (spec, v, t_window, sigma_floor, tol) over the benchmark's three
+    families and the closed-form targets of 1 + 2^{-s}."""
+    rng = random.Random(1515)
+    cases = []
+    h30 = harmonic_30()
+    for _ in range(6):
+        v = evaluate(h30, complex(rng.uniform(0.6, 1.0), rng.uniform(-12.0, 12.0)))
+        cases.append((h30, v, (-20.0, 20.0), -1.0, 1e-3))
+    for _ in range(6):
+        poly = random_poly(rng)
+        v = evaluate(poly, complex(rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0)))
+        t0 = rng.uniform(-4.0, 0.0)
+        cases.append((poly, v, (t0, t0 + 2 * math.pi), rng.uniform(-3.0, -1.0), 1e-4))
+    bohr = scenarios.bohr_example(8)
+    for _ in range(6):
+        v = evaluate(bohr, complex(rng.uniform(0.2, 0.6), rng.uniform(-5.0, 5.0)))
+        cases.append((bohr, v, (-10.0, 10.0), -2.0, 1e-3))
+    f = one_plus_two()
+    for v in (0.0, 3.0, 1.0, evaluate(f, 1.0), evaluate(f, 2.0), -0.5 + 0.25j):
+        cases.append((f, v, (0.0, 20.0), -5.0, 1e-3))
+    return cases
+
+
 class TestArrayWalk:
     def test_matches_scalar_walk(self):
         bisected = 0
@@ -329,6 +400,24 @@ class TestArrayWalk:
         want = [sigma_star(f, v, w, floor, tol) for f, v, w, floor, tol in cases]
         assert got == want
         assert all(math.isfinite(x) for x in got)
+
+    def test_profile_matches_scalar_walk(self):
+        # the same accepted segments in the same order, the same values of
+        # f - v at their left ends and at the far end, and running sums equal
+        # up to the increments' last bits
+        for spec, v, rect in walk_cases():
+            margin = boundary_margin(v)
+            c = rect.corners()
+            for a, b in zip(c, c[1:] + c[:1]):
+                got = zeros._side_argument(spec, v, a, b, 256, margin)
+                want = reference_side(spec, v, a, b, 256, margin)
+                ps, ws = np.concatenate(got.ps), np.concatenate(got.ws)
+                order = np.argsort(ps)
+                assert (got.a, got.b) == (want.a, want.b)
+                assert np.array_equal(ps[order], want.ps[0])
+                assert np.array_equal(ws[order], want.ws[0])
+                assert got.ws[0][-1] == want.ws[0][-1]  # the far end's value
+                assert np.allclose(got.cum, want.cum, rtol=0.0, atol=1e-12)
 
     def test_one_array_call_per_level(self, monkeypatch):
         # every evaluation of a walk takes an array, and a side makes one
@@ -456,15 +545,13 @@ PADDED_WINDOWS = [
 
 class TestLadder:
     @staticmethod
-    def clipping(monkeypatch, passes: int = 0) -> list[Rectangle]:
-        """Make count_zeros return 1 for its first `passes` calls, then raise
-        BoundaryTooClose at a point naming the rectangle; returns the log."""
+    def clipping(monkeypatch) -> list[Rectangle]:
+        """Make count_zeros raise BoundaryTooClose at a point naming the
+        rectangle; returns the log."""
         tried = []
 
         def fake(spec, v, rect, steps=256):
             tried.append(rect)
-            if len(tried) <= passes:
-                return 1
             raise BoundaryTooClose(complex(rect.sigma_range[0], rect.t_range[1]), 0.0, 1.0)
 
         monkeypatch.setattr(zeros, "count_zeros", fake)
@@ -484,39 +571,55 @@ class TestLadder:
         assert info.value.point == complex(-0.999799, 10.000737)
 
     def test_sigma_star_order(self, monkeypatch):
-        # the full strip [-1, 2] holds a zero; then every rung of every
-        # shifted bisection edge clips one
-        tried = self.clipping(monkeypatch, passes=1)
+        # the strip [-1, 2] clips a zero on its first four windows and holds
+        # one in its last; then every shifted bisection edge clips one.  Each
+        # walk that clips raises at its start point
+        t0, t1 = PADDED_WINDOWS[-1]
+        quarter = zeros.Side(0j, 0j, np.full(1, zeros.HALF_PI), [np.zeros(2)], [np.ones(2)])
+        walks = []
+
+        def fake(spec, v, a, b, steps, margin):
+            walks.append((a, b))
+            if {a.real, b.real} <= {-1.0, 2.0} and {a.imag, b.imag} <= {t0, t1}:
+                return quarter
+            raise BoundaryTooClose(a, 0.0, 1.0)
+
+        monkeypatch.setattr(zeros, "_side_argument", fake)
         with pytest.raises(BoundaryTooClose) as info:
             sigma_star(harmonic_30(), 0.5, (-5.0, 5.0), -1.0)
         edges = [0.5, 0.60275, 0.34175, 0.7482500000000001]
-        assert [(r.sigma_range, r.t_range) for r in tried] == [((-1.0, 2.0), (-5.0, 5.0))] + [
-            ((edge, 2.0), window) for edge in edges for window in PADDED_WINDOWS
-        ]
-        # the error is the unshifted edge's, from its last rung
-        assert info.value.point == complex(0.5, 5.000737)
+        strip = Rectangle((-1.0, 2.0), (t0, t1)).corners()
+        assert walks == (
+            [(complex(-1.0, lo), complex(2.0, lo)) for lo, _ in PADDED_WINDOWS[:4]]
+            + list(zip(strip, strip[1:] + strip[:1]))
+            + [(complex(edge, t1), complex(edge, t0)) for edge in edges]
+        )
+        # the error is the unshifted edge's
+        assert info.value.point == complex(0.5, t1)
 
     def test_clipped_bisection_edge_raises_the_unshifted_error(self, monkeypatch):
         # bisecting to 1e-12 brings the edge within the margin of the zero
         # that sets sigma*; no shift dodges it, and the unshifted edge's own
-        # error is raised without walking its contours again
+        # error is raised without walking it again
         spec = harmonic_30()
-        calls = []
+        walks = []
+        walk = zeros._side_argument
 
         def counting(*args):
-            calls.append(args[2])
-            return count_zeros(*args)
+            walks.append(args[2:4])
+            return walk(*args)
 
-        monkeypatch.setattr(zeros, "count_zeros", counting)
+        monkeypatch.setattr(zeros, "_side_argument", counting)
         with pytest.raises(BoundaryTooClose) as info:
             sigma_star(spec, 0.5, (-5.0, 5.0), -1.0, tol=1e-12)
-        assert len(calls) == 47
-        unshifted = calls[-20:][4]
-        assert unshifted.t_range == PADDED_WINDOWS[-1]
-        assert info.value.point.real == unshifted.sigma_range[0]
-        assert info.value.point == pytest.approx(
-            complex(0.15382111817598343, 3.324305358114593), rel=1e-12
-        )
+        # the strip's four sides, one left side per bisection step, and the
+        # four edges of the last step (47 whole contours before)
+        assert len(walks) == 34
+        # the last step's four edges, unshifted first, each a left side
+        unshifted, _ = walks[-4]
+        assert [(a.imag, b.imag) for a, b in walks[-4:]] == [(5.0, -5.0)] * 4
+        assert info.value.point.real == unshifted.real
+        assert -5.0 < info.value.point.imag < 5.0
         assert abs(evaluate(spec, info.value.point) - 0.5) <= info.value.margin
 
     def test_bracket_of_adjacent_doubles_ends_the_bisection(self, monkeypatch):
@@ -537,3 +640,73 @@ class TestLadder:
         monkeypatch.setattr(zeros, "count_zeros", counting)
         got = sigma_star(spec, 0.0, (-0.1, 0.13), 0.0, tol=1e-17)
         assert got == pytest.approx(1.3, abs=1e-15)
+
+
+class TestStripWalk:
+    def test_matches_whole_contour_per_step(self):
+        got = [sigma_star(*case) for case in sigma_star_cases()]
+        assert got == [reference_sigma_star(*case) for case in sigma_star_cases()]
+        assert sum(math.isfinite(x) for x in got) >= 20
+
+    def test_corner_pieces_past_half_pi_are_walked(self, monkeypatch):
+        # with 3 steps a side, the piece between a bisection edge and the
+        # strip sample before it sometimes turns by more than pi/2; it is
+        # then walked, and the results still match a whole contour per step
+        rng = random.Random(5)
+        walk = zeros._side_argument
+        pieces = []
+
+        def recording(spec, v, a, b, steps, margin):
+            if steps == 1 and a.imag == b.imag:
+                pieces.append((a, b))
+            return walk(spec, v, a, b, steps, margin)
+
+        for _ in range(80):
+            poly = random_poly(rng, degree=8)
+            v = evaluate(poly, complex(rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0)))
+            monkeypatch.setattr(zeros, "_side_argument", recording)
+            got = sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
+            monkeypatch.undo()
+            assert got == reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
+        assert len(pieces) >= 3
+
+    def test_walk_budget(self, monkeypatch):
+        # per accepted window: each horizontal edge of the strip once, its
+        # right side once, and one left side per bisection edge tried
+        walk, evaluate_ = zeros._side_argument, zeros.evaluate
+        walks, points = [], [0]
+
+        def recording(spec, v, a, b, steps, margin):
+            walks.append((a, b, steps))
+            return walk(spec, v, a, b, steps, margin)
+
+        def counting(spec, s):
+            points[0] += np.size(s)
+            return evaluate_(spec, s)
+
+        tol, steps = 1e-3, 256
+        for spec, v, rect in walk_cases():
+            floor, (t0, t1) = rect.sigma_range[0], rect.t_range
+            sigma_top = zeros._dominance_sigma_top(zeros._merged_against(spec, v), floor)
+            strip = Rectangle((floor, sigma_top), rect.t_range)
+            walks.clear()
+            points[0] = 0
+            monkeypatch.setattr(zeros, "evaluate", counting)
+            count_zeros(spec, v, strip)
+            contour = points[0]
+            points[0] = 0
+            monkeypatch.setattr(zeros, "_side_argument", recording)
+            got = sigma_star(spec, v, rect.t_range, floor, tol)
+            monkeypatch.undo()
+            c = strip.corners()
+            assert walks[:4] == [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])]
+            edges = [a.real for a, b, _ in walks[4:]]
+            assert walks[4:] == [(complex(e, t1), complex(e, t0), steps) for e in edges]
+            assert len(set(edges)) == len(edges)
+            assert all(floor < e < sigma_top for e in edges)
+            bisections = math.ceil(math.log2((sigma_top - floor) / tol))
+            assert len(edges) == (bisections if math.isfinite(got) else 0)
+            # a whole contour per step walked at least 4 (steps + 1) points;
+            # each left side adds steps + 1 samples and its few bisection
+            # midpoints, all of them less than one more contour
+            assert points[0] < (steps + 1) * len(edges) + 2 * contour
