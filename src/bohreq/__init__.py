@@ -33,12 +33,13 @@ _EXPORTS = {
             "extract_phase_targets",
             "integer_kernel",
             "is_equivalent_truncated",
+            "kronecker_find_t",
             "solve_phase_system",
             "twist",
         ),
         "evaluation": ("EvalPoint", "GridBox", "evaluate", "shift_series", "uniform_distance"),
         "scenarios": ("bohr_example", "negate", "ordinary_series", "tau"),
-        "valuesets": ("ValueCloud", "hausdorff", "kronecker_find_t"),
+        "valuesets": ("ValueCloud", "hausdorff"),
         "zeros": ("Rectangle", "count_zeros", "sigma_star"),
     }.items()
     for name in names

@@ -28,7 +28,8 @@ from .seriesio import (
 )
 
 # The float layer (NumPy, `evaluation`, `valuesets`, `zeros`) is imported in
-# the handlers that call it, so the exact-layer commands start without NumPy.
+# the handlers that call it, so the exact-layer commands and `kronecker` start
+# without NumPy.
 # It raises PrecisionLimit for a value beyond a double itself, so no handler
 # imports NumPy or checks a result for overflow.
 
@@ -171,7 +172,8 @@ def build_parser() -> _Parser:
     p = add("kronecker", "find a shift time realizing target basis phases")
     p.add_argument("--target", type=_phases_arg, required=True, help="radians per basis element")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="largest phase miss accepted (default 1e-9)")
+                   help="largest phase miss accepted, in radians, on every basis element "
+                        "(default 1e-9); 'not found' is exact for the doubles given")
     p.add_argument("--t-max-search", type=float, default=1e5)
 
     p = add("bohr-example", "emit the counterexample series truncation")
@@ -362,12 +364,10 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_kronecker(args) -> int:
-    from . import valuesets
-
     spec = parse_series_file(args.series)
     basis, _, _ = compute_basis([t.exponent for t in spec.terms])
     values = [beta.numeric_value(spec.symbols) for beta in basis.elements]
-    hit = valuesets.kronecker_find_t(values, args.target, args.tol, args.t_max_search)
+    hit = equivalence.kronecker_find_t(values, args.target, args.tol, args.t_max_search)
     result = {"found": hit.found, "t": hit.t, "residual": hit.residual}
     _emit(args, _verdict("kronecker", {"series": args.series}, result))
     return EXIT_OK if hit.found else EXIT_NEGATIVE

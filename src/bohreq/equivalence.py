@@ -15,12 +15,16 @@ solutions are w + L for an integer lattice L.  This exact lift gives the phase
 vector (rounded to doubles, its own residual checked) and the closure scan's
 minimum phase norm (an exact search over L).  Feasible verdicts come with an
 explicit Y within tolerance, infeasible ones with an exact witness.
+
+Equivalence meets vertical shifts through Kronecker's theorem: a shift by t
+twists the basis phases by -t beta, and `kronecker_find_t` finds a t that
+realises given phases, a closest-vector search that shares the closure
+minimum's enumerator (`lattice.enumerate_near`).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +40,7 @@ from .errors import (
     SupportMismatch,
 )
 from .lattice import (
+    enumerate_near,
     gram_schmidt,
     integer_left_kernel,
     lll_reduce,
@@ -460,8 +465,7 @@ def _min_norm(lift: _Lift) -> float:
     with G = (R_P R_P^T)^-1, the identity for unit pivot rows.  With s =
     theta_P / 2pi + w this is 4pi^2 |s + z|_G^2, minimised exactly over the
     lift's basis of L (LLL-reduced once per decision, in `_pivot_lift`) by
-    Fincke-Pohst enumeration in rationals, each level's candidates nearest
-    first (Schnorr-Euchner), pruned at the best norm found.
+    `lattice.enumerate_near`, its bound shrunk to each point it visits.
     """
     if lift.lattice is None and None not in lift.units:
         return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
@@ -479,31 +483,9 @@ def _min_norm(lift: _Lift) -> float:
         return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
 
     s = [Fraction(theta / TWO_PI) + wp for theta, wp in zip(lift.theta, lift.w)]
-    # Gram-Schmidt in the metric G: s = sum_l sigma[l] g*_l (L has full rank r).
+    # Gram-Schmidt in the metric G: s = sum_l mu[r][l] g*_l (L has full rank r).
     mu, norms = gram_schmidt([*gens, s], inner)
-    sigma = mu[r]
-    # |s + sum_i x_i g_i|^2 = sum_l norms[l] (sigma[l] + x_l + sum_{i>l} mu[i][l] x_i)^2
-    x = [0] * r
-    best: Fraction | None = None
-
-    def search(level: int, partial: Fraction) -> None:
-        nonlocal best
-        if level < 0:
-            best = partial
-            return
-        center = -(sigma[level] + sum(mu[i][level] * x[i] for i in range(level + 1, r)))
-        near = round(center)
-        step = 1 if center >= near else -1
-        for offset in itertools.count():
-            for cand in (near,) if offset == 0 else (near + step * offset, near - step * offset):
-                gap = cand - center
-                cost = partial + norms[level] * gap * gap
-                if best is not None and cost >= best:
-                    return
-                x[level] = cand
-                search(level - 1, cost)
-
-    search(r - 1, Fraction(0))
+    best = enumerate_near(mu, norms, mu[r], math.inf, lambda x, length: length)
     return TWO_PI * math.sqrt(best)
 
 
@@ -537,3 +519,114 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
         feasible = isinstance(outcome, _Lift)
         out.append(ClosurePoint(n, feasible, _min_norm(outcome) if feasible else None))
     return out
+
+
+#: 2pi to 100 significant digits, the modulus of the Kronecker search's exact checks.
+_TWO_PI_EXACT = Fraction(
+    "6.283185307179586476925286766559005768394338798750211641949889184615632812572417997256069650684234135"
+)
+
+
+class KroneckerResult(NamedTuple):
+    found: bool
+    t: float | None
+    residual: float | None
+
+
+def _residual(t: float, beta: Sequence[float], y: Sequence[float]) -> float:
+    """Worst miss of -t beta_j against y_j modulo 2pi, in doubles."""
+    return max((circle_distance(-t * b - v) for b, v in zip(beta, y)), default=0.0)
+
+
+def kronecker_find_t(
+    basis_values: Sequence[float],
+    target: PhaseVector,
+    tol: float,
+    t_max_search: float,
+) -> KroneckerResult:
+    """A shift time t in [0, t_max_search] with |(-t beta_j - y_j) mod 2pi| <= tol for all j.
+
+    A closest-vector problem (Lagarias 1985; Fincke and Pohst 1985), solved in
+    exact rationals.  Zero frequencies are checked alone.  The others pivot on
+    the largest |beta_1|: t beta_1 = 2pi n_1 - y_1 - e_1 with |e_1| <= tol puts
+    n_1 in a range N that [0, t_max_search] fixes, and every j then needs
+    |n_1 alpha_j + c_j - n_j| <= tol (1 + |alpha_j|) / 2pi for an integer n_j,
+    with alpha_j = beta_j / beta_1 and c_j = (y_j - alpha_j y_1) / 2pi.  That
+    box in (n_1, n_2..n_k) is searched in the lattice of rows (w, alpha_2..
+    alpha_k) and e_j, the weight w mapping N onto the tolerance, scaled to
+    integers by a power of 2 that follows the size of N (a fixed one would
+    round w to 0 at a large t_max_search), LLL-reduced, by
+    `lattice.enumerate_near` over the l2 ball that holds the box and the
+    rounding of the alpha_j.  Each point's t is the intersection of its k
+    intervals (2pi n_j - y_j -/+ tol) / beta_j with [0, t_max_search]; the
+    first nonempty one gives its midpoint, rounded to a double and re-checked
+    in doubles.  So "not found" is a proof, up to the
+    rounding of the doubles beta, y (2pi is exact to 100 digits), and a point
+    that holds exactly but whose double t misses (t beta beyond what a double
+    resolves to tol) raises PrecisionLimit.  Non-finite input raises BadRange.
+    """
+    if not 0 < tol < math.inf:
+        raise BadRange(f"need a finite tol > 0, got {tol}")
+    if not 0 < t_max_search < math.inf:
+        raise BadRange(f"need a finite t_max_search > 0, got {t_max_search}")
+    beta = [float(b) for b in basis_values]
+    y = [float(v) for v in target]
+    if len(beta) != len(y):
+        raise BadRange("target length must match basis length")
+    if not all(map(math.isfinite, beta + y)):
+        raise BadRange(f"need finite frequencies and target phases, got {beta} and {y}")
+    if any(b == 0.0 and circle_distance(v) > tol for b, v in zip(beta, y)):
+        return KroneckerResult(False, None, None)
+    moving = sorted((j for j, b in enumerate(beta) if b != 0.0), key=lambda j: -abs(beta[j]))
+    if not moving:
+        return KroneckerResult(True, 0.0, _residual(0.0, beta, y))
+    two_pi, tol_q, t_max = _TWO_PI_EXACT, Fraction(tol), Fraction(t_max_search)
+    b = [Fraction(beta[j]) for j in moving]
+    c = [Fraction(y[j]) for j in moving]
+    alpha = [bj / b[0] for bj in b]
+    offset = [(cj - aj * c[0]) / two_pi for aj, cj in zip(alpha[1:], c[1:])]
+    sweep = t_max * b[0]
+    lo = math.ceil((min(sweep, 0) + c[0] - tol_q) / two_pi)
+    hi = math.floor((max(sweep, 0) + c[0] + tol_q) / two_pi)
+    if lo > hi:
+        return KroneckerResult(False, None, None)
+    # scale 2^e with the rounding of S alpha_j, at most |n_1| / 2, below 2^-10 of each box
+    size = max(abs(lo), abs(hi), 1)
+    scale = 1 << (math.ceil(size * 8 / tol_q).bit_length() + 10)
+    half = Fraction(hi - lo, 2)
+    weight = max(1, round(scale * tol_q / (two_pi * max(half, 1))))
+    rounded = [round(scale * aj) for aj in alpha[1:]]
+    k = len(moving)
+    basis = [[weight] + rounded] + [[scale * (i == j) for i in range(k)] for j in range(1, k)]
+    shift = [-weight * Fraction(lo + hi, 2)] + [scale * o for o in offset]
+    bound = (weight * half) ** 2 + sum(
+        (scale * tol_q * (1 + abs(aj)) / two_pi + Fraction(size, 2)) ** 2 for aj in alpha[1:]
+    )
+    reduced = lll_reduce(basis)
+    mu, norms = gram_schmidt([*reduced, shift])
+    hit: list[KroneckerResult] = []
+
+    def visit(x: list[int], length: Fraction) -> Fraction:
+        v = [sum(xi * row[i] for xi, row in zip(x, reduced)) for i in range(k)]
+        n1 = v[0] // weight
+        n = [n1] + [(r * n1 - vi) // scale for r, vi in zip(rounded, v[1:])]
+        # the t of every interval (2pi n_j - y_j -/+ tol) / beta_j, and [0, t_max]
+        low, high = Fraction(0), t_max
+        for nj, bj, cj in zip(n, b, c):
+            ends = sorted((two_pi * nj - cj - e) / bj for e in (tol_q, -tol_q))
+            low, high = max(low, ends[0]), min(high, ends[1])
+        if low > high:
+            return bound
+        t = float((low + high) / 2)
+        residual = _residual(t, beta, y)
+        if not residual <= tol:  # NaN too, where t beta overflows
+            raise PrecisionLimit(
+                f"shift time {t!r} meets every target within tol {tol:.3e} in exact "
+                f"arithmetic, but misses by {residual:.3e} as a double: t beta is "
+                "beyond what a double t resolves to tol"
+            )
+        hit.append(KroneckerResult(True, t, residual))
+        return -1
+
+    enumerate_near(mu, norms, mu[k], bound, visit)
+    return hit[0] if hit else KroneckerResult(False, None, None)

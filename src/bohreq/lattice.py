@@ -1,11 +1,13 @@
 """Exact integer lattice routines: echelon forms, kernels, diagonalization, LLL.
 
 Everything here is exact, in Python ints and `Fraction`s; one Gram-Schmidt
-serves LLL and Babai.  Matrices are lists of row lists; inputs are never mutated.
+serves LLL, Babai and the enumeration of lattice points near a target.
+Matrices are lists of row lists; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -208,6 +210,43 @@ def size_reduce(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> list[i
             for l in range(j):
                 mu[-1][l] -= q * mu[j][l]
     return z
+
+
+def enumerate_near(mu, norms, sigma, bound, visit):
+    """Visit every integer x with |s + sum_i x_i b_i|^2 <= bound; return the last bound.
+
+    `mu` and `norms` are the Gram-Schmidt data of an independent basis b (as
+    `gram_schmidt` gives them) and `sigma` the coordinates of s over the b*_l,
+    so the squared length is sum_l norms[l] (sigma[l] + x_l + sum_{i>l}
+    mu[i][l] x_i)^2, exact in rationals.  Fincke-Pohst enumeration, each
+    level's candidates nearest first (Schnorr-Euchner), so the first leaf is
+    Babai's nearest-plane point.  `visit(x, length)` sees the live x and
+    returns the bound for the rest of the search: the length itself makes
+    this a closest-vector search, a negative bound stops it.  `bound` may be
+    math.inf.
+    """
+    r = len(norms)
+    x = [0] * r
+
+    def search(level: int, partial: Fraction) -> None:
+        nonlocal bound
+        if level < 0:
+            bound = visit(x, partial)
+            return
+        center = -(sigma[level] + sum(mu[i][level] * x[i] for i in range(level + 1, r)))
+        near = round(center)
+        step = 1 if center >= near else -1
+        for offset in itertools.count():
+            for cand in (near,) if offset == 0 else (near + step * offset, near - step * offset):
+                gap = cand - center
+                cost = partial + norms[level] * gap * gap
+                if cost > bound:
+                    return
+                x[level] = cand
+                search(level - 1, cost)
+
+    search(r - 1, Fraction(0))
+    return bound
 
 
 def diagonalize(matrix: Sequence[Sequence[int]]):

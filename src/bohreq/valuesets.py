@@ -12,19 +12,20 @@ Both routes work through the points in blocks of `evaluation.BLOCK`: route B
 draws its phases and sigmas block by block from the same stream, and route A
 keeps only its cell picks and the output at full length.  Cloud proximity is
 measured by the two-sided Hausdorff distance between finite point sets.
+`kronecker_find_t`, the shift-time search, lives in `equivalence` (it needs no
+NumPy) and is re-exported here under the same name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .basis import compute_basis, denominator_lcm
 from .core import SeriesSpec
-from .equivalence import TWO_PI, PhaseVector
+from .equivalence import TWO_PI, KroneckerResult, kronecker_find_t  # noqa: F401
 from .errors import BadRange, EmptyCloud, PrecisionLimit
 from .evaluation import BLOCK, evaluate, plan_sum
 
@@ -251,86 +252,3 @@ def hausdorff(a: ValueCloud, b: ValueCloud) -> float:
     d_ab = np.max(cKDTree(pb).query(pa, k=1)[0])
     d_ba = np.max(cKDTree(pa).query(pb, k=1)[0])
     return float(max(d_ab, d_ba))
-
-
-#: Most samples of kronecker_find_t's coarse grid: a finer step is widened.
-MAX_GRID_POINTS = 5_000_000
-
-
-class KroneckerResult(NamedTuple):
-    found: bool
-    t: float | None
-    residual: float | None
-
-
-def _kronecker_residuals(
-    ts: np.ndarray, beta: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    phases = -np.outer(ts, beta) - target[None, :]
-    return np.max(np.abs((phases + math.pi) % TWO_PI - math.pi), axis=1)
-
-
-def kronecker_find_t(
-    basis_values: Sequence[float],
-    target: PhaseVector,
-    tol: float,
-    t_max_search: float,
-) -> KroneckerResult:
-    """Search for a shift time realizing target phases on all basis frequencies.
-
-    Finds t in [0, t_max_search] with max_j |(-t beta_j - y_j) mod 2pi| <= tol
-    by a coarse grid (step tied to tol and the largest frequency, capped at
-    MAX_GRID_POINTS samples) followed by iterative local refinement.  Any
-    returned hit is re-verified; notFound is a value, not an error.
-    """
-    if not 0 < tol < math.inf:
-        raise BadRange(f"need a finite tol > 0, got {tol}")
-    if not 0 < t_max_search < math.inf:
-        raise BadRange(f"need a finite t_max_search > 0, got {t_max_search}")
-    beta = np.asarray(list(basis_values), dtype=float)
-    y = np.asarray(list(target), dtype=float)
-    if beta.shape != y.shape:
-        raise BadRange("target length must match basis length")
-    if len(beta) == 0:
-        return KroneckerResult(True, 0.0, 0.0)
-    lipschitz = float(np.max(np.abs(beta)))
-    if lipschitz == 0.0:
-        residual = float(np.max(np.abs((y + math.pi) % TWO_PI - math.pi)))
-        return KroneckerResult(residual <= tol, 0.0 if residual <= tol else None,
-                               residual if residual <= tol else None)
-    step = min(0.45 * tol / lipschitz, 0.05 / lipschitz)
-    step = max(step, t_max_search / MAX_GRID_POINTS)
-    accept = tol + 0.55 * lipschitz * step
-
-    def refine(lo: float, hi: float) -> tuple[float, float]:
-        for _ in range(6):
-            ts = np.linspace(lo, hi, 81)
-            res = _kronecker_residuals(ts, beta, y)
-            i = int(np.argmin(res))
-            lo = ts[max(i - 1, 0)]
-            hi = ts[min(i + 1, len(ts) - 1)]
-        ts = np.linspace(lo, hi, 81)
-        res = _kronecker_residuals(ts, beta, y)
-        i = int(np.argmin(res))
-        return float(ts[i]), float(res[i])
-
-    chunk = 1_000_000
-    n_total = int(math.floor(t_max_search / step)) + 1
-    start = 0
-    while start < n_total:
-        stop = min(start + chunk, n_total)
-        ts = (np.arange(start, stop) * step).clip(max=t_max_search)
-        res = _kronecker_residuals(ts, beta, y)
-        hits = np.flatnonzero(res <= accept)
-        # one refinement per contiguous run of near-threshold samples
-        for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
-            if len(run) == 0:
-                continue
-            i = run[int(np.argmin(res[run]))]
-            t_best, _ = refine(max(ts[i] - step, 0.0), min(ts[i] + step, t_max_search))
-            # re-verify against the exact residual before reporting
-            check = float(_kronecker_residuals(np.array([t_best]), beta, y)[0])
-            if check <= tol:
-                return KroneckerResult(True, t_best, check)
-        start = stop
-    return KroneckerResult(False, None, None)

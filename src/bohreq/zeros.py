@@ -209,12 +209,20 @@ def _finite_target(v: complex) -> complex:
 
 
 def _turns(total: float) -> tuple[int, float]:
-    """A closed boundary's argument as whole turns, with the rounding defect."""
+    """A closed boundary's argument as whole turns, with the rounding defect.
+
+    f - v has no poles, so a negative count is a walk too coarse to follow
+    the argument, refused like a defect off a 2pi multiple.
+    """
     turns = round(total / TWO_PI)
     defect = abs(total - TWO_PI * turns)
     if defect > WINDING_DEFECT_LIMIT:
         raise NonconvergentSubdivision(
             f"boundary argument {total:.6f} is {defect:.2e} away from a 2pi multiple"
+        )
+    if turns < 0:
+        raise NonconvergentSubdivision(
+            f"boundary argument {total:.6f} gives {int(turns)} zeros: the walk missed turns"
         )
     return int(turns), defect
 

@@ -307,8 +307,9 @@ class TestCommands:
             assert lines[0].startswith("bohreq: error: ")
 
     def test_bad_ranges_are_one_error_line(self, files, capsys):
-        # non-finite points, inverted or NaN boxes, empty grids and an
-        # unbounded Kronecker search are refused before any evaluation
+        # non-finite points, inverted or NaN boxes, empty grids, an unbounded
+        # Kronecker search and a NaN target phase are refused before any
+        # evaluation
         _, f, g = files
         box = ["--t-min", "0", "--t-max", "1"]
         distance = ["uniform-distance", "--series", f, "--series2", g, *box]
@@ -319,6 +320,7 @@ class TestCommands:
             [*distance, "--sigma-min", "2", "--sigma-max", "1"],
             [*distance, "--sigma-min", "nan", "--sigma-max", "1"],
             ["kronecker", "--series", f, "--target", "1", "--t-max-search", "inf"],
+            ["kronecker", "--series", f, "--target", "nan"],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()
@@ -528,6 +530,7 @@ class TestLazyImports:
             ["equiv", "--series", f, "--series2", tw],
             ["closure-demo", *pair, "--nmax", "3"],
             ["tail", "--series", f, "--sigma", "2"],
+            ["kronecker", "--series", f, "--target", "1"],
         ]
         for argv in commands:
             if "--out" not in argv:

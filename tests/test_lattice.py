@@ -1,6 +1,7 @@
 """Exact integer linear algebra: echelon forms, kernels, diagonalization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from bohreq.lattice import (
     clear_denominators,
     diagonalize,
+    enumerate_near,
     gram_schmidt,
     hermite_normalize,
     integer_left_kernel,
@@ -314,6 +316,55 @@ class TestGramSchmidt:
         mu, norms = gram_schmidt(rows, lambda u, v: u[0] * v[0] + 4 * u[1] * v[1])
         assert mu == [[], [Fraction(1, 5)], [Fraction(4, 5), -1]]
         assert norms == [5, Fraction(4, 5)]
+
+
+class TestEnumerateNear:
+    def test_visits_exactly_the_ball_nearest_first(self):
+        # every x with |s + sum x_i b_i|^2 <= bound, against a brute scan of a
+        # box that holds the ball; the first visit is Babai's point when it is
+        # inside
+        rng = random.Random(2727)
+        checked = 0
+        while checked < 30:
+            dim = rng.randint(1, 3)
+            basis = [[rng.randint(-30, 30) for _ in range(dim)] for _ in range(dim)]
+            if row_echelon(basis)[1] < dim:
+                continue
+            basis = lll_reduce(basis)
+            s = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(dim)]
+            mu, norms = gram_schmidt([*basis, s])
+            if min(norms) < 36:  # keep the ball inside the brute box
+                continue
+            bound = Fraction(rng.randint(1, 150))
+
+            def point(x):
+                return [a + sum(xi * row[j] for xi, row in zip(x, basis)) for j, a in enumerate(s)]
+
+            seen = []
+            last = enumerate_near(
+                mu, norms, mu[dim], bound, lambda x, length: seen.append((tuple(x), length)) or bound
+            )
+            assert last == bound
+            brute = {}
+            for x in itertools.product(range(-8, 9), repeat=dim):
+                if (length := sum(c * c for c in point(x))) <= bound:
+                    assert max(map(abs, x)) < 8  # the box holds the ball
+                    brute[x] = length
+            assert dict(seen) == brute and len(seen) == len(brute)
+            babai = size_reduce([-a for a in s], basis)  # -s minus its Babai point
+            if sum(c * c for c in babai) <= bound:
+                assert point(seen[0][0]) == [-c for c in babai]
+            checked += 1
+
+    def test_returned_bound_and_stop(self):
+        mu, norms = gram_schmidt([[3, 0], [1, 2], [Fraction(1, 2), Fraction(1, 3)]])
+        best = enumerate_near(mu, norms, mu[2], math.inf, lambda x, length: length)
+        brute = min((Fraction(1, 2) + 3 * a + b) ** 2 + (Fraction(1, 3) + 2 * b) ** 2
+                    for a in range(-5, 6) for b in range(-5, 6))
+        assert best == brute
+        calls = []
+        assert enumerate_near(mu, norms, mu[2], 100, lambda x, length: calls.append(x) or -1) == -1
+        assert len(calls) == 1
 
 
 class TestDiagonalize:

@@ -1,12 +1,14 @@
 """Value-set sampling routes, Hausdorff comparison, Kronecker time finding."""
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from bohreq import scenarios, valuesets
+import bohreq
+from bohreq import equivalence, scenarios, valuesets
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.basis import compute_basis
 from bohreq.errors import BadRange, EmptyCloud, PrecisionLimit
@@ -253,3 +255,102 @@ class TestKronecker:
             kronecker_find_t([LOG2], [0.0], tol=0.0, t_max_search=1.0)
         with pytest.raises(BadRange):
             kronecker_find_t([LOG2], [0.0, 1.0], tol=0.1, t_max_search=1.0)
+
+    def test_planted_times_k2_to_k6(self):
+        rng = random.Random(1616)
+        primes = (2, 3, 5, 7, 11, 13)
+        for k, tol, t_max in ((2, 1e-3, 400.0), (3, 2e-2, 5000.0), (4, 1e-2, 1e7),
+                              (5, 1e-2, 1e8), (6, 2e-2, 1e8)):
+            beta = [math.log(p) for p in primes[:k]]
+            for _ in range(3):
+                target = planted_target(beta, rng.uniform(0.1, 0.9) * t_max)
+                hit = kronecker_find_t(beta, target, tol, t_max)
+                assert hit.found, (k, target)
+                assert 0.0 <= hit.t <= t_max
+                assert hit.residual == kronecker_residual(hit.t, beta, target) <= tol
+
+    def test_planted_time_at_k5_past_the_old_grid(self):
+        # five prime logarithms, t* = 6.75e8 in [0, 1e9] with residual 0; a
+        # grid capped at 5e6 samples reported this target not found
+        beta = [math.log(p) for p in (2, 3, 5, 7, 11)]
+        target = planted_target(beta, 6.75e8)
+        hit = kronecker_find_t(beta, target, 1e-2, 1e9)
+        assert hit.found
+        assert 0.0 <= hit.t <= 1e9
+        assert kronecker_residual(hit.t, beta, target) <= 1e-2
+
+    def test_not_found_agrees_with_brute_force(self):
+        rng = random.Random(1717)
+        beta = [math.log(p) for p in (2, 3, 5)]
+        found = 0
+        for trial in range(40):
+            if trial % 4 == 0:
+                target = planted_target(beta, rng.uniform(0.0, 60.0))
+            else:
+                target = [rng.uniform(0.0, 2 * math.pi) for _ in beta]
+            hit = kronecker_find_t(beta, target, 2e-2, 60.0)
+            assert hit.found == brute_kronecker(beta, target, 2e-2, 60.0), target
+            found += hit.found
+        assert 10 <= found < 40
+
+    def test_precision_limit_where_a_double_t_cannot_resolve_tol(self):
+        # near t = 5e17 neighbouring doubles are 64 apart: an exact solution
+        # exists, but no double t meets the target to 1e-6
+        with pytest.raises(PrecisionLimit):
+            kronecker_find_t([1.0], [0.5], 1e-6, 1e18)
+
+    def test_zero_frequency_beside_nonzero_ones(self):
+        beta = [LOG2, 0.0, LOG3]
+        target = planted_target(beta, 37.0)
+        target[1] = 0.5e-3
+        hit = kronecker_find_t(beta, target, 1e-3, 100.0)
+        assert hit.found
+        assert kronecker_residual(hit.t, beta, target) <= 1e-3
+        target[1] = 1.0  # a phase no t moves
+        assert not kronecker_find_t(beta, target, 1e-3, 100.0).found
+        assert kronecker_find_t([0.0, 0.0], [0.0, 2e-3], 1e-3, 1.0) == (False, None, None)
+        hit = kronecker_find_t([0.0], [2 * math.pi], 1e-3, 1.0)
+        assert hit.found and hit.t == 0.0
+
+    @pytest.mark.parametrize(
+        "beta, target",
+        [([LOG2], [math.nan]), ([LOG2], [math.inf]), ([math.inf], [0.0]),
+         ([math.nan, LOG3], [0.0, 0.0]), ([LOG2, LOG3], [0.0, -math.inf])],
+    )
+    def test_non_finite_input_refused(self, beta, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadRange):
+                kronecker_find_t(beta, target, 1e-3, 10.0)
+
+    def test_valuesets_reexports_the_search(self):
+        assert valuesets.kronecker_find_t is equivalence.kronecker_find_t
+        assert bohreq.kronecker_find_t is equivalence.kronecker_find_t
+
+
+def planted_target(beta, t_star):
+    return [(-t_star * b) % (2 * math.pi) for b in beta]
+
+
+def kronecker_residual(t, beta, target):
+    return max(abs((-t * b - y + math.pi) % (2 * math.pi) - math.pi) for b, y in zip(beta, target))
+
+
+def brute_kronecker(beta, target, tol, t_max):
+    """Every integer n_1 for the first frequency, and for each its t interval
+    cut by the intervals of every n_j the other frequencies allow."""
+    two_pi = 2 * math.pi
+    (b1, *rest), (y1, *ys) = beta, target
+    for n1 in range(math.floor((y1 - tol) / two_pi), math.ceil((t_max * b1 + y1 + tol) / two_pi) + 1):
+        pieces = [(max(0.0, (two_pi * n1 - y1 - tol) / b1), min(t_max, (two_pi * n1 - y1 + tol) / b1))]
+        for b, y in zip(rest, ys):
+            cut = []
+            for lo, hi in pieces:
+                for n in range(math.floor((lo * b + y - tol) / two_pi), math.ceil((hi * b + y + tol) / two_pi) + 1):
+                    a, z = max(lo, (two_pi * n - y - tol) / b), min(hi, (two_pi * n - y + tol) / b)
+                    if a <= z:
+                        cut.append((a, z))
+            pieces = cut
+        if any(lo <= hi for lo, hi in pieces):
+            return True
+    return False

@@ -450,6 +450,17 @@ class TestWalkErrors:
         with pytest.raises(NonconvergentSubdivision):
             count_zeros(one_plus_two(), 0.0, rect)
 
+    def test_negative_count_is_refused(self):
+        # on the second walk case, steps=16 samples too coarsely to follow the
+        # argument: the walk summed to -2 and -3 turns, impossible for f - v,
+        # which has no poles; steps=256 counts 14 and 1
+        spec, v, own = walk_cases()[1]
+        wide = Rectangle((-2.3827, 5.0), (-2.2921, 3.2725))
+        for rect, count in ((wide, 14), (own, 1)):
+            with pytest.raises(NonconvergentSubdivision, match="zeros: the walk missed turns"):
+                count_zeros(spec, v, rect, steps=16)
+            assert count_zeros(spec, v, rect, steps=256) == count
+
     def test_too_close_midpoint_reports_a_point_of_its_side(self):
         # the left edge sigma = 0 passes through the zero at t = pi / log 2,
         # between two samples: a bisection midpoint lands within the margin
