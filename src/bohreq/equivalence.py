@@ -565,8 +565,7 @@ def kronecker_find_t(
     that holds exactly but whose double t misses (t beta beyond what a double
     resolves to tol) raises PrecisionLimit.  Non-finite input raises BadRange.
     """
-    if not 0 < tol < math.inf:
-        raise BadRange(f"need a finite tol > 0, got {tol}")
+    _check_tol(tol)
     if not 0 < t_max_search < math.inf:
         raise BadRange(f"need a finite t_max_search > 0, got {t_max_search}")
     beta = [float(b) for b in basis_values]

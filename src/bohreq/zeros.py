@@ -1,21 +1,24 @@
 """Argument-principle zero counting and zero-free abscissae.
 
 count_zeros walks a rectangle boundary counterclockwise accumulating argument
-increments of f - v.  Each side works on arrays: its samples are evaluated in
-one call and every segment's increment is taken in one NumPy pass; segments
-whose increment exceeds pi/2 are bisected one level at a time, each level's
-midpoints evaluated in one call.  A zero sitting on (or hugging) the contour
-surfaces as BoundaryTooClose or NonconvergentSubdivision rather than a silent
-miscount; a series that overflows a double on the contour surfaces as the
-PrecisionLimit that `evaluate` raises, and an f - v that overflows where f
-does not as the PrecisionLimit of the walk's own check.
+increments of f - v.  One walker, `_walk`, follows a batch of segments in
+arrays: the samples of all of them are evaluated in one call and every
+increment is taken in one NumPy pass; increments beyond pi/2 are bisected one
+level at a time, each level's midpoints over the whole batch evaluated in one
+call.  A contour's four sides are one batch.  A zero sitting on (or hugging)
+the contour surfaces as BoundaryTooClose or NonconvergentSubdivision rather
+than a silent miscount; a series that overflows a double on the contour
+surfaces as the PrecisionLimit that `evaluate` raises, and an f - v that
+overflows where f does not as the PrecisionLimit of the walk's own check.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
 f - v outweighs the rest and no zero can live.  The strip [sigma_floor,
-sigma_top] x t_window is walked once; a bisection step walks only its new left
-edge and reads the rest of its contour off the strip's sides, whose walks keep
-the running sum of their increments (the argument along a side is additive).
+sigma_top] x t_window is walked once.  The bisection keeps its bracket [lo, hi]
+with no zero in [hi, sigma_top] x t_window, so a step at c counts [c, hi] x
+t_window alone, from one batch: its new left edge, and its bottom and top
+pieces at the strip's density.  Its right side is not walked again: it is the
+left edge of the step that set hi, reversed, or at first the strip's.
 Since the t window is a stand-in for the full half-plane, the strip's window
 is re-padded outward by tiny deterministic jitters when a zero lands exactly
 on its edge (the common case for real-coefficient series, whose real zeros sit
@@ -27,8 +30,9 @@ windows, the shifted edges and attains_value's rectangles in order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .evaluation import evaluate
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-#: Adaptive refinement cap per rectangle side.
+#: Adaptive refinement cap per walked segment (a rectangle side, or a piece).
 MAX_SIDE_SAMPLES = 2**14
 
 #: Deterministic outward paddings tried when a contour clips a zero, as
@@ -87,44 +91,35 @@ def _constant_value(spec: SeriesSpec) -> complex | None:
     return None
 
 
-class Side(NamedTuple):
-    """The side a -> b as walked: the running sum of its accepted segments'
-    argument increments, in order along it, and the walk's samples of f - v,
-    level by level (fractions `ps` of the side, values `ws`).  The samples are
-    the accepted segments' ends: the k-th in increasing order is where the
-    k-th segment starts, and the first level starts with a and ends with the
-    last sample, a + (b - a) * 1.0 (b, or a double next to it)."""
-
-    a: complex
-    b: complex
-    cum: np.ndarray
-    ps: list[np.ndarray]
-    ws: list[np.ndarray]
-
-    @property
-    def total(self) -> float:
-        return float(self.cum[-1])
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ..."""
+    out = np.empty(2 * x.size, dtype=x.dtype)
+    out[0::2], out[1::2] = x, y
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _side_argument(
-    spec: SeriesSpec, v: complex, a: complex, b: complex, steps: int, margin: float
-) -> Side:
-    """The argument profile of f - v from a to b along the segment.
+def _walk(
+    spec: SeriesSpec, v: complex, segments: list[tuple[complex, complex, int]], margin: float
+) -> list[float]:
+    """The argument increment of f - v along each segment (a, b, steps).
 
-    The steps + 1 evenly spaced samples are evaluated in one array call, and
-    every segment's increment is taken in one array pass.  Segments whose
-    increment exceeds pi/2 (or is NaN), or whose ratio w2 / w1 is not a
-    finite double, are halved level by level, each level's midpoints in one
-    array call.  The accepted increments are summed one after another in
-    order along the side, and the running sum is kept with the samples.  A
-    sample where f - v or |f - v| is not a finite double raises
-    PrecisionLimit (NumPy's warnings are off): no refinement mends that.
+    The segments are walked together: the steps + 1 evenly spaced samples of
+    every segment are evaluated in one array call, and every increment is
+    taken in one array pass.  Increments that exceed pi/2 (or are NaN), or
+    whose ratio w2 / w1 is not a finite double, are halved level by level,
+    each level's midpoints, over all segments, in one array call; a segment
+    may take at most MAX_SIDE_SAMPLES samples.  Each segment's accepted
+    increments are summed one after another in order along it.  A sample
+    where f - v or |f - v| is not a finite double raises PrecisionLimit
+    (NumPy's warnings are off): no refinement mends that.
     """
+    starts = np.array([a for a, _, _ in segments])
+    spans = np.array([b - a for a, b, _ in segments])
 
-    def w_at(p: np.ndarray) -> np.ndarray:
-        """f - v at the points a + (b - a) p, p in increasing order."""
-        s = a + (b - a) * p
+    def w_at(k: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """f - v at the points a + (b - a) p of segments k, in walk order."""
+        s = starts[k] + spans[k] * p
         w = evaluate(spec, s) - v
         modulus = np.abs(w)
         if not ((margin < modulus) & (modulus < math.inf)).all():
@@ -137,66 +132,49 @@ def _side_argument(
             )
         return w
 
-    p = np.arange(steps + 1) / steps
-    w = w_at(p)
-    ps, ws = [p], [w]
-    count = steps + 1
-    p1, p2, w1, w2 = p[:-1], p[1:], w[:-1], w[1:]
-    lefts, deltas = [], []
+    counts = np.array([steps + 1 for _, _, steps in segments])
+    k = np.repeat(np.arange(len(segments)), counts)
+    p = np.concatenate([np.arange(steps + 1) / steps for _, _, steps in segments])
+    w = w_at(k, p)
+    pairs = k[:-1] == k[1:]  # consecutive samples of one segment
+    k1, p1, p2, w1, w2 = k[:-1][pairs], p[:-1][pairs], p[1:][pairs], w[:-1][pairs], w[1:][pairs]
+    keys, lefts, deltas = [], [], []
     while True:
         ratio = w2 / w1
         delta = np.arctan2(ratio.imag, ratio.real)
         ok = (np.abs(delta) <= HALF_PI) & np.isfinite(ratio)
+        keys.append(k1[ok])
         lefts.append(p1[ok])
         deltas.append(delta[ok])
         todo = ~ok
         if not todo.any():
             break
-        p1, p2, w1, w2 = p1[todo], p2[todo], w1[todo], w2[todo]
-        count += p1.size
-        if count > MAX_SIDE_SAMPLES:
+        k1, p1, p2, w1, w2 = k1[todo], p1[todo], p2[todo], w1[todo], w2[todo]
+        counts += np.bincount(k1, minlength=len(segments))
+        if counts.max() > MAX_SIDE_SAMPLES:
+            a, b, _ = segments[np.argmax(counts)]
             raise NonconvergentSubdivision(
                 f"side {a} -> {b} needed more than {MAX_SIDE_SAMPLES} samples"
             )
         pm = 0.5 * (p1 + p2)
-        wm = w_at(pm)
-        ps.append(pm)
-        ws.append(wm)
-        # halves interleaved, left before right, so each level stays in order
-        p1, p2 = np.column_stack((p1, pm)).ravel(), np.column_stack((pm, p2)).ravel()
-        w1, w2 = np.column_stack((w1, wm)).ravel(), np.column_stack((wm, w2)).ravel()
-    total = np.concatenate(deltas)
-    if len(lefts) > 1:
-        total = total[np.argsort(np.concatenate(lefts))]
-    return Side(a, b, np.add.accumulate(total), ps, ws)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _argument_to(
-    spec: SeriesSpec, v: complex, side: Side, point: complex, w_point: complex, margin: float
-) -> float:
-    """Argument increment of f - v along a walked side from its start to
-    `point` on it, where f - v is `w_point`.
-
-    The side's increments up to the last sample before `point` are read from
-    its running sum; the piece from that sample to `point` is taken from
-    their two values when it turns by at most pi/2 (the walk's own rule), and
-    walked otherwise.
-    """
-    a, b = side.a, side.b
-    p, w = np.concatenate(side.ps), np.concatenate(side.ws)
-    s = a + (b - a) * p
-    before = np.abs(s - a) <= abs(point - a)  # the samples up to point
-    k = np.argmax(np.where(before, p, -1.0))
-    ratio = w_point / w[k]
-    delta = np.arctan2(ratio.imag, ratio.real)
-    if not (abs(delta) <= HALF_PI and np.isfinite(ratio)):
-        delta = _side_argument(spec, v, complex(s[k]), point, 1, margin).total
-    i = np.count_nonzero(before) - 1  # sample k starts the i-th segment
-    return (float(side.cum[i - 1]) if i else 0.0) + float(delta)
+        wm = w_at(k1, pm)
+        # halves interleaved, left before right, so each level stays in walk order
+        k1 = np.repeat(k1, 2)
+        p1, p2 = _interleave(p1, pm), _interleave(pm, p2)
+        w1, w2 = _interleave(w1, wm), _interleave(wm, w2)
+    keys, delta = np.concatenate(keys), np.concatenate(deltas)
+    if len(deltas) > 1:
+        order = np.lexsort((np.concatenate(lefts), keys))
+        keys, delta = keys[order], delta[order]
+    ends = np.cumsum(np.bincount(keys, minlength=len(segments))).tolist()
+    return [float(np.add.accumulate(delta[i:j])[-1]) for i, j in zip([0] + ends, ends)]
 
 
 def _check_steps(steps: int) -> None:
+    try:
+        operator.index(steps)  # NumPy ints pass, floats do not
+    except TypeError:
+        raise BadRange(f"need an integral steps >= 1, got {steps!r}") from None
     if steps < 1:
         raise BadRange(f"need steps >= 1, got {steps}")
 
@@ -229,12 +207,12 @@ def _turns(total: float) -> tuple[int, float]:
 
 def _contour(
     spec: SeriesSpec, v: complex, rect: Rectangle, steps: int, margin: float
-) -> tuple[int, float, list[Side]]:
+) -> tuple[int, float, list[float]]:
     """Winding number and defect of f - v around the rectangle, with the
-    profiles of its sides (bottom, right, top, left, counterclockwise)."""
+    argument along each side (bottom, right, top, left, counterclockwise)."""
     c = rect.corners()
-    sides = [_side_argument(spec, v, a, b, steps, margin) for a, b in zip(c, c[1:] + c[:1])]
-    return *_turns(sum(side.total for side in sides)), sides
+    sides = _walk(spec, v, [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])], margin)
+    return *_turns(sum(sides)), sides
 
 
 def winding_number(
@@ -346,10 +324,12 @@ def sigma_star(
 ) -> float:
     """Largest sigma (within tol) whose right half-strip still contains a zero.
 
-    Bisects the left edge of [sigma, sigma_top] x t_window: each step walks
-    that edge alone and counts the zeros right of it from the strip's walked
-    bottom, right and top sides; returns -inf when no zero of f - v lies in
-    the searched window at all.
+    Bisects the left edge of [sigma, sigma_top] x t_window, keeping the
+    bracket [lo, hi] with no zero in [hi, sigma_top] x t_window: each step
+    counts the zeros in [c, hi] x t_window from one walk of its new left
+    edge and its bottom and top pieces, the right side being the edge that
+    set hi; returns -inf when no zero of f - v lies in the searched window
+    at all.
     The result is a window-limited lower bound for the true zero-free
     abscissa; wide windows approximate it by almost periodicity.
     """
@@ -370,29 +350,29 @@ def sigma_star(
     if sigma_top <= sigma_floor:
         return float("-inf")
     margin = boundary_margin(v)
-    strip, (inside, _, sides) = _first_clear(
+    strip, (inside, _, (_, right, _, _)) = _first_clear(
         lambda rect: _contour(spec, v, rect, steps, margin),
         [_t_padded((sigma_floor, sigma_top), t_window)],
     )
     if inside == 0:
         return float("-inf")
-    bottom, right, top, _ = sides
     t0, t1 = strip.t_range
 
-    def inside_from(c: float) -> int:
-        """Zeros in [c, sigma_top] x the strip's window: its left side is
-        walked, the rest read off the strip's sides."""
-        low, high = complex(c, t0), complex(c, t1)
-        left = _side_argument(spec, v, high, low, steps, margin)
-        w_high, w_low = left.ws[0][[0, -1]]
-        total = (
-            bottom.total
-            - _argument_to(spec, v, bottom, low, w_low, margin)
-            + right.total
-            + _argument_to(spec, v, top, high, w_high, margin)
-            + left.total
+    def inside_from(c: float) -> tuple[int, float]:
+        """Zeros in [c, hi] x the strip's window, and the argument along its
+        left side; the horizontal pieces take the strip's density."""
+        pieces = math.ceil(steps * (hi - c) / (sigma_top - sigma_floor))
+        left, bottom, top = _walk(
+            spec,
+            v,
+            [
+                (complex(c, t1), complex(c, t0), steps),
+                (complex(c, t0), complex(hi, t0), pieces),
+                (complex(hi, t1), complex(c, t1), pieces),
+            ],
+            margin,
         )
-        return _turns(total)[0]
+        return _turns(bottom + right + top + left)[0], left
 
     lo, hi = sigma_floor, sigma_top
     while hi - lo > tol:
@@ -401,11 +381,11 @@ def sigma_star(
             break  # no double lies between lo and hi
         # a zero exactly on the bisection edge gets dodged deterministically
         edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
-        c, inside = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
+        c, (inside, left) = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
         if inside > 0:
             lo = c
         else:
-            hi = c
+            hi, right = c, -left  # the edge walked downward is the next right side
     return 0.5 * (lo + hi)
 
 
@@ -421,7 +401,8 @@ def attains_value(
 
     The sigma edges are inset (the strip is open) and the t edges padded
     outward through the same deterministic ladder as sigma_star when a zero
-    sits exactly on the contour.
+    sits exactly on the contour; a rung whose inset would empty the strip is
+    not tried, so a narrow strip raises the error of the last one tried.
     """
     if not sigma1 < sigma2:
         raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
@@ -430,14 +411,16 @@ def attains_value(
     v = _finite_target(v)
     t0, t1 = t_window
 
-    def padded(jitter: float) -> Rectangle:
-        pad_s = jitter * (1.0 + (sigma2 - sigma1))
-        pad_t = jitter * (1.0 + (t1 - t0))
-        return Rectangle((sigma1 + pad_s, sigma2 - pad_s), (t0 - pad_t, t1 + pad_t))
+    def padded() -> Iterator[Rectangle]:
+        """The ladder's rectangles, up to the last inset that leaves a strip."""
+        for jitter in _JITTERS:
+            pad_s = jitter * (1.0 + (sigma2 - sigma1))
+            pad_t = jitter * (1.0 + (t1 - t0))
+            if not sigma1 + pad_s < sigma2 - pad_s:
+                return
+            yield Rectangle((sigma1 + pad_s, sigma2 - pad_s), (t0 - pad_t, t1 + pad_t))
 
-    _, inside = _first_clear(
-        lambda rect: count_zeros(spec, v, rect, steps), [map(padded, _JITTERS)]
-    )
+    _, inside = _first_clear(lambda rect: count_zeros(spec, v, rect, steps), [padded()])
     return inside >= 1
 
 

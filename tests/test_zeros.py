@@ -82,9 +82,10 @@ class TestCountZeros:
         with pytest.raises((BoundaryTooClose, NonconvergentSubdivision)):
             count_zeros(one_plus_two(), 0.0, Rectangle((0.0, 1.0), (4.0, 5.0)))
 
-    @pytest.mark.parametrize("steps", [0, -1])
+    @pytest.mark.parametrize("steps", [0, -1, 2.5])
     def test_steps_below_one_rejected(self, steps):
-        # the rectangle holds 6 zeros of 1 + 2^{-s}; no step count may hide them
+        # the rectangle holds 6 zeros of 1 + 2^{-s}; no step count may hide
+        # them, and a fractional one would sample past each side's end
         rect = Rectangle((-1, 1), (-30, 30))
         with pytest.raises(BadRange):
             count_zeros(one_plus_two(), 0.0, rect, steps)
@@ -182,6 +183,16 @@ class TestAttainsValue:
         with pytest.raises(BadRange):
             attains_value(two_three(), 0.5, 1.0, 1.0, (-1, 1))
 
+    def test_narrow_strip_raises_the_last_clipping_error(self):
+        # |f - v| = 1e-12 |2^{-s}| lies within the margin everywhere, so every
+        # rectangle clips; the last jitter's inset, 6.7e-5, would empty the
+        # strip of width 1e-4, so that rung is skipped, not turned inside out
+        syms = SymbolTable([("L2", LOG2)])
+        spec = SeriesSpec(syms, [(ExponentVector(), 1.0), (ExponentVector({"L2": 1}), 1e-12)])
+        with pytest.raises(BoundaryTooClose) as info:
+            attains_value(spec, 1.0, -5e-5, 5e-5, (0.0, 10.0))
+        assert -5e-5 < info.value.point.real < 5e-5
+
 
 class TestSigmaSequence:
     def test_constant_series_all_minus_infinity(self):
@@ -208,13 +219,14 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
     """The depth-first scalar walk: one phase and one evaluation per segment.
 
     Sums the accepted increments left to right along the side and returns
-    the same profile as the array walk, its samples as one level in order.
-    `depth`, a one-element list, gets the deepest bisection level reached.
+    the total.  It evaluates through `zeros.evaluate`, so a test that
+    records that name sees its points.  `depth`, a one-element list, gets
+    the deepest bisection level reached.
     """
 
     def w_at(p):
         s = a + (b - a) * p
-        w = evaluate(spec, s) - v
+        w = zeros.evaluate(spec, s) - v
         close = np.flatnonzero(np.abs(w) <= margin)
         if close.size:
             i = close[0]
@@ -225,7 +237,6 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
     samples = list(zip(ps.tolist(), w_at(ps).tolist()))
     count = steps + 1
     total = 0.0
-    lefts, cum, starts = [], [], []
     for i in range(steps):
         stack = [(*samples[i], *samples[i + 1], 0)]
         while stack:
@@ -235,9 +246,6 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             delta = cmath.phase(w2 / w1)
             if abs(delta) <= zeros.HALF_PI:
                 total += delta
-                lefts.append(p1)
-                cum.append(total)
-                starts.append(w1)
                 continue
             count += 1
             if count > zeros.MAX_SIDE_SAMPLES:
@@ -246,18 +254,26 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             wm = w_at(pm)
             stack.append((pm, wm, p2, w2, level + 1))
             stack.append((p1, w1, pm, wm, level + 1))
-    ps, ws = np.array(lefts + [1.0]), np.array(starts + [samples[-1][1]])
-    return zeros.Side(a, b, np.array(cum), [ps], [ws])
+    return total
+
+
+def reference_walk(spec, v, segments, margin, depth=None):
+    """`zeros._walk` with the scalar walk on each segment in turn."""
+    return [reference_side(spec, v, a, b, steps, margin, depth) for a, b, steps in segments]
+
+
+def sides(rect, steps=256):
+    """The rectangle's four sides as walked, counterclockwise from the bottom."""
+    c = rect.corners()
+    return [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])]
 
 
 def reference_winding(spec, v, rect, steps=256, depth=None):
     """winding_number with the scalar walk on each side."""
     v = complex(v)
-    margin = boundary_margin(v)
-    c = rect.corners()
     total = 0.0
-    for a, b in zip(c, c[1:] + c[:1]):
-        total += reference_side(spec, v, a, b, steps, margin, depth).total
+    for side in reference_walk(spec, v, sides(rect, steps), boundary_margin(v), depth):
+        total += side
     turns = round(total / zeros.TWO_PI)
     return int(turns), abs(total - zeros.TWO_PI * turns)
 
@@ -396,32 +412,38 @@ class TestArrayWalk:
             (bohr, evaluate(bohr, complex(0.4, 2.0)), (-10.0, 10.0), -2.0, 1e-3),
         ]
         got = [sigma_star(f, v, w, floor, tol) for f, v, w, floor, tol in cases]
-        monkeypatch.setattr(zeros, "_side_argument", reference_side)
+        monkeypatch.setattr(zeros, "_walk", reference_walk)
         want = [sigma_star(f, v, w, floor, tol) for f, v, w, floor, tol in cases]
         assert got == want
         assert all(math.isfinite(x) for x in got)
 
-    def test_profile_matches_scalar_walk(self):
-        # the same accepted segments in the same order, the same values of
-        # f - v at their left ends and at the far end, and running sums equal
-        # up to the increments' last bits
+    def test_profile_matches_scalar_walk(self, monkeypatch):
+        # a batch of four sides evaluates exactly the points that the scalar
+        # walk evaluates side by side, and each side's total equals the
+        # scalar one up to the increments' last bits and a walk of that side
+        # alone to the bit
+        points = []
+
+        def recording(spec, s):
+            points.append(np.ravel(s))
+            return evaluate(spec, s)
+
+        monkeypatch.setattr(zeros, "evaluate", recording)
         for spec, v, rect in walk_cases():
             margin = boundary_margin(v)
-            c = rect.corners()
-            for a, b in zip(c, c[1:] + c[:1]):
-                got = zeros._side_argument(spec, v, a, b, 256, margin)
-                want = reference_side(spec, v, a, b, 256, margin)
-                ps, ws = np.concatenate(got.ps), np.concatenate(got.ws)
-                order = np.argsort(ps)
-                assert (got.a, got.b) == (want.a, want.b)
-                assert np.array_equal(ps[order], want.ps[0])
-                assert np.array_equal(ws[order], want.ws[0])
-                assert got.ws[0][-1] == want.ws[0][-1]  # the far end's value
-                assert np.allclose(got.cum, want.cum, rtol=0.0, atol=1e-12)
+            points.clear()
+            got = zeros._walk(spec, v, sides(rect), margin)
+            walked = np.sort_complex(np.concatenate(points))
+            points.clear()
+            want = reference_walk(spec, v, sides(rect), margin)
+            assert np.array_equal(walked, np.sort_complex(np.concatenate(points)))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert got == [zeros._walk(spec, v, [side], margin)[0] for side in sides(rect)]
 
     def test_one_array_call_per_level(self, monkeypatch):
-        # every evaluation of a walk takes an array, and a side makes one
-        # call for its samples plus one per bisection level
+        # every evaluation of a walk takes an array, and a contour makes one
+        # call for the samples of its four sides plus one per bisection level
+        # of its deepest side
         shapes = []
 
         def recording(spec, point):
@@ -435,7 +457,7 @@ class TestArrayWalk:
             monkeypatch.setattr(zeros, "evaluate", recording)
             count_zeros(spec, v, rect)
             monkeypatch.undo()
-            assert len(shapes) <= 4 * (1 + depth[0])
+            assert len(shapes) <= 1 + depth[0]
             assert all(len(shape) == 1 for shape in shapes)
 
 
@@ -584,26 +606,36 @@ class TestLadder:
     def test_sigma_star_order(self, monkeypatch):
         # the strip [-1, 2] clips a zero on its first four windows and holds
         # one in its last; then every shifted bisection edge clips one.  Each
-        # walk that clips raises at its start point
+        # batch that clips raises at the start of its first segment: the
+        # strip's bottom side, or the step's left edge
         t0, t1 = PADDED_WINDOWS[-1]
-        quarter = zeros.Side(0j, 0j, np.full(1, zeros.HALF_PI), [np.zeros(2)], [np.ones(2)])
         walks = []
 
-        def fake(spec, v, a, b, steps, margin):
-            walks.append((a, b))
-            if {a.real, b.real} <= {-1.0, 2.0} and {a.imag, b.imag} <= {t0, t1}:
-                return quarter
-            raise BoundaryTooClose(a, 0.0, 1.0)
+        def fake(spec, v, segments, margin):
+            walks.append(segments)
+            if all(
+                {a.real, b.real} <= {-1.0, 2.0} and {a.imag, b.imag} <= {t0, t1}
+                for a, b, _ in segments
+            ):
+                return [zeros.HALF_PI] * len(segments)
+            raise BoundaryTooClose(segments[0][0], 0.0, 1.0)
 
-        monkeypatch.setattr(zeros, "_side_argument", fake)
+        monkeypatch.setattr(zeros, "_walk", fake)
         with pytest.raises(BoundaryTooClose) as info:
             sigma_star(harmonic_30(), 0.5, (-5.0, 5.0), -1.0)
         edges = [0.5, 0.60275, 0.34175, 0.7482500000000001]
-        strip = Rectangle((-1.0, 2.0), (t0, t1)).corners()
+        # the bottom and top pieces to hi = 2 take the strip's density
+        pieces = [math.ceil(256 * (2.0 - edge) / 3.0) for edge in edges]
         assert walks == (
-            [(complex(-1.0, lo), complex(2.0, lo)) for lo, _ in PADDED_WINDOWS[:4]]
-            + list(zip(strip, strip[1:] + strip[:1]))
-            + [(complex(edge, t1), complex(edge, t0)) for edge in edges]
+            [sides(Rectangle((-1.0, 2.0), window)) for window in PADDED_WINDOWS]
+            + [
+                [
+                    (complex(edge, t1), complex(edge, t0), 256),
+                    (complex(edge, t0), complex(2.0, t0), n),
+                    (complex(2.0, t1), complex(edge, t1), n),
+                ]
+                for edge, n in zip(edges, pieces)
+            ]
         )
         # the error is the unshifted edge's
         assert info.value.point == complex(0.5, t1)
@@ -614,24 +646,34 @@ class TestLadder:
         # error is raised without walking it again
         spec = harmonic_30()
         walks = []
-        walk = zeros._side_argument
+        walk = zeros._walk
 
-        def counting(*args):
-            walks.append(args[2:4])
-            return walk(*args)
+        def counting(spec, v, segments, margin):
+            walks.append(segments)
+            return walk(spec, v, segments, margin)
 
-        monkeypatch.setattr(zeros, "_side_argument", counting)
+        monkeypatch.setattr(zeros, "_walk", counting)
         with pytest.raises(BoundaryTooClose) as info:
             sigma_star(spec, 0.5, (-5.0, 5.0), -1.0, tol=1e-12)
-        # the strip's four sides, one left side per bisection step, and the
-        # four edges of the last step (47 whole contours before)
-        assert len(walks) == 34
-        # the last step's four edges, unshifted first, each a left side
-        unshifted, _ = walks[-4]
-        assert [(a.imag, b.imag) for a, b in walks[-4:]] == [(5.0, -5.0)] * 4
+        # the strip, one batch per bisection step, and the four edges of the
+        # last step
+        assert len(walks) == 31
+        # the last step's four edges, unshifted first, each its batch's left side
+        unshifted = walks[-4][0][0]
+        assert [(a.imag, b.imag) for (a, b, _), *_ in walks[-4:]] == [(5.0, -5.0)] * 4
         assert info.value.point.real == unshifted.real
         assert -5.0 < info.value.point.imag < 5.0
+        clipped = 0.15382111817598343 + 3.3243053406476974j
+        assert info.value.point == pytest.approx(clipped, rel=1e-12)
         assert abs(evaluate(spec, info.value.point) - 0.5) <= info.value.margin
+
+    def test_attains_value_skips_insets_that_empty_the_strip(self, monkeypatch):
+        tried = self.clipping(monkeypatch)
+        with pytest.raises(BoundaryTooClose) as info:
+            attains_value(one_plus_two(), 0.0, -5e-5, 5e-5, (0.0, 10.0))
+        assert len(tried) == len(zeros._JITTERS) - 1
+        assert all(-5e-5 <= r.sigma_range[0] < r.sigma_range[1] <= 5e-5 for r in tried)
+        assert info.value.point.real == tried[-1].sigma_range[0]
 
     def test_bracket_of_adjacent_doubles_ends_the_bisection(self, monkeypatch):
         # 1e9 - 1e9 e^{26} e^{-20 s} vanishes at s = 1.3 with |f'| = 2e10 there,
@@ -659,37 +701,47 @@ class TestStripWalk:
         assert got == [reference_sigma_star(*case) for case in sigma_star_cases()]
         assert sum(math.isfinite(x) for x in got) >= 20
 
-    def test_corner_pieces_past_half_pi_are_walked(self, monkeypatch):
-        # with 3 steps a side, the piece between a bisection edge and the
-        # strip sample before it sometimes turns by more than pi/2; it is
-        # then walked, and the results still match a whole contour per step
+    def test_coarse_steps_match_whole_contour_per_step(self, monkeypatch):
+        # with 3 steps a side, a step's bottom and top pieces are a single
+        # segment, which sometimes turns by more than pi/2 and is bisected;
+        # the results still match a whole contour per step
         rng = random.Random(5)
-        walk = zeros._side_argument
-        pieces = []
+        walk, evaluate_ = zeros._walk, zeros.evaluate
+        batch, bisected = [], [0]
 
-        def recording(spec, v, a, b, steps, margin):
-            if steps == 1 and a.imag == b.imag:
-                pieces.append((a, b))
-            return walk(spec, v, a, b, steps, margin)
+        def recording_walk(spec, v, segments, margin):
+            batch[:] = [segments, 0]
+            return walk(spec, v, segments, margin)
+
+        def recording_evaluate(spec, s):
+            segments, calls = batch
+            batch[1] += 1
+            if len(segments) == 3 and calls > 0:  # a bisection level of a step
+                horizontal = {segments[1][0].imag, segments[2][0].imag}
+                bisected[0] += bool(np.isin(np.imag(s), list(horizontal)).any())
+            return evaluate_(spec, s)
 
         for _ in range(80):
             poly = random_poly(rng, degree=8)
             v = evaluate(poly, complex(rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0)))
-            monkeypatch.setattr(zeros, "_side_argument", recording)
+            monkeypatch.setattr(zeros, "_walk", recording_walk)
+            monkeypatch.setattr(zeros, "evaluate", recording_evaluate)
             got = sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
             monkeypatch.undo()
             assert got == reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
-        assert len(pieces) >= 3
+        assert bisected[0] >= 3
 
     def test_walk_budget(self, monkeypatch):
-        # per accepted window: each horizontal edge of the strip once, its
-        # right side once, and one left side per bisection edge tried
-        walk, evaluate_ = zeros._side_argument, zeros.evaluate
+        # per accepted window: the strip's four sides in one batch, then one
+        # batch per bisection edge tried, of its left side and its bottom and
+        # top pieces to hi at the strip's density; hi is sigma_top or an
+        # earlier edge, and no right side is walked again
+        walk, evaluate_ = zeros._walk, zeros.evaluate
         walks, points = [], [0]
 
-        def recording(spec, v, a, b, steps, margin):
-            walks.append((a, b, steps))
-            return walk(spec, v, a, b, steps, margin)
+        def recording(spec, v, segments, margin):
+            walks.append(segments)
+            return walk(spec, v, segments, margin)
 
         def counting(spec, s):
             points[0] += np.size(s)
@@ -706,18 +758,75 @@ class TestStripWalk:
             count_zeros(spec, v, strip)
             contour = points[0]
             points[0] = 0
-            monkeypatch.setattr(zeros, "_side_argument", recording)
+            monkeypatch.setattr(zeros, "_walk", recording)
             got = sigma_star(spec, v, rect.t_range, floor, tol)
             monkeypatch.undo()
-            c = strip.corners()
-            assert walks[:4] == [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])]
-            edges = [a.real for a, b, _ in walks[4:]]
-            assert walks[4:] == [(complex(e, t1), complex(e, t0), steps) for e in edges]
+            assert walks[0] == sides(strip, steps)
+            edges, his = [], [sigma_top]
+            for batch in walks[1:]:
+                (a, _, _), (_, b, n), _ = batch
+                e, hi = a.real, b.real
+                assert hi in (his[-1], *edges[-1:])  # kept, or the last edge
+                assert n == math.ceil(steps * (hi - e) / (sigma_top - floor))
+                assert batch == [
+                    (complex(e, t1), complex(e, t0), steps),
+                    (complex(e, t0), complex(hi, t0), n),
+                    (complex(hi, t1), complex(e, t1), n),
+                ]
+                edges.append(e)
+                his.append(hi)
+            assert his == sorted(his, reverse=True)
             assert len(set(edges)) == len(edges)
             assert all(floor < e < sigma_top for e in edges)
             bisections = math.ceil(math.log2((sigma_top - floor) / tol))
             assert len(edges) == (bisections if math.isfinite(got) else 0)
             # a whole contour per step walked at least 4 (steps + 1) points;
             # each left side adds steps + 1 samples and its few bisection
-            # midpoints, all of them less than one more contour
+            # midpoints, and the pieces add at most 4 (steps + len(edges))
+            # samples in all, since hi - lo halves at each step: less than
+            # one more contour
             assert points[0] < (steps + 1) * len(edges) + 2 * contour
+
+
+def poly_zeros(spec, v):
+    """The zeros of P(e^{-s}) - v in the strip 0 <= t < 2pi, from the roots z
+    of P(z) - v by numpy.roots: s = -log z, with t taken mod 2pi."""
+    coeffs = {round(term.exponent.numeric_value(spec.symbols)): term.coeff for term in spec.terms}
+    poly = [coeffs.get(k, 0.0) for k in range(max(coeffs) + 1)]
+    poly[0] -= v
+    z = np.roots(poly[::-1])
+    return -np.log(np.abs(z)) + 1j * np.mod(-np.angle(z), 2 * math.pi)
+
+
+class TestRootsOracle:
+    """count_zeros and sigma_star on polynomials in e^{-s} against their
+    zeros computed apart from the walk, by numpy.roots."""
+
+    def test_count_zeros(self):
+        counts = []
+        for spec, v, rect in walk_cases()[:6]:
+            (s0, s1), (t0, t1) = rect.sigma_range, rect.t_range
+            roots = poly_zeros(spec, v)
+            # every copy s + 2 pi i m of a zero with t0 <= t + 2 pi m <= t1
+            first = np.ceil((t0 - roots.imag) / (2 * math.pi))
+            last = np.floor((t1 - roots.imag) / (2 * math.pi))
+            copies = np.where((s0 < roots.real) & (roots.real < s1), last - first + 1, 0)
+            # no copy lies within 1e-6 of the contour, so the count is sharp
+            turns = (roots.imag[:, None] - np.array([t0, t1])) % (2 * math.pi)
+            assert np.abs(roots.real[:, None] - np.array([s0, s1])).min() > 1e-6
+            assert np.minimum(turns, 2 * math.pi - turns).min() > 1e-6
+            counts.append(int(copies.sum()))
+            assert count_zeros(spec, v, rect) == counts[-1]
+        assert min(counts) == 0 and max(counts) >= 10
+
+    def test_sigma_star(self):
+        polys = sigma_star_cases()[6:12]
+        assert all(len(spec.terms) == 17 for spec, *_ in polys)
+        for spec, v, window, floor, tol in polys:
+            # the window spans 2 pi, so it holds one copy of every zero
+            assert window[1] - window[0] == pytest.approx(2 * math.pi)
+            sigmas = poly_zeros(spec, v).real
+            right = sigmas[sigmas > floor]
+            got = sigma_star(spec, v, window, floor, tol)
+            assert right.size
+            assert abs(got - right.max()) <= tol
