@@ -27,6 +27,8 @@ from .seriesio import (
     parse_series_file,
 )
 
+# Each handler takes the parsed args and series and returns its result; `_run`
+# parses the series files, writes the result and picks the exit code.
 # The float layer (NumPy, `evaluation`, `valuesets`, `zeros`) is imported in
 # the handlers that call it, so the exact-layer commands and `kronecker` start
 # without NumPy.
@@ -47,13 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _verdict(command: str, inputs: dict, result: dict) -> str:
@@ -98,10 +93,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bohreq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, series2: bool = False, sampling: bool = False):
+    def add(name: str, handler, help_text: str, series: int = 1, sampling: bool = False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--series", required=name != "bohr-example", help="series file (JSON)")
-        if series2:
+        p.set_defaults(handler=handler)
+        if series:
+            p.add_argument("--series", required=True, help="series file (JSON)")
+        if series == 2:
             p.add_argument("--series2", required=True, help="second series file")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if sampling:
@@ -109,49 +106,51 @@ def build_parser() -> _Parser:
             p.add_argument("--format", choices=("json", "csv"), default="csv")
         return p
 
-    add("basis", "rational basis, expansion and selection matrices")
+    add("basis", _cmd_basis, "rational basis, expansion and selection matrices")
 
-    p = add("twist", "twist coefficients by a phase vector over the basis")
+    p = add("twist", _cmd_twist, "twist coefficients by a phase vector over the basis")
     p.add_argument("--phases", type=_phases_arg, required=True, help="comma-separated radians")
 
-    for name, help_text in (
-        ("solve-phases", "feasibility of the phase congruence system"),
-        ("equiv", "decide equivalence of two aligned truncations"),
+    for name, handler, help_text in (
+        ("solve-phases", _cmd_solve_phases, "feasibility of the phase congruence system"),
+        ("equiv", _cmd_equiv, "decide equivalence of two aligned truncations"),
     ):
-        p = add(name, help_text, series2=True)
+        p = add(name, handler, help_text, series=2)
         p.add_argument("--tol", type=float, default=1e-9,
                        help="modulus and phase tolerance (default 1e-9)")
 
-    p = add("closure-demo", "per-truncation feasibility and minimal phase norms", series2=True)
+    p = add("closure-demo", _cmd_closure_demo,
+            "per-truncation feasibility and minimal phase norms", series=2)
     p.add_argument("--nmax", type=int, required=True)
 
-    p = add("eval", "evaluate the series at one point")
+    p = add("eval", _cmd_eval, "evaluate the series at one point")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
 
-    p = add("tail", "certified tail bound at an abscissa")
+    p = add("tail", _cmd_tail, "certified tail bound at an abscissa")
     p.add_argument("--sigma", type=float, required=True)
 
-    p = add("uniform-distance", "max |f - g| over a box grid", series2=True)
+    p = add("uniform-distance", _cmd_uniform_distance, "max |f - g| over a box grid", series=2)
     p.add_argument("--sigma-min", type=float, required=True)
     p.add_argument("--sigma-max", type=float, required=True)
     p.add_argument("--t-min", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--grid", type=_grid_arg, default=(20, 40), help="sigma x t step counts")
 
-    p = add("value-set", "sample strip values (route A or B)", sampling=True)
+    p = add("value-set", _cmd_value_set, "sample strip values (route A or B)", sampling=True)
     p.add_argument("--route", choices=("direct", "equivalence"), default="direct")
     p.add_argument("--sigma-min", type=float, required=True)
     p.add_argument("--sigma-max", type=float, required=True)
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--count", type=int, default=10000)
 
-    p = add("line-set", "sample values on a vertical line", sampling=True)
+    p = add("line-set", _cmd_line_set, "sample values on a vertical line", sampling=True)
     p.add_argument("--sigma0", type=float, required=True)
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--count", type=int, default=10000)
 
-    p = add("sigma-star", "largest abscissa whose right half-strip has a zero of f - v")
+    p = add("sigma-star", _cmd_sigma_star,
+            "largest abscissa whose right half-strip has a zero of f - v")
     p.add_argument("--tol", type=float, default=1e-3, help="bisection width (default 1e-3)")
     p.add_argument("--v-re", type=float, default=0.0)
     p.add_argument("--v-im", type=float, default=0.0)
@@ -160,7 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-floor", type=float, default=-10.0)
     p.add_argument("--steps", type=int, default=256)
 
-    p = add("zeros", "argument-principle zero count of f - v in a rectangle")
+    p = add("zeros", _cmd_zeros, "argument-principle zero count of f - v in a rectangle")
     p.add_argument("--v-re", type=float, default=0.0)
     p.add_argument("--v-im", type=float, default=0.0)
     p.add_argument("--sigma-min", type=float, required=True)
@@ -169,14 +168,15 @@ def build_parser() -> _Parser:
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=256)
 
-    p = add("kronecker", "find a shift time realizing target basis phases")
+    p = add("kronecker", _cmd_kronecker, "find a shift time realizing target basis phases")
     p.add_argument("--target", type=_phases_arg, required=True, help="radians per basis element")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="largest phase miss accepted, in radians, on every basis element "
                         "(default 1e-9); 'not found' is exact for the doubles given")
     p.add_argument("--t-max-search", type=float, default=1e5)
 
-    p = add("bohr-example", "emit the counterexample series truncation")
+    p = add("bohr-example", _cmd_bohr_example, "emit the counterexample series truncation",
+            series=0)
     p.add_argument("--n", type=int, required=True)
 
     return parser
@@ -189,10 +189,9 @@ def _matrix_obj(matrix) -> list[dict[str, str]]:
     ]
 
 
-def _cmd_basis(args) -> int:
-    spec = parse_series_file(args.series)
+def _cmd_basis(args, spec) -> dict:
     basis, expansion, selection = compute_basis([t.exponent for t in spec.terms])
-    result = {
+    return {
         "basis": [
             {name: format_rational(q) for name, q in beta.items()}
             for beta in basis.elements
@@ -211,21 +210,14 @@ def _cmd_basis(args) -> int:
             )
         ),
     }
-    _emit(args, _verdict("basis", {"series": args.series}, result))
-    return EXIT_OK
 
 
-def _cmd_twist(args) -> int:
-    spec = parse_series_file(args.series)
+def _cmd_twist(args, spec) -> str:
     basis, expansion, _ = compute_basis([t.exponent for t in spec.terms])
-    twisted = equivalence.twist(spec, basis, expansion, args.phases)
-    _emit(args, emit_series_text(twisted))
-    return EXIT_OK
+    return emit_series_text(equivalence.twist(spec, basis, expansion, args.phases))
 
 
-def _cmd_solve_phases(args) -> int:
-    a = parse_series_file(args.series)
-    b = parse_series_file(args.series2)
+def _cmd_solve_phases(args, a, b) -> tuple[dict, bool]:
     targets = equivalence.extract_phase_targets(a, b, args.tol)
     _, expansion, _ = compute_basis([t.exponent for t in a.terms])
     system = equivalence.solve_phase_system(expansion, targets, args.tol)
@@ -240,14 +232,10 @@ def _cmd_solve_phases(args) -> int:
     else:
         result["witness"] = list(system.witness)
         result["defect"] = system.defect
-    pair = {"series": args.series, "series2": args.series2}
-    _emit(args, _verdict("solve-phases", pair, result))
-    return EXIT_OK if system.feasible else EXIT_NEGATIVE
+    return result, system.feasible
 
 
-def _cmd_equiv(args) -> int:
-    a = parse_series_file(args.series)
-    b = parse_series_file(args.series2)
+def _cmd_equiv(args, a, b) -> tuple[dict, bool]:
     outcome = equivalence.is_equivalent_truncated(a, b, args.tol)
     result: dict = {"equivalent": outcome.equivalent}
     if outcome.equivalent:
@@ -255,66 +243,38 @@ def _cmd_equiv(args) -> int:
         result["residual"] = outcome.system.residual
     else:
         result["reason"] = outcome.reason
-    pair = {"series": args.series, "series2": args.series2}
-    _emit(args, _verdict("equiv", pair, result))
-    return EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
+    return result, outcome.equivalent
 
 
-def _cmd_closure_demo(args) -> int:
-    a = parse_series_file(args.series)
-    b = parse_series_file(args.series2)
-    points = equivalence.closure_demo(a, b, args.nmax)
-    result = {
-        "points": [
-            {"n": p.n, "feasible": p.feasible, "min_norm": p.min_norm} for p in points
-        ]
-    }
-    pair = {"series": args.series, "series2": args.series2}
-    _emit(args, _verdict("closure-demo", pair, result))
-    return EXIT_OK
+def _cmd_closure_demo(args, a, b) -> dict:
+    return {"points": [p._asdict() for p in equivalence.closure_demo(a, b, args.nmax)]}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, spec) -> dict:
     from . import evaluation
 
-    spec = parse_series_file(args.series)
     value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
-    result = {"re": value.real, "im": value.imag}
-    _emit(args, _verdict("eval", {"series": args.series}, result))
-    return EXIT_OK
+    return {"re": value.real, "im": value.imag}
 
 
-def _cmd_tail(args) -> int:
-    spec = parse_series_file(args.series)
+def _cmd_tail(args, spec) -> dict:
     if spec.tail is None:
         raise ValidationError("series file declares no tail majorant")
-    result = {"sigma": args.sigma, "bound": spec_tail_bound(spec, args.sigma)}
-    _emit(args, _verdict("tail", {"series": args.series}, result))
-    return EXIT_OK
+    return {"sigma": args.sigma, "bound": spec_tail_bound(spec, args.sigma)}
 
 
-def _cmd_uniform_distance(args) -> int:
+def _cmd_uniform_distance(args, a, b) -> dict:
     from . import evaluation
 
-    a = parse_series_file(args.series)
-    b = parse_series_file(args.series2)
     box = evaluation.GridBox(
-        (args.sigma_min, args.sigma_max),
-        (args.t_min, args.t_max),
-        args.grid[0],
-        args.grid[1],
+        (args.sigma_min, args.sigma_max), (args.t_min, args.t_max), *args.grid
     )
-    distance = evaluation.uniform_distance(a, b, box)
-    result = {"distance": distance}
-    pair = {"series": args.series, "series2": args.series2}
-    _emit(args, _verdict("uniform-distance", pair, result))
-    return EXIT_OK
+    return {"distance": evaluation.uniform_distance(a, b, box)}
 
 
-def _cmd_value_set(args) -> int:
+def _cmd_value_set(args, spec) -> str:
     from . import valuesets
 
-    spec = parse_series_file(args.series)
     if args.route == "direct":
         cloud = valuesets.sample_strip_direct(
             spec, args.sigma_min, args.sigma_max, args.t_max, args.count, args.seed
@@ -323,78 +283,59 @@ def _cmd_value_set(args) -> int:
         cloud = valuesets.sample_strip_via_equivalence(
             spec, args.sigma_min, args.sigma_max, args.count, args.seed
         )
-    _emit(args, _cloud_text(cloud, args.format))
-    return EXIT_OK
+    return _cloud_text(cloud, args.format)
 
 
-def _cmd_line_set(args) -> int:
+def _cmd_line_set(args, spec) -> str:
     from . import valuesets
 
-    spec = parse_series_file(args.series)
     cloud = valuesets.sample_line(spec, args.sigma0, args.t_max, args.count, args.seed)
-    _emit(args, _cloud_text(cloud, args.format))
-    return EXIT_OK
+    return _cloud_text(cloud, args.format)
 
 
-def _cmd_sigma_star(args) -> int:
+def _cmd_sigma_star(args, spec) -> dict:
     from . import zeros
 
-    spec = parse_series_file(args.series)
     v = complex(args.v_re, args.v_im)
     value = zeros.sigma_star(
         spec, v, (args.t_min, args.t_max), args.sigma_floor, args.tol, args.steps
     )
-    result = {
+    return {
         "sigma_star": None if math.isinf(value) else value,
         "zero_found": not math.isinf(value),
     }
-    _emit(args, _verdict("sigma-star", {"series": args.series}, result))
-    return EXIT_OK
 
 
-def _cmd_zeros(args) -> int:
+def _cmd_zeros(args, spec) -> dict:
     from . import zeros
 
-    spec = parse_series_file(args.series)
     rect = zeros.Rectangle((args.sigma_min, args.sigma_max), (args.t_min, args.t_max))
-    count = zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)
-    result = {"count": count}
-    _emit(args, _verdict("zeros", {"series": args.series}, result))
-    return EXIT_OK
+    return {"count": zeros.count_zeros(spec, complex(args.v_re, args.v_im), rect, args.steps)}
 
 
-def _cmd_kronecker(args) -> int:
-    spec = parse_series_file(args.series)
+def _cmd_kronecker(args, spec) -> tuple[dict, bool]:
     basis, _, _ = compute_basis([t.exponent for t in spec.terms])
     values = [beta.numeric_value(spec.symbols) for beta in basis.elements]
     hit = equivalence.kronecker_find_t(values, args.target, args.tol, args.t_max_search)
-    result = {"found": hit.found, "t": hit.t, "residual": hit.residual}
-    _emit(args, _verdict("kronecker", {"series": args.series}, result))
-    return EXIT_OK if hit.found else EXIT_NEGATIVE
+    return hit._asdict(), hit.found
 
 
-def _cmd_bohr_example(args) -> int:
-    spec = scenarios.bohr_example(args.n)
-    _emit(args, emit_series_text(spec))
-    return EXIT_OK
+def _cmd_bohr_example(args) -> str:
+    return emit_series_text(scenarios.bohr_example(args.n))
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "twist": _cmd_twist,
-    "solve-phases": _cmd_solve_phases,
-    "equiv": _cmd_equiv,
-    "closure-demo": _cmd_closure_demo,
-    "eval": _cmd_eval,
-    "tail": _cmd_tail,
-    "uniform-distance": _cmd_uniform_distance,
-    "value-set": _cmd_value_set,
-    "line-set": _cmd_line_set,
-    "sigma-star": _cmd_sigma_star,
-    "zeros": _cmd_zeros,
-    "kronecker": _cmd_kronecker,
-    "bohr-example": _cmd_bohr_example,
-}
+def _run(args) -> int:
+    """Parse the series files, run the handler, write its result: a text as
+    it is, a verdict in the JSON envelope, exit 2 when the verdict is negative."""
+    inputs = {name: getattr(args, name) for name in ("series", "series2") if name in args}
+    result = args.handler(args, *(parse_series_file(path) for path in inputs.values()))
+    result, positive = result if isinstance(result, tuple) else (result, True)
+    text = result if isinstance(result, str) else _verdict(args.command, inputs, result)
+    if args.out:
+        atomic_write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 def run_command(argv: list[str]) -> int:
@@ -404,11 +345,8 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return _HANDLERS[args.command](args)
-    except SeriesError as err:
-        print(f"bohreq: error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as err:
+        return _run(args)
+    except (SeriesError, OSError) as err:
         print(f"bohreq: error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -38,6 +38,8 @@ from .errors import (
     ModulusMismatch,
     PrecisionLimit,
     SupportMismatch,
+    check_integral,
+    check_tol,
 )
 from .lattice import (
     enumerate_near,
@@ -146,12 +148,6 @@ def twist(
     return spec.with_coeffs(coeffs)
 
 
-def _check_tol(tol: float) -> None:
-    # written so that a NaN tol fails too
-    if not 0 < tol < math.inf:
-        raise BadRange(f"need a finite tol > 0, got {tol}")
-
-
 def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> PhaseTargets:
     """Phase targets theta(n) making b a twist of a, or a proof none exist.
 
@@ -161,7 +157,7 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     term positions, when the series cannot be equivalent at all, and BadRange
     unless 0 < tol < inf.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if len(a.terms) != len(b.terms):
         raise DimensionMismatch(
             f"term counts differ: {len(a.terms)} vs {len(b.terms)}"
@@ -400,7 +396,7 @@ def solve_phase_system(
     phase misses a target by more than tol (Bohr's series from N = 9), and
     BadRange unless 0 < tol < inf.
     """
-    _check_tol(tol)
+    check_tol(tol)
     kernel, outcome = _decide(expansion, targets, tol)
     common = dict(row_indices=tuple(targets.indices()), targets=targets, kernel=kernel, tol=tol)
     if not isinstance(outcome, _Lift):
@@ -503,6 +499,7 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
     of a series lying in the closure of an equivalence class without
     belonging to it.
     """
+    check_integral(n_max, "n_max", DimensionMismatch)
     if not 1 <= n_max <= min(len(a.terms), len(b.terms)):
         raise DimensionMismatch(
             f"n_max {n_max} outside 1..{min(len(a.terms), len(b.terms))}"
@@ -565,7 +562,7 @@ def kronecker_find_t(
     that holds exactly but whose double t misses (t beta beyond what a double
     resolves to tol) raises PrecisionLimit.  Non-finite input raises BadRange.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if not 0 < t_max_search < math.inf:
         raise BadRange(f"need a finite t_max_search > 0, got {t_max_search}")
     beta = [float(b) for b in basis_values]

@@ -4,6 +4,9 @@ Term positions reported by these errors are 1-based (term n of the series),
 matching the usual indexing of Dirichlet series coefficients.
 """
 
+import math
+import operator
+
 
 class SeriesError(Exception):
     """Base class for every error raised by this package."""
@@ -69,6 +72,19 @@ class PrecisionLimit(SeriesError):
 
 class BadRange(SeriesError, ValueError):
     """A range, point or step count that does not describe a valid region."""
+
+
+def check_tol(tol: float) -> None:
+    # written so that a NaN tol fails too
+    if not 0 < tol < math.inf:
+        raise BadRange(f"need a finite tol > 0, got {tol}")
+
+
+def check_integral(value, name: str, error: type[SeriesError] = BadRange) -> None:
+    try:
+        operator.index(value)  # NumPy ints pass, floats do not
+    except TypeError:
+        raise error(f"need an integral {name}, got {value!r}") from None
 
 
 class EmptyCloud(SeriesError):

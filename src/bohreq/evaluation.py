@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import SeriesSpec
-from .errors import BadRange, PrecisionLimit
+from .errors import BadRange, PrecisionLimit, check_integral
 from .scenarios import bohr_exponent, tau
 
 
@@ -90,6 +90,8 @@ class GridBox:
         (s0, s1), (t0, t1) = self.sigma_range, self.t_range
         if not (s0 <= s1 and t0 <= t1):  # also refuses a NaN end
             raise BadRange(f"box ranges must satisfy min <= max: {self}")
+        check_integral(self.sigma_steps, "sigma_steps")
+        check_integral(self.t_steps, "t_steps")
         if self.sigma_steps < 1 or self.t_steps < 1:
             raise BadRange(f"step counts must be >= 1: {self}")
 

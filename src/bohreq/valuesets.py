@@ -26,7 +26,7 @@ import numpy as np
 from .basis import compute_basis, denominator_lcm
 from .core import SeriesSpec
 from .equivalence import TWO_PI, KroneckerResult, kronecker_find_t  # noqa: F401
-from .errors import BadRange, EmptyCloud, PrecisionLimit
+from .errors import BadRange, EmptyCloud, PrecisionLimit, check_integral
 from .evaluation import BLOCK, evaluate, plan_sum
 
 
@@ -79,6 +79,15 @@ def _check_modulus(values: np.ndarray, cap: float) -> None:
         )
 
 
+def _check_draws(count: int, seed: int) -> None:
+    check_integral(count, "count")
+    if not count > 0:
+        raise BadRange(f"need count > 0, got {count}")
+    check_integral(seed, "seed")
+    if seed < 0:
+        raise BadRange(f"need seed >= 0, got {seed}")
+
+
 def sample_strip_direct(
     spec: SeriesSpec,
     sigma1: float,
@@ -104,8 +113,7 @@ def sample_strip_direct(
         raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
     if not 0 < t_max < math.inf:
         raise BadRange(f"need a finite t_max > 0, got {t_max}")
-    if not count > 0:
-        raise BadRange(f"need count > 0, got {count}")
+    _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma1, sigma2)
     rng = np.random.default_rng(seed)
     width, height = sigma2 - sigma1, 2.0 * t_max
@@ -177,8 +185,7 @@ def sample_strip_via_equivalence(
     """
     if not -math.inf < sigma1 < sigma2 < math.inf:
         raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
-    if not count > 0:
-        raise BadRange(f"need count > 0, got {count}")
+    _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma1, sigma2)
     _, expansion, _ = compute_basis([term.exponent for term in spec.terms])
     d = denominator_lcm(expansion, expansion.nrows) if expansion.nrows else 1
@@ -223,8 +230,7 @@ def sample_line(
         raise BadRange(f"need a finite sigma0, got {sigma0}")
     if not 0 < t_max < math.inf:
         raise BadRange(f"need a finite t_max > 0, got {t_max}")
-    if not count > 0:
-        raise BadRange(f"need count > 0, got {count}")
+    _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma0, sigma0)
     rng = np.random.default_rng(seed)
     values = np.empty(count, dtype=complex)

@@ -30,7 +30,6 @@ windows, the shifted edges and attains_value's rectangles in order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -43,6 +42,8 @@ from .errors import (
     DegenerateTarget,
     NonconvergentSubdivision,
     PrecisionLimit,
+    check_integral,
+    check_tol,
 )
 from .evaluation import evaluate
 
@@ -171,10 +172,7 @@ def _walk(
 
 
 def _check_steps(steps: int) -> None:
-    try:
-        operator.index(steps)  # NumPy ints pass, floats do not
-    except TypeError:
-        raise BadRange(f"need an integral steps >= 1, got {steps!r}") from None
+    check_integral(steps, "steps")
     if steps < 1:
         raise BadRange(f"need steps >= 1, got {steps}")
 
@@ -334,8 +332,7 @@ def sigma_star(
     abscissa; wide windows approximate it by almost periodicity.
     """
     _check_steps(steps)
-    if not 0 < tol < math.inf:
-        raise BadRange(f"need a finite tol > 0, got {tol}")
+    check_tol(tol)
     if not t_window[0] < t_window[1]:
         raise BadRange(f"degenerate t window {t_window}")
     if not math.isfinite(sigma_floor):

@@ -109,10 +109,13 @@ class TestCommands:
         write_series_file(scenarios.negate(scenarios.bohr_example(3)), g)
         return tmp_path, str(f), str(g)
 
-    def test_usage_error_exit_64(self, capsys):
+    def test_usage_error_exit_64(self, files, capsys):
+        _, f, _ = files
         assert run_command(["no-such-command"]) == 64
         assert run_command([]) == 64
-        capsys.readouterr()
+        # bohr-example reads no series file, so it takes no --series
+        assert run_command(["bohr-example", "--n", "3", "--series", f]) == 64
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_exit_1(self, capsys):
         assert run_command(["basis", "--series", "/nonexistent.json"]) == 1
@@ -308,11 +311,13 @@ class TestCommands:
 
     def test_bad_ranges_are_one_error_line(self, files, capsys):
         # non-finite points, inverted or NaN boxes, empty grids, an unbounded
-        # Kronecker search and a NaN target phase are refused before any
-        # evaluation
+        # Kronecker search, a NaN target phase and a negative sampling seed
+        # are refused before any evaluation
         _, f, g = files
         box = ["--t-min", "0", "--t-max", "1"]
         distance = ["uniform-distance", "--series", f, "--series2", g, *box]
+        strip = ["value-set", "--series", f, "--sigma-min", "1", "--sigma-max", "2"]
+        sampling = ["--count", "5", "--seed", "-1"]
         for argv in (
             ["eval", "--series", f, "--sigma", "nan"],
             ["eval", "--series", f, "--sigma", "1", "--t", "inf"],
@@ -321,6 +326,9 @@ class TestCommands:
             [*distance, "--sigma-min", "nan", "--sigma-max", "1"],
             ["kronecker", "--series", f, "--target", "1", "--t-max-search", "inf"],
             ["kronecker", "--series", f, "--target", "nan"],
+            [*strip, "--route", "direct", *sampling],
+            [*strip, "--route", "equivalence", *sampling],
+            ["line-set", "--series", f, "--sigma0", "1", *sampling],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()
@@ -476,6 +484,36 @@ class TestCommands:
             ]
         )
         assert code == 2
+
+    def test_out_file_holds_the_bytes_of_stdout(self, files, tmp_path, capsys):
+        # every verdict goes through one envelope: --out writes what stdout
+        # would show, and the digests name exactly the series options taken
+        _, f, g = files
+        pair = ["--series", f, "--series2", g]
+        box = ["--t-min", "0", "--t-max", "1"]
+        commands = [
+            ["basis", "--series", f],
+            ["solve-phases", *pair],
+            ["equiv", *pair],
+            ["closure-demo", *pair, "--nmax", "3"],
+            ["eval", "--series", f, "--sigma", "2"],
+            ["tail", "--series", f, "--sigma", "2"],
+            ["uniform-distance", *pair, "--sigma-min", "1", "--sigma-max", "2", *box, "--grid", "2x2"],
+            ["sigma-star", "--series", f, *box, "--sigma-floor", "-1", "--steps", "16"],
+            ["zeros", "--series", f, "--sigma-min", "1", "--sigma-max", "2", *box, "--steps", "16"],
+            ["kronecker", "--series", f, "--target", "1", "--tol", "1e-3", "--t-max-search", "10"],
+        ]
+        for argv in commands:
+            code = run_command(argv)
+            shown = capsys.readouterr().out
+            out = tmp_path / f"{argv[0]}.json"
+            assert run_command([*argv, "--out", str(out)]) == code, argv
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == shown.encode(), argv
+            payload = json.loads(shown)
+            assert payload["command"] == argv[0]
+            taken = {"series", "series2"} & {a[2:] for a in argv if a.startswith("--")}
+            assert set(payload["inputs"]) == taken, argv
 
     def test_verdict_determinism(self, files, capsys):
         _, f, g = files

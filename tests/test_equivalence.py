@@ -703,5 +703,6 @@ class TestClosureDemo:
 
     def test_nmax_validated(self):
         f = scenarios.bohr_example(3)
-        with pytest.raises(DimensionMismatch):
-            closure_demo(f, f, 4)
+        for n_max in (0, 4, 2.5):
+            with pytest.raises(DimensionMismatch):
+                closure_demo(f, f, n_max)

@@ -14,7 +14,7 @@ from bohreq import core, scenarios, valuesets
 from bohreq.basis import compute_basis
 from bohreq.core import UNIT_SYMBOL, ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import twist
-from bohreq.errors import PrecisionLimit
+from bohreq.errors import BadRange, PrecisionLimit
 from bohreq.evaluation import (
     BLOCK,
     EvalPoint,
@@ -315,6 +315,11 @@ class TestGridBox:
             GridBox((1.0, 0.0), (0.0, 1.0), 2, 2)
         with pytest.raises(ValueError):
             GridBox((0.0, 1.0), (0.0, 1.0), 0, 2)
+        with pytest.raises(BadRange):
+            GridBox((1.0, 2.0), (0.0, 1.0), 2.5, 3)
+        with pytest.raises(BadRange):
+            GridBox((1.0, 2.0), (0.0, 1.0), 2, 3.0)
+        assert GridBox((1.0, 2.0), (0.0, 1.0), np.int64(2), 3).sigma_points().size == 3
 
     def test_inclusive_grid(self):
         box = GridBox((0.0, 1.0), (0.0, 2.0), 4, 8)

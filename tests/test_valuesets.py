@@ -72,6 +72,14 @@ class TestSampling:
             sample_strip_direct(two_three(), 0.5, 1.5, -1.0, 10, 0)
         with pytest.raises(BadRange):
             sample_line(two_three(), 1.0, 0.0, 10, 0)
+        # a count or seed that is not a non-negative integer
+        for count, seed in ((100.5, 0), (10, -1), (10, 1.5)):
+            with pytest.raises(BadRange):
+                sample_strip_direct(two_three(), 0.5, 1.5, 10.0, count, seed)
+            with pytest.raises(BadRange):
+                sample_strip_via_equivalence(two_three(), 0.5, 1.5, count, seed)
+            with pytest.raises(BadRange):
+                sample_line(two_three(), 1.0, 10.0, count, seed)
 
     def test_narrow_strip_fills_annulus(self):
         # oracle: dense phase grid; at sigma ~ 1 the reachable set is the
