@@ -57,7 +57,7 @@ def _verdict(command: str, inputs: dict, result: dict) -> str:
         "inputs": {name: _digest(path) for name, path in inputs.items()},
         "result": result,
     }
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cloud_text(cloud: "valuesets.ValueCloud", fmt: str) -> str:
@@ -71,7 +71,7 @@ def _cloud_text(cloud: "valuesets.ValueCloud", fmt: str) -> str:
         "meta": cloud.meta,
         "points": [{"re": z.real, "im": z.imag} for z in points],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _phases_arg(text: str) -> list[float]:

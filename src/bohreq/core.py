@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
+    BadRange,
     DuplicateExponent,
     NonIncreasingExponents,
     NonpositiveSigma,
@@ -264,10 +265,10 @@ class TailMajorant:
     min_gap: float
 
     def __post_init__(self):
-        if not (self.coeff_bound >= 0.0):
-            raise ValueError("coeff_bound must be >= 0")
-        if not (self.min_gap > 0.0):
-            raise ValueError("min_gap must be > 0")
+        if not 0.0 <= self.coeff_bound < math.inf:
+            raise ValueError(f"coeff_bound must be finite and >= 0, got {self.coeff_bound}")
+        if not 0.0 < self.min_gap < math.inf:
+            raise ValueError(f"min_gap must be finite and > 0, got {self.min_gap}")
 
 
 class _Derived:
@@ -406,6 +407,8 @@ def tail_bound(tail: TailMajorant, symbols: SymbolTable, sigma: float) -> float:
     """Certified upper bound on the omitted-terms sum at abscissa sigma > 0."""
     if not (sigma > 0.0):
         raise NonpositiveSigma(sigma)
+    if not sigma < math.inf:
+        raise BadRange(f"need a finite sigma, got {sigma}")
     lam = tail.lambda_next.numeric_value(symbols)
     return tail.coeff_bound * math.exp(-lam * sigma) / (1.0 - math.exp(-tail.min_gap * sigma))
 

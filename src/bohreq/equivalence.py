@@ -131,7 +131,10 @@ class CongruenceSystem:
 def twist(
     spec: SeriesSpec, basis: Basis, expansion: BohrMatrix, phases: PhaseVector
 ) -> SeriesSpec:
-    """Multiply coefficient n by exp(i (R Y)_n); exponents are untouched."""
+    """Multiply coefficient n by exp(i (R Y)_n); exponents are untouched.
+
+    BadRange when a phase is not finite.
+    """
     if expansion.nrows != len(spec.terms):
         raise DimensionMismatch(
             f"matrix has {expansion.nrows} rows for {len(spec.terms)} terms"
@@ -141,6 +144,8 @@ def twist(
             f"basis size {len(basis)}, matrix columns {expansion.ncols}, "
             f"phase length {len(phases)} must agree"
         )
+    if not all(math.isfinite(y) for y in phases):
+        raise BadRange(f"need finite phases, got {list(phases)}")
     coeffs = []
     for i, term in enumerate(spec.terms):
         phi = math.fsum(float(q) * phases[j] for j, q in expansion.row_items(i))
@@ -155,7 +160,7 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     the union of exponent sets with zero coefficients where a series is
     missing a term).  Raises ModulusMismatch or SupportMismatch, with 1-based
     term positions, when the series cannot be equivalent at all, and BadRange
-    unless 0 < tol < inf.
+    unless 0 < tol < inf or a coefficient is not finite.
     """
     check_tol(tol)
     if len(a.terms) != len(b.terms):
@@ -168,6 +173,10 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     entries: list[tuple[int, float]] = []
     skipped: list[int] = []
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
+        if not (cmath.isfinite(ta.coeff) and cmath.isfinite(tb.coeff)):
+            raise BadRange(
+                f"need finite coefficients at term {i + 1}, got {ta.coeff} and {tb.coeff}"
+            )
         ma, mb = abs(ta.coeff), abs(tb.coeff)
         if ma == 0.0:
             if mb == 0.0:

@@ -8,6 +8,7 @@ rationals never touch floating point.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -47,9 +48,12 @@ def _parse_coeff(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise ParseError(f"{where}: coeff must be an object with keys re, im")
     try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        coeff = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
     except (TypeError, ValueError) as err:
         raise ParseError(f"{where}: bad coefficient: {err}") from None
+    if not cmath.isfinite(coeff):
+        raise ParseError(f"{where}: coefficient {coeff} is not finite")
+    return coeff
 
 
 def parse_series_text(text: str) -> SeriesSpec:
@@ -143,7 +147,7 @@ def series_to_dict(spec: SeriesSpec) -> dict:
 
 
 def emit_series_text(spec: SeriesSpec) -> str:
-    return json.dumps(series_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    return json.dumps(series_to_dict(spec), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

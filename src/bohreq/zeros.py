@@ -5,11 +5,13 @@ increments of f - v.  One walker, `_walk`, follows a batch of segments in
 arrays: the samples of all of them are evaluated in one call and every
 increment is taken in one NumPy pass; increments beyond pi/2 are bisected one
 level at a time, each level's midpoints over the whole batch evaluated in one
-call.  A contour's four sides are one batch.  A zero sitting on (or hugging)
-the contour surfaces as BoundaryTooClose or NonconvergentSubdivision rather
-than a silent miscount; a series that overflows a double on the contour
-surfaces as the PrecisionLimit that `evaluate` raises, and an f - v that
-overflows where f does not as the PrecisionLimit of the walk's own check.
+call.  A segment's argument is the sum of its pieces' increments, level by
+level, in no order along it.  A contour's four sides are one batch.  A zero
+sitting on (or hugging) the contour surfaces as BoundaryTooClose or
+NonconvergentSubdivision rather than a silent miscount; a series that
+overflows a double on the contour surfaces as the PrecisionLimit that
+`evaluate` raises, and an f - v that overflows where f does not as the
+PrecisionLimit of the walk's own check.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
@@ -92,13 +94,6 @@ def _constant_value(spec: SeriesSpec) -> complex | None:
     return None
 
 
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[0], y[0], x[1], y[1], ..."""
-    out = np.empty(2 * x.size, dtype=x.dtype)
-    out[0::2], out[1::2] = x, y
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(
     spec: SeriesSpec, v: complex, segments: list[tuple[complex, complex, int]], margin: float
@@ -110,16 +105,17 @@ def _walk(
     taken in one array pass.  Increments that exceed pi/2 (or are NaN), or
     whose ratio w2 / w1 is not a finite double, are halved level by level,
     each level's midpoints, over all segments, in one array call; a segment
-    may take at most MAX_SIDE_SAMPLES samples.  Each segment's accepted
-    increments are summed one after another in order along it.  A sample
-    where f - v or |f - v| is not a finite double raises PrecisionLimit
-    (NumPy's warnings are off): no refinement mends that.
+    may take at most MAX_SIDE_SAMPLES samples.  Each level adds its accepted
+    increments to their segments' totals, so a segment's total is the same
+    to the bit in any batch.  A sample where f - v or |f - v| is not a
+    finite double raises PrecisionLimit (NumPy's warnings are off): no
+    refinement mends that.
     """
     starts = np.array([a for a, _, _ in segments])
     spans = np.array([b - a for a, b, _ in segments])
 
     def w_at(k: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """f - v at the points a + (b - a) p of segments k, in walk order."""
+        """f - v at the points a + (b - a) p of segments k."""
         s = starts[k] + spans[k] * p
         w = evaluate(spec, s) - v
         modulus = np.abs(w)
@@ -139,18 +135,15 @@ def _walk(
     w = w_at(k, p)
     pairs = k[:-1] == k[1:]  # consecutive samples of one segment
     k1, p1, p2, w1, w2 = k[:-1][pairs], p[:-1][pairs], p[1:][pairs], w[:-1][pairs], w[1:][pairs]
-    keys, lefts, deltas = [], [], []
+    totals = np.zeros(len(segments))
     while True:
         ratio = w2 / w1
         delta = np.arctan2(ratio.imag, ratio.real)
         ok = (np.abs(delta) <= HALF_PI) & np.isfinite(ratio)
-        keys.append(k1[ok])
-        lefts.append(p1[ok])
-        deltas.append(delta[ok])
-        todo = ~ok
-        if not todo.any():
-            break
-        k1, p1, p2, w1, w2 = k1[todo], p1[todo], p2[todo], w1[todo], w2[todo]
+        totals += np.bincount(k1[ok], weights=delta[ok], minlength=len(segments))
+        if ok.all():
+            return totals.tolist()
+        k1, p1, p2, w1, w2 = k1[~ok], p1[~ok], p2[~ok], w1[~ok], w2[~ok]
         counts += np.bincount(k1, minlength=len(segments))
         if counts.max() > MAX_SIDE_SAMPLES:
             a, b, _ = segments[np.argmax(counts)]
@@ -159,16 +152,8 @@ def _walk(
             )
         pm = 0.5 * (p1 + p2)
         wm = w_at(k1, pm)
-        # halves interleaved, left before right, so each level stays in walk order
-        k1 = np.repeat(k1, 2)
-        p1, p2 = _interleave(p1, pm), _interleave(pm, p2)
-        w1, w2 = _interleave(w1, wm), _interleave(wm, w2)
-    keys, delta = np.concatenate(keys), np.concatenate(deltas)
-    if len(deltas) > 1:
-        order = np.lexsort((np.concatenate(lefts), keys))
-        keys, delta = keys[order], delta[order]
-    ends = np.cumsum(np.bincount(keys, minlength=len(segments))).tolist()
-    return [float(np.add.accumulate(delta[i:j])[-1]) for i, j in zip([0] + ends, ends)]
+        k1, p1, p2 = np.concatenate([k1, k1]), np.concatenate([p1, pm]), np.concatenate([pm, p2])
+        w1, w2 = np.concatenate([w1, wm]), np.concatenate([wm, w2])
 
 
 def _check_steps(steps: int) -> None:

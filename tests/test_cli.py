@@ -70,6 +70,15 @@ class TestSeriesFiles:
             with pytest.raises(ParseError):
                 parse_series_text(text)
 
+    def test_non_finite_coefficient_refused(self):
+        for re_text in ("NaN", "Infinity", "-1e400"):
+            text = (
+                '{"symbols": [{"name": "A", "value": 1.5}], '
+                f'"terms": [{{"exponent": {{"A": "1"}}, "coeff": {{"re": {re_text}, "im": 0}}}}]}}'
+            )
+            with pytest.raises(ParseError, match=r"terms\[0\]: coefficient .* is not finite"):
+                parse_series_text(text)
+
     def test_json_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_series_text("{ not json }")
@@ -86,6 +95,9 @@ class TestSeriesFiles:
             }
         )
         with pytest.raises(ValidationError):
+            parse_series_text(text)
+        text = emit_series_text(sample_spec()).replace('"coeffBound": 1.25', '"coeffBound": 1e400')
+        with pytest.raises(ValidationError, match="coeff_bound must be finite"):
             parse_series_text(text)
 
     def test_round_trip_is_exact(self):
@@ -311,9 +323,16 @@ class TestCommands:
 
     def test_bad_ranges_are_one_error_line(self, files, capsys):
         # non-finite points, inverted or NaN boxes, empty grids, an unbounded
-        # Kronecker search, a NaN target phase and a negative sampling seed
-        # are refused before any evaluation
-        _, f, g = files
+        # Kronecker search, a NaN target phase, a negative sampling seed, an
+        # infinite tail abscissa, non-finite twist phases, a NaN coefficient
+        # and an overflowing tail majorant are refused before any evaluation
+        tmp_path, f, g = files
+        doc = json.loads(Path(f).read_text())
+        doc["terms"][1]["coeff"]["re"] = math.nan
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(doc))
+        big = tmp_path / "big.json"
+        big.write_text(Path(f).read_text().replace('"coeffBound": 1.0', '"coeffBound": 1e400'))
         box = ["--t-min", "0", "--t-max", "1"]
         distance = ["uniform-distance", "--series", f, "--series2", g, *box]
         strip = ["value-set", "--series", f, "--sigma-min", "1", "--sigma-max", "2"]
@@ -329,6 +348,13 @@ class TestCommands:
             [*strip, "--route", "direct", *sampling],
             [*strip, "--route", "equivalence", *sampling],
             ["line-set", "--series", f, "--sigma0", "1", *sampling],
+            ["tail", "--series", f, "--sigma", "inf"],
+            ["twist", "--series", f, "--phases", "nan"],
+            ["twist", "--series", f, "--phases", "inf"],
+            ["equiv", "--series", f, "--series2", str(nan)],
+            ["solve-phases", "--series", f, "--series2", str(nan)],
+            ["closure-demo", "--series", f, "--series2", str(nan), "--nmax", "3"],
+            ["tail", "--series", str(big), "--sigma", "1"],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()
@@ -487,8 +513,13 @@ class TestCommands:
 
     def test_out_file_holds_the_bytes_of_stdout(self, files, tmp_path, capsys):
         # every verdict goes through one envelope: --out writes what stdout
-        # would show, and the digests name exactly the series options taken
+        # would show, strict JSON with no NaN or Infinity, and the digests
+        # name exactly the series options taken
         _, f, g = files
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
         pair = ["--series", f, "--series2", g]
         box = ["--t-min", "0", "--t-max", "1"]
         commands = [
@@ -510,7 +541,7 @@ class TestCommands:
             assert run_command([*argv, "--out", str(out)]) == code, argv
             assert capsys.readouterr().out == ""
             assert out.read_bytes() == shown.encode(), argv
-            payload = json.loads(shown)
+            payload = json.loads(shown, parse_constant=refuse)
             assert payload["command"] == argv[0]
             taken = {"series", "series2"} & {a[2:] for a in argv if a.startswith("--")}
             assert set(payload["inputs"]) == taken, argv

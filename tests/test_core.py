@@ -20,6 +20,7 @@ from bohreq.core import (
     validate_series,
 )
 from bohreq.errors import (
+    BadRange,
     DuplicateExponent,
     NonIncreasingExponents,
     NonpositiveSigma,
@@ -167,6 +168,13 @@ class TestTailBound:
         tail = TailMajorant(ExponentVector({"L2": 1}), 0.0, 1.0)
         assert tail_bound(tail, table_23(), 2.0) == 0.0
 
+    def test_non_finite_majorant_rejected(self):
+        # a bound of inf or NaN is no bound, and would be written as Infinity
+        bad = ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan))
+        for coeff_bound, min_gap in bad:
+            with pytest.raises(ValueError, match="must be finite"):
+                TailMajorant(ExponentVector({"L2": 1}), coeff_bound, min_gap)
+
     def test_monotone_vanishing(self):
         spec = scenarios.bohr_example(3)
         values = [spec_tail_bound(spec, s) for s in (1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -175,8 +183,11 @@ class TestTailBound:
 
     def test_nonpositive_sigma_rejected(self):
         spec = scenarios.bohr_example(2)
-        with pytest.raises(NonpositiveSigma):
-            spec_tail_bound(spec, 0.0)
+        for sigma in (0.0, math.nan):
+            with pytest.raises(NonpositiveSigma):
+                spec_tail_bound(spec, sigma)
+        with pytest.raises(BadRange, match="need a finite sigma"):
+            spec_tail_bound(spec, math.inf)
 
     def test_exact_series_has_zero_tail(self):
         spec = SeriesSpec(table_23(), [(ExponentVector({"L2": 1}), 1.0)])

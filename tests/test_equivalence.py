@@ -24,7 +24,13 @@ from bohreq.equivalence import (
     solve_phase_system,
     twist,
 )
-from bohreq.errors import DimensionMismatch, ModulusMismatch, PrecisionLimit, SupportMismatch
+from bohreq.errors import (
+    BadRange,
+    DimensionMismatch,
+    ModulusMismatch,
+    PrecisionLimit,
+    SupportMismatch,
+)
 from bohreq.evaluation import shift_series
 from bohreq.lattice import hermite_normalize, integer_left_kernel
 from helpers import (
@@ -121,6 +127,13 @@ class TestTwist:
         with pytest.raises(DimensionMismatch):
             twist(spec.take_terms(2), basis, r, [0.0, 0.0])
 
+    def test_non_finite_phases_refused(self):
+        spec = spec_236()
+        basis, r, _ = compute_basis(spec.exponents())
+        for phases in ([math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]):
+            with pytest.raises(BadRange, match="need finite phases"):
+                twist(spec, basis, r, phases)
+
     def test_group_action_and_inverse(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -169,6 +182,13 @@ class TestExtractPhaseTargets:
     def test_alignment_required(self):
         with pytest.raises(DimensionMismatch):
             extract_phase_targets(spec_236(), spec_23())
+
+    def test_non_finite_coefficient_refused(self):
+        # specs built in code skip the file parser's check; the term is 1-based
+        for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
+            for a, b in (((1.0, bad), (1.0, 1.0)), ((1.0, 1.0), (1.0, bad))):
+                with pytest.raises(BadRange, match="need finite coefficients at term 2"):
+                    extract_phase_targets(spec_23(a), spec_23(b))
 
 
 class TestExpandRows:

@@ -420,8 +420,9 @@ class TestArrayWalk:
     def test_profile_matches_scalar_walk(self, monkeypatch):
         # a batch of four sides evaluates exactly the points that the scalar
         # walk evaluates side by side, and each side's total equals the
-        # scalar one up to the increments' last bits and a walk of that side
-        # alone to the bit
+        # scalar one up to the increments' last bits, and a walk of that side
+        # alone or in a shuffled batch to the bit
+        rng = random.Random(1919)
         points = []
 
         def recording(spec, s):
@@ -439,6 +440,9 @@ class TestArrayWalk:
             assert np.array_equal(walked, np.sort_complex(np.concatenate(points)))
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
             assert got == [zeros._walk(spec, v, [side], margin)[0] for side in sides(rect)]
+            order = rng.sample(range(4), 4)
+            shuffled = zeros._walk(spec, v, [sides(rect)[i] for i in order], margin)
+            assert [shuffled[order.index(i)] for i in range(4)] == got
 
     def test_one_array_call_per_level(self, monkeypatch):
         # every evaluation of a walk takes an array, and a contour makes one
