@@ -208,22 +208,26 @@ def reconstruct_exponent(expansion: BohrMatrix, i: int, basis: Basis) -> Exponen
     return out
 
 
+def denominator_lcms(matrix: BohrMatrix) -> list[int]:
+    """d_h, the lcm of entry denominators over the first h rows, for h = 1..nrows."""
+    lcms: list[int] = []
+    d = 1
+    for row in matrix._rows:
+        d = math.lcm(d, *(q.denominator for q in row.values()))
+        lcms.append(d)
+    return lcms
+
+
 def is_integral(matrix: BohrMatrix) -> bool:
     """True iff every entry has denominator 1 (all-zero rows count as integral)."""
-    return all(
-        q.denominator == 1 for i in range(matrix.nrows) for _, q in matrix.row_items(i)
-    )
+    return max(denominator_lcms(matrix), default=1) == 1
 
 
 def denominator_lcm(matrix: BohrMatrix, h: int) -> int:
-    """lcm of entry denominators over the first h rows (1 for no entries)."""
+    """d_h, the lcm of entry denominators over the first h rows (1 for no entries)."""
     if not 1 <= h <= matrix.nrows:
         raise IndexOutOfRange(f"row prefix {h} outside 1..{matrix.nrows}")
-    d = 1
-    for i in range(h):
-        for _, q in matrix.row_items(i):
-            d = math.lcm(d, q.denominator)
-    return d
+    return denominator_lcms(matrix)[h - 1]
 
 
 def make_integral_truncated(

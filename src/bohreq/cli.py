@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import equivalence, scenarios
-from .basis import compute_basis, is_integral
+from .basis import compute_basis, denominator_lcms, is_integral
 from .core import spec_tail_bound
 from .errors import SeriesError, ValidationError
 from .seriesio import (
@@ -200,15 +199,7 @@ def _cmd_basis(args, spec) -> dict:
         "expansion": _matrix_obj(expansion),
         "selection": _matrix_obj(selection),
         "integral": is_integral(expansion),
-        "denominator_lcms": list(
-            itertools.accumulate(
-                (
-                    math.lcm(*(q.denominator for _, q in expansion.row_items(i)))
-                    for i in range(expansion.nrows)
-                ),
-                math.lcm,
-            )
-        ),
+        "denominator_lcms": denominator_lcms(expansion),
     }
 
 

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateExponent,
     NonIncreasingExponents,
     NonpositiveSigma,
+    PrecisionLimit,
     UnknownSymbol,
 )
 
@@ -49,11 +50,9 @@ class SymbolTable:
     independent over the rationals; the table records but never verifies this.
     """
 
-    __slots__ = ("_names", "_values", "_lookup")
+    __slots__ = ("_lookup",)
 
     def __init__(self, entries: Iterable[tuple[str, float]]):
-        names: list[str] = []
-        values: list[float] = []
         lookup: dict[str, float] = {}
         for name, value in entries:
             if not isinstance(name, str) or not name:
@@ -67,16 +66,12 @@ class SymbolTable:
                 raise ValueError(f"symbol {name!r} has zero value")
             if name == UNIT_SYMBOL and value != 1.0:
                 raise ValueError(f"symbol {UNIT_SYMBOL!r} must carry the value 1.0")
-            names.append(name)
-            values.append(value)
             lookup[name] = value
-        self._names = tuple(names)
-        self._values = tuple(values)
         self._lookup = lookup
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(self._lookup)
 
     def value(self, name: str) -> float:
         try:
@@ -88,20 +83,17 @@ class SymbolTable:
         return name in self._lookup
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._lookup)
 
     def __iter__(self):
-        return iter(zip(self._names, self._values))
+        return iter(self._lookup.items())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolTable)
-            and self._names == other._names
-            and self._values == other._values
-        )
+        # in order: a dict's own equality ignores it
+        return isinstance(other, SymbolTable) and list(self) == list(other)
 
     def __hash__(self) -> int:
-        return hash((self._names, self._values))
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"SymbolTable({list(self)!r})"
@@ -116,16 +108,9 @@ class ExponentVector:
 
     __slots__ = ("_items",)
 
-    def __init__(self, coords: Mapping[str, Fraction | int | str] | Iterable = ()):
-        items = coords.items() if isinstance(coords, Mapping) else coords
-        cleaned: dict[str, Fraction] = {}
-        for name, q in items:
-            if name in cleaned:
-                raise ValueError(f"repeated coordinate for symbol {name!r}")
-            q = as_fraction(q)
-            if q != 0:
-                cleaned[name] = q
-        self._items = tuple(sorted(cleaned.items()))
+    def __init__(self, coords: Mapping[str, Fraction | int | str] | None = None):
+        exact = ((name, as_fraction(q)) for name, q in (coords or {}).items())
+        self._items = tuple(sorted((name, q) for name, q in exact if q != 0))
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
         return self._items
@@ -404,13 +389,25 @@ def validate_series(spec: SeriesSpec) -> SeriesSpec:
 
 
 def tail_bound(tail: TailMajorant, symbols: SymbolTable, sigma: float) -> float:
-    """Certified upper bound on the omitted-terms sum at abscissa sigma > 0."""
+    """Certified upper bound on the omitted-terms sum at abscissa sigma > 0.
+
+    PrecisionLimit when the bound is not a finite double (a tiny sigma, or
+    an exponential beyond a double).
+    """
     if not (sigma > 0.0):
         raise NonpositiveSigma(sigma)
     if not sigma < math.inf:
         raise BadRange(f"need a finite sigma, got {sigma}")
+    if tail.coeff_bound == 0.0:  # 0 times a factor that may be beyond a double
+        return 0.0
     lam = tail.lambda_next.numeric_value(symbols)
-    return tail.coeff_bound * math.exp(-lam * sigma) / (1.0 - math.exp(-tail.min_gap * sigma))
+    try:
+        bound = tail.coeff_bound * math.exp(-lam * sigma) / -math.expm1(-tail.min_gap * sigma)
+    except (OverflowError, ZeroDivisionError):  # exp, or min_gap * sigma below a double
+        bound = math.inf
+    if not bound < math.inf:
+        raise PrecisionLimit(f"the tail bound at sigma = {sigma} is not a finite double")
+    return bound
 
 
 def spec_tail_bound(spec: SeriesSpec, sigma: float) -> float:

@@ -159,8 +159,9 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     Both specs must carry the identical exponent list (align first by taking
     the union of exponent sets with zero coefficients where a series is
     missing a term).  Raises ModulusMismatch or SupportMismatch, with 1-based
-    term positions, when the series cannot be equivalent at all, and BadRange
-    unless 0 < tol < inf or a coefficient is not finite.
+    term positions, when the series cannot be equivalent at all, BadRange
+    unless 0 < tol < inf or a coefficient is not finite, and PrecisionLimit
+    when a finite coefficient's modulus is beyond a double.
     """
     check_tol(tol)
     if len(a.terms) != len(b.terms):
@@ -177,7 +178,13 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
             raise BadRange(
                 f"need finite coefficients at term {i + 1}, got {ta.coeff} and {tb.coeff}"
             )
-        ma, mb = abs(ta.coeff), abs(tb.coeff)
+        try:
+            ma, mb = abs(ta.coeff), abs(tb.coeff)
+        except OverflowError:  # both parts finite, a modulus not
+            raise PrecisionLimit(
+                f"the coefficient moduli at term {i + 1}, |{ta.coeff}| and |{tb.coeff}|, "
+                "are not both finite doubles"
+            ) from None
         if ma == 0.0:
             if mb == 0.0:
                 skipped.append(i)
@@ -317,12 +324,14 @@ def _pivot_lift(
 class _Lift(NamedTuple):
     """The exact lift R_P Y = theta_P + 2pi (w + z), z in L (`lattice`, None for Z^r).
 
-    `rows` are the constrained rows of R and `pivots` the positions of R_P
-    among them; `units[p]` is j when pivot row p is the unit row e_j, else
-    None.  `lattice` is the LLL-reduced basis of L that `_pivot_lift` gives.
+    `rows` are the constrained rows of R, `expr` their expressions R' over the
+    pivot rows and `pivots` the positions of R_P among them; `units[p]` is j
+    when pivot row p is the unit row e_j, else None.  `lattice` is the
+    LLL-reduced basis of L that `_pivot_lift` gives.
     """
 
     rows: list[dict[int, Fraction]]
+    expr: list[dict[int, Fraction]]
     pivots: list[int]
     units: list[int | None]
     theta: list[float]
@@ -353,15 +362,33 @@ def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
     return tuple(y)
 
 
+def _check_lift(lift: _Lift, targets: PhaseTargets, tol: float = 1e-9) -> None:
+    """PrecisionLimit naming the first target the exact lift misses by more than tol.
+
+    R_n Y = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced modulo 1
+    exactly in integers, so a lift of any size is checked without rounding
+    it.  Every relation held within tol times its l1 norm, so a miss here is
+    the tolerance's, not the doubles'.
+    """
+    for row, (i, th) in zip(lift.expr, targets.entries):
+        # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
+        turns = math.fsum(q.numerator * lift.w[j] % q.denominator / q.denominator
+                          for j, q in row.items())
+        angle = math.fsum(float(q) * lift.theta[j] for j, q in row.items()) + TWO_PI * turns
+        if (miss := circle_distance(angle - th)) > tol:
+            raise PrecisionLimit(
+                f"every integer relation holds within tol times its l1 norm, but the "
+                f"exact pivot lift misses the target of term {i + 1} by {miss:.3e} > "
+                f"tol {tol:.3e}"
+            )
+
+
 def _decide(
-    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9, certify: bool = False
+    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
 ) -> tuple[tuple[tuple[int, ...], ...], _Lift | tuple[tuple[int, ...], float]]:
     """The kernel, and the exact lift if every relation passes, else a witness and its defect.
 
-    `certify` checks the lift itself, for callers that do not round it: R_n Y
-    = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced modulo 1 exactly in
-    integers, so a lift of any size is checked.  A miss over tol, or an
-    inconsistent integer lift, raises PrecisionLimit.
+    An inconsistent integer lift raises PrecisionLimit.
     """
     idx = targets.indices()
     thetas = targets.thetas()
@@ -376,17 +403,8 @@ def _decide(
 
     w, lattice = _pivot_lift(expr, wrapped, thetas, pivots)
     theta_p = [thetas[p] for p in pivots]
-    if certify:  # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
-        for row, th in zip(expr, thetas):
-            turns = math.fsum(q.numerator * w[j] % q.denominator / q.denominator
-                              for j, q in row.items())
-            angle = math.fsum(float(q) * theta_p[j] for j, q in row.items()) + TWO_PI * turns
-            if (miss := circle_distance(angle - th)) > tol:
-                raise PrecisionLimit(
-                    f"congruence solution lost precision: residual {miss:.3e} > tol {tol:.3e}"
-                )
     units = [next(iter(rows[p])) if list(rows[p].values()) == [1] else None for p in pivots]
-    return kernel, _Lift(rows, pivots, units, theta_p, w, lattice)
+    return kernel, _Lift(rows, expr, pivots, units, theta_p, w, lattice)
 
 
 def solve_phase_system(
@@ -401,9 +419,11 @@ def solve_phase_system(
     integer vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).
     `phase` is the lift Y (R_P Y = phi, 0 in the directions R_P leaves free)
     rounded to doubles, and `residual` the worst miss of that rounded vector.
-    Raises PrecisionLimit when the integer lift is inconsistent or the rounded
-    phase misses a target by more than tol (Bohr's series from N = 9), and
-    BadRange unless 0 < tol < inf.
+    Raises PrecisionLimit when the integer lift is inconsistent, or when the
+    rounded phase misses a target by more than tol: the exact lift already
+    misses it (every relation holds within tol times its l1 norm, yet their
+    misses add up past tol), or only the doubles do (Bohr's series from N =
+    9).  BadRange unless 0 < tol < inf.
     """
     check_tol(tol)
     kernel, outcome = _decide(expansion, targets, tol)
@@ -416,6 +436,7 @@ def solve_phase_system(
               for row, th in zip(outcome.rows, targets.thetas()))
     residual = max(map(circle_distance, misses), default=0.0)
     if residual > tol:
+        _check_lift(outcome, targets, tol)
         raise PrecisionLimit(
             f"phase vector lost precision in doubles: residual {residual:.3e} > tol {tol:.3e}"
         )
@@ -521,8 +542,10 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
         except (ModulusMismatch, SupportMismatch):
             out.append(ClosurePoint(n, False, None))
             continue
-        _, outcome = _decide(expansion, targets, certify=True)
+        _, outcome = _decide(expansion, targets)
         feasible = isinstance(outcome, _Lift)
+        if feasible:
+            _check_lift(outcome, targets)
         out.append(ClosurePoint(n, feasible, _min_norm(outcome) if feasible else None))
     return out
 

@@ -23,14 +23,12 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .core import SeriesSpec
 from .errors import BadRange, PrecisionLimit, check_integral
-from .scenarios import bohr_exponent, tau
 
 
 #: Allocations of at least this many bytes get a mapping of their own, given
@@ -199,23 +197,3 @@ def uniform_distance(a: SeriesSpec, b: SeriesSpec, box: GridBox) -> float:
     if not math.isfinite(distance):
         raise PrecisionLimit(f"the uniform distance is {distance}, not a finite double")
     return distance
-
-
-class ShiftPhase(NamedTuple):
-    """Exact phase bookkeeping for the counterexample shifts.
-
-    `is_minus_one` records whether lambda(n) tau_m / pi is an odd integer, in
-    which case the shift by tau_m negates coefficient n exactly.  `residual`
-    is the smallest-magnitude rational rho with lambda(n) tau_m / pi - rho an
-    odd integer (zero exactly when is_minus_one).
-    """
-
-    is_minus_one: bool
-    residual: Fraction
-
-
-def shift_phase_exact(n: int, m: int) -> ShiftPhase:
-    """Pure rational check of the counterexample cancellation at term n, shift m."""
-    q = bohr_exponent(n) * tau(m).pi_multiple
-    residual = (q % 2) - 1
-    return ShiftPhase(residual == 0, residual)

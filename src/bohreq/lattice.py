@@ -1,4 +1,4 @@
-"""Exact integer lattice routines: echelon forms, kernels, diagonalization, LLL.
+"""Exact integer lattice routines: Hermite forms, kernels, diagonalization, LLL.
 
 Everything here is exact, in Python ints and `Fraction`s; one Gram-Schmidt
 serves LLL, Babai and the enumeration of lattice points near a target.
@@ -24,80 +24,46 @@ def _row_axpy(rows: list[list[int]], target: int, source: int, q: int) -> None:
         r_t[k] -= q * r_s[k]
 
 
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale a rational matrix by the lcm of all entry denominators.
-
-    Returns (integer matrix, scale).  The scale is 1 for an integer matrix and
-    for empty input.
-    """
-    scale = 1
-    for row in rows:
-        for q in row:
-            scale = math.lcm(scale, q.denominator)
-    out = [[int(q * scale) for q in row] for row in rows]
-    return out, scale
-
-
-def row_echelon(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Integer row echelon form by Euclidean pivoting.
-
-    Returns (H, rank).  Pivots are positive and sit in staircase position;
-    rows below the staircase are zero.
-    """
-    H = [list(map(int, row)) for row in matrix]
-    m = len(H)
-    n = len(H[0]) if m else 0
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        while True:
-            nonzero = [i for i in range(r, m) if H[i][col] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: (abs(H[i][col]), i))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-            p = H[r][col]
-            settled = True
-            for i in range(r + 1, m):
-                if H[i][col] != 0:
-                    _row_axpy(H, i, r, H[i][col] // p)
-                    if H[i][col] != 0:
-                        settled = False
-            if settled:
-                break
-        if H[r][col] != 0:
-            if H[r][col] < 0:
-                H[r] = [-x for x in H[r]]
-            r += 1
-    return H, r
-
-
 def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Canonical basis of the lattice spanned by the given rows.
 
     Row-style Hermite form: zero rows dropped, pivots positive, entries above
-    each pivot reduced into [0, pivot).
+    each pivot reduced into [0, pivot).  Column by column, the smallest
+    nonzero entry at or below the staircase (the earliest row among equals)
+    reduces the others until it is the only one left (Euclid); its row, made
+    positive, is the next pivot row and at once reduces the rows above it.
     """
-    if not rows:
-        return []
-    H, rank = row_echelon(rows)
-    H = H[:rank]
-    n = len(H[0]) if H else 0
-    pivots = []
-    for row in H:
-        for j in range(n):
-            if row[j] != 0:
-                pivots.append(j)
+    H = [list(map(int, row)) for row in rows]
+    m = len(H)
+    r = 0
+    for col in range(len(H[0]) if m else 0):
+        if r == m:
+            break
+        settled = False
+        while not settled:
+            nonzero = [i for i in range(r, m) if H[i][col]]
+            if not nonzero:
                 break
-    for i in range(len(H)):
-        p = H[i][pivots[i]]
-        for t in range(i):
-            q = H[t][pivots[i]] // p
+            i0 = min(nonzero, key=lambda i: (abs(H[i][col]), i))
+            H[r], H[i0] = H[i0], H[r]
+            p = H[r][col]
+            settled = True
+            for i in range(r + 1, m):
+                if H[i][col]:
+                    _row_axpy(H, i, r, H[i][col] // p)
+                    if H[i][col]:
+                        settled = False
+        if not settled:  # the column is zero at and below the staircase
+            continue
+        if p < 0:
+            H[r] = [-x for x in H[r]]
+            p = -p
+        for t in range(r):
+            q = H[t][col] // p
             if q:
-                _row_axpy(H, t, i, q)
-    return H
+                _row_axpy(H, t, r, q)
+        r += 1
+    return H[:r]
 
 
 def integer_left_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -108,8 +74,8 @@ def integer_left_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     lattice is saturated: any integer vector annihilating A lies in the span
     returned.
     """
-    A, _ = clear_denominators(rows)
-    U, _, _, rank = diagonalize(A)
+    scale = math.lcm(*(q.denominator for row in rows for q in row))
+    U, _, _, rank = diagonalize([[int(q * scale) for q in row] for row in rows])
     return hermite_normalize(U[rank:])
 
 

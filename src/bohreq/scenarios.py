@@ -79,6 +79,26 @@ def tau(m: int) -> TauValue:
     return TauValue(2.0 * math.pi * prod, prod)
 
 
+class ShiftPhase(NamedTuple):
+    """Exact phase bookkeeping for the counterexample shifts.
+
+    `is_minus_one` records whether lambda(n) tau_m / pi is an odd integer, in
+    which case the shift by tau_m negates coefficient n exactly.  `residual`
+    is the smallest-magnitude rational rho with lambda(n) tau_m / pi - rho an
+    odd integer (zero exactly when is_minus_one).
+    """
+
+    is_minus_one: bool
+    residual: Fraction
+
+
+def shift_phase_exact(n: int, m: int) -> ShiftPhase:
+    """Pure rational check of the counterexample cancellation at term n, shift m."""
+    q = bohr_exponent(n) * tau(m).pi_multiple
+    residual = (q % 2) - 1
+    return ShiftPhase(residual == 0, residual)
+
+
 def negate(spec: SeriesSpec) -> SeriesSpec:
     """All coefficients negated."""
     return spec.with_coeffs([-t.coeff for t in spec.terms])

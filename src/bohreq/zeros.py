@@ -87,13 +87,6 @@ def boundary_margin(v: complex) -> float:
     return 1e-8 * (1.0 + abs(v))
 
 
-def _constant_value(spec: SeriesSpec) -> complex | None:
-    """The value of a constant series (every exponent zero), else None."""
-    if all(term.exponent.is_zero() for term in spec.terms):
-        return sum((term.coeff for term in spec.terms), 0.0 + 0.0j)
-    return None
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(
     spec: SeriesSpec, v: complex, segments: list[tuple[complex, complex, int]], margin: float
@@ -204,19 +197,17 @@ def winding_number(
     """Winding number of f - v around the rectangle, with the rounding defect.
 
     Each side starts from `steps` equal segments (steps >= 1) and bisects
-    those whose argument increment exceeds pi/2.
+    those whose argument increment exceeds pi/2.  As in sigma_star, an f - v
+    of one term winds 0 times without a walk, and one of no terms raises
+    DegenerateTarget.
     """
     _check_steps(steps)
     v = _finite_target(v)
-    margin = boundary_margin(v)
-    constant = _constant_value(spec)
-    if constant is not None:
-        if abs(constant - v) <= margin:
-            raise DegenerateTarget(
-                f"series is constant {constant} and v = {v}: f - v vanishes identically"
-            )
+    # f - v has fewer than two terms only when f has at most two nonzero
+    # coefficients; one exponential has no zero, and nothing is walked
+    if sum(term.coeff != 0 for term in spec.terms) <= 2 and len(_merged_against(spec, v)) == 1:
         return 0, 0.0
-    turns, defect, _ = _contour(spec, v, rect, steps, margin)
+    turns, defect, _ = _contour(spec, v, rect, steps, boundary_margin(v))
     return turns, defect
 
 
@@ -255,7 +246,8 @@ def _t_padded(sigmas: tuple[float, float], window: tuple[float, float]) -> Itera
 
 def _merged_against(spec: SeriesSpec, v: complex) -> list[tuple[float, float]]:
     """Sorted (numeric exponent, |coefficient|) of f - v, zero coefficients
-    dropped; PrecisionLimit when a modulus is not a finite double."""
+    dropped; PrecisionLimit when a modulus is not a finite double, and
+    DegenerateTarget when no term is left: f - v vanishes identically."""
     zero = ExponentVector()
     merged: dict[ExponentVector, complex] = {}
     for term in spec.terms:
@@ -274,6 +266,8 @@ def _merged_against(spec: SeriesSpec, v: complex) -> list[tuple[float, float]]:
             )
         if c != 0:
             out.append((mu, modulus))
+    if not out:
+        raise DegenerateTarget(f"f - v vanishes identically for v = {v}")
     out.sort()
     return out
 
@@ -324,8 +318,6 @@ def sigma_star(
         raise BadRange(f"need a finite sigma_floor, got {sigma_floor}")
     v = _finite_target(v)
     profile = _merged_against(spec, v)
-    if not profile:
-        raise DegenerateTarget(f"f - v vanishes identically for v = {v}")
     if len(profile) == 1:
         return float("-inf")
     sigma_top = _dominance_sigma_top(profile, sigma_floor)

@@ -23,7 +23,8 @@ from bohreq.equivalence import (
     solve_phase_system,
     twist,
 )
-from bohreq.evaluation import GridBox, shift_phase_exact, shift_series, uniform_distance
+from bohreq.evaluation import GridBox, shift_series, uniform_distance
+from bohreq.scenarios import shift_phase_exact
 from bohreq.valuesets import (
     hausdorff,
     sample_line,

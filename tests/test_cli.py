@@ -229,6 +229,10 @@ class TestCommands:
         assert run_command(["tail", "--series", f, "--sigma", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["bound"] == pytest.approx(7.4750018627054501e-07)
+        # 1 - exp(-(5/3) 1e-17) rounds to 0; the bound is about 1 / ((5/3) 1e-17)
+        assert run_command(["tail", "--series", f, "--sigma", "1e-17"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"]["bound"] == pytest.approx(6e16, rel=1e-15)
 
     def test_uniform_distance_command(self, files, tmp_path, capsys):
         tmp, f, g = files
@@ -296,14 +300,30 @@ class TestCommands:
         assert payload["route"] == "direct-line"
         assert len(payload["points"]) == 5
 
-    def test_overflow_and_non_finite_results_are_one_error_line(self, tmp_path, capsys):
+    def test_overflow_and_non_finite_results_are_one_error_line(self, files, capsys):
         # 30^{400} is beyond a double: samplers, eval and uniform-distance
-        # refuse with a PrecisionLimit instead of a traceback or a NaN
+        # refuse with a PrecisionLimit instead of a traceback or a NaN; so do
+        # a tail bound beyond a double (a tiny sigma, or exp(1000)) and a
+        # coefficient modulus beyond a double in a phase decision
+        tmp_path, b3, _ = files
         f = str(tmp_path / "h30.json")
         write_series_file(scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)]), f)
+        doc = json.loads(Path(b3).read_text())
+        doc["tail"]["lambdaNext"] = {"ONE": "-1000"}
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(doc))
+        doc = json.loads(Path(b3).read_text())
+        doc["terms"][1]["coeff"] = {"re": 1.5e308, "im": 1.5e308}
+        huge = str(tmp_path / "huge.json")
+        Path(huge).write_text(json.dumps(doc))
         sampling = ["--t-max", "10", "--count", "5", "--seed", "1"]
         strip = ["--sigma-min", "-400", "--sigma-max", "1"]
         for argv in (
+            ["tail", "--series", b3, "--sigma", "1e-320"],
+            ["tail", "--series", str(far), "--sigma", "1"],
+            ["equiv", "--series", b3, "--series2", huge],
+            ["solve-phases", "--series", huge, "--series2", b3],
+            ["closure-demo", "--series", b3, "--series2", huge, "--nmax", "3"],
             ["line-set", "--series", f, "--sigma0", "-400", *sampling],
             ["value-set", "--series", f, "--route", "direct", *strip, *sampling],
             ["value-set", "--series", f, "--route", "equivalence", *strip, *sampling],

@@ -24,6 +24,7 @@ from bohreq.errors import (
     DuplicateExponent,
     NonIncreasingExponents,
     NonpositiveSigma,
+    PrecisionLimit,
     UnknownSymbol,
 )
 from helpers import smooth_spec
@@ -167,6 +168,11 @@ class TestTailBound:
     def test_zero_coeff_bound(self):
         tail = TailMajorant(ExponentVector({"L2": 1}), 0.0, 1.0)
         assert tail_bound(tail, table_23(), 2.0) == 0.0
+        # 0.5 * 5e-324 rounds to 0, and exp(1e3) is beyond a double: the
+        # bound is still 0
+        tail = TailMajorant(ExponentVector({"L2": -1}), 0.0, 0.5)
+        assert tail_bound(tail, table_23(), 5e-324) == 0.0
+        assert tail_bound(tail, table_23(), 1e3 / math.log(2)) == 0.0
 
     def test_non_finite_majorant_rejected(self):
         # a bound of inf or NaN is no bound, and would be written as Infinity
@@ -188,6 +194,26 @@ class TestTailBound:
                 spec_tail_bound(spec, sigma)
         with pytest.raises(BadRange, match="need a finite sigma"):
             spec_tail_bound(spec, math.inf)
+
+    def test_tiny_sigma_keeps_a_finite_bound(self):
+        # 1 - exp(-x) rounds to 0 at x = (5/3) 1e-17; the closed form
+        # exp(-lambda sigma) / (1 - exp(-x)) = exp(-lambda sigma) (1/x + 1/2
+        # + x/12 + ...) is about 6.0e16
+        spec = scenarios.bohr_example(3)
+        sigma = 1e-17
+        x = spec.tail.min_gap * sigma
+        closed = math.exp(-99 / 14 * sigma) * (1 / x + 0.5 + x / 12)
+        assert spec_tail_bound(spec, sigma) == pytest.approx(closed, rel=1e-15)
+        assert 5.9e16 < closed < 6.1e16
+
+    def test_bound_beyond_a_double_refused(self):
+        # 1 / ((5/3) 1e-320) and exp(1000) are beyond a double
+        spec = scenarios.bohr_example(3)
+        with pytest.raises(PrecisionLimit, match="not a finite double"):
+            spec_tail_bound(spec, 1e-320)
+        far = TailMajorant(ExponentVector({UNIT_SYMBOL: -1000}), 1.0, 1.0)
+        with pytest.raises(PrecisionLimit, match="not a finite double"):
+            tail_bound(far, spec.symbols, 1.0)
 
     def test_exact_series_has_zero_tail(self):
         spec = SeriesSpec(table_23(), [(ExponentVector({"L2": 1}), 1.0)])

@@ -190,6 +190,14 @@ class TestExtractPhaseTargets:
                 with pytest.raises(BadRange, match="need finite coefficients at term 2"):
                     extract_phase_targets(spec_23(a), spec_23(b))
 
+    def test_modulus_beyond_a_double_refused(self):
+        # both parts finite, |1.5e308 + 1.5e308 i| beyond a double: abs()
+        # overflows, and the error names the 1-based term
+        big = complex(1.5e308, 1.5e308)
+        for a, b in (((1.0, big), (1.0, 1.0)), ((1.0, 1.0), (1.0, big))):
+            with pytest.raises(PrecisionLimit, match="moduli at term 2.*not both finite doubles"):
+                extract_phase_targets(spec_23(a), spec_23(b))
+
 
 class TestExpandRows:
     """The pivot-form shortcut agrees with a fresh expansion of the same rows."""
@@ -525,6 +533,20 @@ class TestIsEquivalentTruncated:
             f = scenarios.bohr_example(n)
             with pytest.raises(PrecisionLimit, match="phase vector lost precision"):
                 is_equivalent_truncated(f, scenarios.negate(f))
+
+    def test_tolerance_miss_is_not_called_lost_precision(self):
+        # 1 + 2^{-s} + 4^{-s} twisted with theta_4 - 2 theta_2 = 2.5e-9 at tol
+        # 1e-9: the relation passes (2.5e-9 <= 3 tol), the exact lift misses
+        # term 3 by 2.5e-9, and no precision is lost anywhere
+        a = scenarios.ordinary_series([(1, 1.0), (2, 1.0), (4, 1.0)])
+        b = scenarios.ordinary_series(
+            [(1, 1.0), (2, cmath.exp(0.7j)), (4, cmath.exp(1j * (1.4 + 2.5e-9)))]
+        )
+        message = r"relation holds within tol .* misses the target of term 3 by 2\.500e-09"
+        with pytest.raises(PrecisionLimit, match=message):
+            is_equivalent_truncated(a, b, 1e-9)
+        with pytest.raises(PrecisionLimit, match=message):
+            closure_demo(a, b, 3)
 
     def test_shift_equivalence(self):
         # vertical shifts are twists: always equivalent, for any tau

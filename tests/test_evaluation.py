@@ -21,10 +21,10 @@ from bohreq.evaluation import (
     GridBox,
     evaluate,
     evaluate_grid,
-    shift_phase_exact,
     shift_series,
     uniform_distance,
 )
+from bohreq.scenarios import shift_phase_exact
 from helpers import smooth_spec
 
 L2 = ExponentVector({"L2": 1})

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: echelon forms, kernels, diagonalization."""
+"""Exact integer linear algebra: Hermite forms, kernels, diagonalization."""
 
 import itertools
 import math
@@ -8,14 +8,12 @@ from fractions import Fraction
 import pytest
 
 from bohreq.lattice import (
-    clear_denominators,
     diagonalize,
     enumerate_near,
     gram_schmidt,
     hermite_normalize,
     integer_left_kernel,
     lll_reduce,
-    row_echelon,
     size_reduce,
     solve_integer_rows,
 )
@@ -103,12 +101,29 @@ class TestIntegerLeftKernel:
         ]
 
 
-class TestClearDenominators:
-    def test_scale_is_minimal_lcm(self):
-        a = [[Fraction(1, 2), Fraction(1)], [Fraction(2, 3), Fraction(0)]]
-        ints, scale = clear_denominators(a)
-        assert scale == 6
-        assert ints == [[3, 6], [4, 0]]
+class TestHermiteNormalize:
+    def test_output_is_hermite_form_spanning_the_input(self):
+        # a staircase of positive pivots with the entries above each pivot in
+        # [0, pivot) and no zero rows; the same lattice: every input row lies
+        # in the output's span, and every output row is an integer
+        # combination of the input rows (solved by the diagonalization)
+        rng = random.Random(2020)
+        for _ in range(300):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            for i in rng.sample(range(m), rng.randint(0, m)):  # zero or repeated rows
+                rows[i] = [0] * n if rng.random() < 0.5 else list(rows[rng.randrange(m)])
+            h = hermite_normalize(rows)
+            leads = [next(j for j, x in enumerate(row) if x) for row in h]
+            assert leads == sorted(set(leads))
+            for i, (row, lead) in enumerate(zip(h, leads)):
+                assert row[lead] > 0
+                assert all(0 <= h[t][lead] < row[lead] for t in range(i))
+            assert hermite_normalize(h) == h
+            assert all(in_lattice(row, h) for row in rows)
+            transposed = [[row[j] for row in rows] for j in range(n)]
+            for row in h:
+                assert solve_integer_rows(transposed, row)[0] is not None
 
 
 def annihilates(matrix, vector) -> bool:
@@ -181,8 +196,7 @@ class TestSizeReduce:
         for _ in range(30):
             n = rng.randint(2, 4)
             basis = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n - 1)]
-            _, rank = row_echelon(basis)
-            if rank < n - 1:
+            if len(hermite_normalize(basis)) < n - 1:
                 continue
             reduced = lll_reduce(basis)
             assert hermite_normalize(reduced) == hermite_normalize(basis)
@@ -252,7 +266,7 @@ class TestLLL:
             dim = rng.randint(2, 6)
             count = rng.randint(2, dim)
             basis = [[rng.randint(-50, 50) for _ in range(dim)] for _ in range(count)]
-            if row_echelon(basis)[1] < count:
+            if len(hermite_normalize(basis)) < count:
                 continue
             reduced = lll_reduce(basis)
             assert hermite_normalize(reduced) == hermite_normalize(basis)
@@ -273,7 +287,7 @@ class TestLLL:
             dim = rng.randint(2, 8)
             count = rng.randint(1, min(dim, 6))
             basis = [[rng.randint(-40, 40) for _ in range(dim)] for _ in range(count)]
-            if row_echelon(basis)[1] < count:
+            if len(hermite_normalize(basis)) < count:
                 continue
             reduced = lll_reduce(basis)
             assert reduced == reference_lll(basis)
@@ -295,7 +309,7 @@ class TestGramSchmidt:
         for _ in range(50):
             dim = rng.randint(1, 6)
             basis = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
-            if row_echelon(basis)[1] < len(basis):
+            if len(hermite_normalize(basis)) < len(basis):
                 continue
             target = [rng.randint(-99, 99) for _ in range(dim)]
             mu, norms = gram_schmidt([*basis, target])
@@ -328,7 +342,7 @@ class TestEnumerateNear:
         while checked < 30:
             dim = rng.randint(1, 3)
             basis = [[rng.randint(-30, 30) for _ in range(dim)] for _ in range(dim)]
-            if row_echelon(basis)[1] < dim:
+            if len(hermite_normalize(basis)) < dim:
                 continue
             basis = lll_reduce(basis)
             s = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(dim)]

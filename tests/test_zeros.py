@@ -70,6 +70,15 @@ class TestCountZeros:
             count_zeros(spec, 2.5, Rectangle((0, 1), (0, 1)))
         assert count_zeros(spec, 1.0, Rectangle((0, 1), (0, 1))) == 0
 
+    def test_one_term_difference_has_no_zero(self):
+        # f - v of one term: a nonzero constant, or one exponential, whose
+        # modulus may lie within the margin everywhere; no contour is walked
+        syms = SymbolTable([("L2", LOG2)])
+        constant = SeriesSpec(syms, [(ExponentVector(), 2.5)])
+        assert count_zeros(constant, 2.5 + 1e-9, Rectangle((0, 1), (0, 1))) == 0
+        one_term = SeriesSpec(syms, [(ExponentVector({"L2": 1}), 1.0)])
+        assert count_zeros(one_term, 0.0, Rectangle((40, 41), (0, 1))) == 0
+
     def test_winding_defect_small(self):
         _, defect = winding_number(one_plus_two(), 0.0, Rectangle((-1, 1), (0, 10)))
         assert defect < 1e-6
@@ -184,14 +193,25 @@ class TestAttainsValue:
             attains_value(two_three(), 0.5, 1.0, 1.0, (-1, 1))
 
     def test_narrow_strip_raises_the_last_clipping_error(self):
-        # |f - v| = 1e-12 |2^{-s}| lies within the margin everywhere, so every
-        # rectangle clips; the last jitter's inset, 6.7e-5, would empty the
-        # strip of width 1e-4, so that rung is skipped, not turned inside out
-        syms = SymbolTable([("L2", LOG2)])
-        spec = SeriesSpec(syms, [(ExponentVector(), 1.0), (ExponentVector({"L2": 1}), 1e-12)])
+        # |f - v| = 1e-12 |2^{-s} + 3^{-s}| <= 2e-12 lies within the margin
+        # 2e-8 everywhere, so every rectangle clips; the last jitter's inset,
+        # 6.7e-5, would empty the strip of width 1e-4, so that rung is
+        # skipped, not turned inside out
+        syms = SymbolTable([("L2", LOG2), ("L3", math.log(3))])
+        spec = SeriesSpec(
+            syms,
+            [
+                (ExponentVector(), 1.0),
+                (ExponentVector({"L2": 1}), 1e-12),
+                (ExponentVector({"L3": 1}), 1e-12),
+            ],
+        )
         with pytest.raises(BoundaryTooClose) as info:
             attains_value(spec, 1.0, -5e-5, 5e-5, (0.0, 10.0))
         assert -5e-5 < info.value.point.real < 5e-5
+        # with one exponential left, f - v = 1e-12 2^{-s} has no zero at all
+        one_term = SeriesSpec(syms, spec.terms[:2])
+        assert not attains_value(one_term, 1.0, -5e-5, 5e-5, (0.0, 10.0))
 
 
 class TestSigmaSequence:
@@ -504,16 +524,19 @@ class TestWalkErrors:
         # 30^{800} and 30^{400} are beyond a double; f = 1.5e308 + 2^{-s} and
         # v = -1.5e308 are finite, f - v is not; for f = 1.5e308 i + 2^{-s},
         # f - v is finite and |f - v| is not.  The walk refuses at the first
-        # sample instead of bisecting to the cap on every ladder rung (and
-        # sigma_star, on the latter two, before it walks), and NumPy warns of
-        # nothing
-        syms = SymbolTable([("L2", LOG2)])
+        # sample instead of bisecting to the cap on every ladder rung, and
+        # NumPy warns of nothing.  On f of at most two nonzero coefficients
+        # the coefficients of f - v refuse before any walk (in sigma_star
+        # always); with a third term, count_zeros walks, and the walk refuses
+        syms = SymbolTable([("L2", LOG2), ("L3", math.log(3))])
         big = SeriesSpec(syms, [(ExponentVector(), 1.5e308), (ExponentVector({"L2": 1}), 1.0)])
         turned = SeriesSpec(syms, [(ExponentVector(), 1.5e308j), (ExponentVector({"L2": 1}), 1.0)])
+        big3 = SeriesSpec(syms, [*big.terms, (ExponentVector({"L3": 1}), 1.0)])
         cases = [
             (harmonic_30(), 0.5, (-800.0, -700.0), -400.0, "the value at"),
-            (big, -1.5e308, (0.0, 1.0), -1.0, r"f\(s\) - v at 0j is \(inf"),
-            (turned, -1.5e308, (0.0, 1.0), -1.0, r"f\(s\) - v at 0j is"),
+            (big3, -1.5e308, (0.0, 1.0), -1.0, r"f\(s\) - v at 0j is \(inf"),
+            (big, -1.5e308, (0.0, 1.0), -1.0, r"coefficient of f - v at exponent 0.0 is \(inf"),
+            (turned, -1.5e308, (0.0, 1.0), -1.0, "coefficient of f - v at exponent 0.0 is"),
         ]
         start = time.process_time()
         with warnings.catch_warnings():
