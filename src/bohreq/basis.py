@@ -117,6 +117,14 @@ def _ratio(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return _exact(a / b)
 
 
+class _Shared(dict):
+    """One Fraction per distinct value, made on first use (Fractions are immutable)."""
+
+    def __missing__(self, q: int | Fraction) -> Fraction:
+        f = self[q] = Fraction(q)
+        return f
+
+
 def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fraction]]]:
     """Earliest-first pivots of a vector list and each vector's expression over them.
 
@@ -128,7 +136,7 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     Fractions.  The arithmetic is integers first, `Fraction` only where a
     division is inexact (`divmod` for int / int, a whole Fraction turned back
     into an int), so integral inputs make no Fraction until the rows are
-    returned.
+    returned, and then one per distinct integer, shared by every row.
     """
     pivots: list[int] = []
     rows: list[dict[int, Fraction]] = []
@@ -137,29 +145,37 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     # coordinates contain another row's lead, so reducing a vector by one row
     # neither adds a lead coordinate nor changes another lead's value: the
     # leads among the vector's own coordinates are all the rows it needs, and
-    # their reductions commute.  Entries are ints where whole (see `_exact`).
+    # their reductions commute.  Entries are ints where whole (see `_exact`);
+    # `_exact` runs only on a result that is not already an int.
     echelon: dict[object, tuple[dict, dict[int, int | Fraction]]] = {}
+    shared = _Shared()
 
     for idx, vec in enumerate(vectors):
         work = {name: _exact(q) for name, q in vec.items()}
         combo: dict[int, int | Fraction] = {}
         for lead in [name for name in work if name in echelon]:
             coords, expr = echelon[lead]
-            f = _ratio(work[lead], coords[lead])
+            a, b = work[lead], coords[lead]
+            f = a // b if type(a) is int and type(b) is int and not a % b else _ratio(a, b)
             for name, q in coords.items():
-                new = _exact(work.get(name, 0) - f * q)
+                new = work.get(name, 0) - f * q
+                if type(new) is not int:
+                    new = _exact(new)
                 if new:
                     work[name] = new
                 else:
                     work.pop(name, None)
             for j, q in expr.items():
-                combo[j] = _exact(combo.get(j, 0) + f * q)
+                new = combo.get(j, 0) + f * q
+                if type(new) is not int:
+                    new = _exact(new)
+                combo[j] = new
         if not work:
-            rows.append({j: Fraction(q) for j, q in combo.items() if q})
+            rows.append({j: shared[q] for j, q in combo.items() if q})
             continue
         k = len(pivots)
         pivots.append(idx)
-        rows.append({k: Fraction(1)})
+        rows.append({k: shared[1]})
         expr = {k: 1}
         for j, q in combo.items():
             if q:
@@ -170,13 +186,18 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
             if c:
                 f = _ratio(c, work[lead])
                 for name, q in work.items():
-                    new = _exact(coords.get(name, 0) - f * q)
+                    new = coords.get(name, 0) - f * q
+                    if type(new) is not int:
+                        new = _exact(new)
                     if new:
                         coords[name] = new
                     else:
                         coords.pop(name, None)
                 for j, q in expr.items():
-                    other_expr[j] = _exact(other_expr.get(j, 0) - f * q)
+                    new = other_expr.get(j, 0) - f * q
+                    if type(new) is not int:
+                        new = _exact(new)
+                    other_expr[j] = new
         echelon[lead] = (work, expr)
     return pivots, rows
 

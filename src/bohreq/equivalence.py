@@ -10,10 +10,11 @@ witness relation that fails certifies non-equivalence.
 When the relations pass, a solution is built on pivot rows, the earliest
 independent constrained rows.  Phases on the pivots are theta_P + 2pi w, and
 only rows whose expression over the pivots is non-integral constrain the
-integer vector w, through a small congruence system solved exactly; its
-solutions are w + L for an integer lattice L.  This exact lift gives the phase
-vector (rounded to doubles, its own residual checked) and the closure scan's
-minimum phase norm (an exact search over L).  Feasible verdicts come with an
+integer vector w, each through one congruence; folding them in row by row
+gives the exact coset w + L of solutions, an integer lattice L, after every
+row.  This exact lift gives the phase vector (rounded to doubles, its own
+residual checked) and, read after each row, the closure scan's minimum phase
+norms (an exact search over L).  Feasible verdicts come with an
 explicit Y within tolerance, infeasible ones with an exact witness.
 
 Equivalence meets vertical shifts through Kronecker's theorem: a shift by t
@@ -28,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .basis import Basis, BohrMatrix, compute_basis, expand_over_pivots
 from .core import SeriesSpec
@@ -44,6 +45,7 @@ from .errors import (
 from .lattice import (
     enumerate_near,
     gram_schmidt,
+    hermite_normalize,
     integer_left_kernel,
     lll_reduce,
     size_reduce,
@@ -282,43 +284,75 @@ def integer_kernel(expansion: BohrMatrix, rows: Sequence[int]) -> list[tuple[int
     return [_dense(g, len(idx)) for g in _relations(pivots, expr, _wrapped_rows(expr))]
 
 
+def _reduce(w: list[int], lattice: list[list[int]]) -> list[int]:
+    """w modulo a full-rank lattice in Hermite form H: the representative with 0 <= w_i < H_ii."""
+    for i, h in enumerate(lattice):
+        q = w[i] // h[i]
+        if q:
+            w = [a - q * b for a, b in zip(w, h)]
+    return w
+
+
+def _combine(x: Sequence[int], rows: list[list[int]]) -> list[int]:
+    """sum_t x_t rows[t] over the rows given (entries of x past them ignored)."""
+    out = [0] * len(rows[0])
+    for xt, row in zip(x, rows):
+        if xt:
+            out = [o + xt * v for o, v in zip(out, row)]
+    return out
+
+
 def _pivot_lift(
-    expr: list[dict[int, Fraction]], wrapped: list[int], thetas: list[float], pivots: list[int]
-) -> tuple[list[int], list[list[int]] | None]:
-    """Integer w with R'_n . w = c_n (mod 1) on every constrained row, and the lattice L.
+    expr: list[dict[int, Fraction]], pivots: list[int], wrapped: list[int], thetas: list[float]
+) -> Iterator[tuple[list[int], list[list[int]] | None]]:
+    """The coset w + L of integer w with R'_n . w = c_n (mod 1), after each constrained row.
 
     `expr[n]` is row n over the pivots (R'_n) and c_n = (theta_n - R'_n .
-    theta_P) / 2pi.  Rows with integral R'_n hold for every w (the kernel check
-    made c_n an integer), so only the others enter, each scaled by the lcm d_n
-    of its own denominators: d_n R'_n . w + d_n u_n = round(d_n c_n).  L, the
-    z with R'_n . z integral on every row, has the kernel of that system cut
-    to its first r coordinates as basis; the one diagonalization that solves
-    the system gives it, LLL-reduced once per decision.  w comes size-reduced
-    modulo L.  With no wrapped row every w works, and L = Z^r is returned as None.
+    theta_P) / 2pi.  One fold over the rows in order, earliest-first pivoting
+    making each prefix's pivots and R' rows a prefix of these:
+    - a pivot row appends a 0 to w and a unit vector to L;
+    - a row with integral R'_n holds for every w (its relation makes c_n an
+      integer) and changes nothing;
+    - a wrapped row, scaled by the lcm d_n of its own denominators, adds
+      d_n R'_n . z = round(d_n c_n) (mod d_n).  On z = w + x H, H the Hermite
+      form of L, that is one congruence in x, solved together with the lattice
+      K of its homogeneous solutions by one diagonalization of a 1 x (r + 1)
+      system.  L becomes K H, in Hermite form, and w is reduced modulo it, so
+      a prefix's coset has one representation however it was reached.
+    L = Z^r is given as None.  Every yield is a fresh pair.  A congruence with
+    no solution on the coset raises PrecisionLimit.
     """
-    r = len(pivots)
-    if not wrapped:
-        return [0] * r, None
-    theta_p = [thetas[p] for p in pivots]
-    m = len(wrapped)
-    system: list[list[int]] = []
-    rhs: list[int] = []
-    for i, n in enumerate(wrapped):
-        d = math.lcm(*(q.denominator for q in expr[n].values()))
-        scaled = [0] * r
-        for j, q in expr[n].items():
-            scaled[j] = int(q * d)
-        system.append(scaled + [d if t == i else 0 for t in range(m)])
-        terms = [d * thetas[n]] + [-c * th for c, th in zip(scaled, theta_p) if c]
-        rhs.append(round(math.fsum(terms) / TWO_PI))
-    solution, kernel = solve_integer_rows(system, rhs)
-    if solution is None:
-        raise PrecisionLimit(
-            "integer lifts are inconsistent: the system sits beyond what "
-            "double-precision targets can certify"
-        )
-    lattice = lll_reduce([v[:r] for v in kernel])
-    return size_reduce(solution[:r], lattice), lattice
+    theta_p: list[float] = []
+    w: list[int] = []
+    lattice: list[list[int]] | None = None
+    pivot_rows, wrapped_rows = set(pivots), set(wrapped)
+    for n, row in enumerate(expr):
+        if n in pivot_rows:
+            theta_p.append(thetas[n])
+            if lattice is not None:
+                lattice = [[*h, 0] for h in lattice] + [[0] * len(w) + [1]]
+            w = [*w, 0]
+        elif n in wrapped_rows:
+            d = math.lcm(*(q.denominator for q in row.values()))
+            scaled = {j: q.numerator * (d // q.denominator) for j, q in row.items()}
+            terms = [d * thetas[n]] + [-c * theta_p[j] for j, c in scaled.items()]
+            rhs = round(math.fsum(terms) / TWO_PI) - sum(c * w[j] for j, c in scaled.items())
+            r = len(w)
+            basis = lattice or [[int(i == j) for j in range(r)] for i in range(r)]
+            h = [sum(c * b[j] for j, c in scaled.items()) % d for b in basis]
+            if not any(h):  # the row's left side vanishes on L: the coset stays, or none is left
+                solvable = rhs % d == 0
+            else:
+                x, kernel = solve_integer_rows([h + [d]], [rhs % d])
+                if solvable := x is not None:
+                    lattice = hermite_normalize([_combine(k, basis) for k in kernel])
+                    w = _reduce([a + b for a, b in zip(w, _combine(x, basis))], lattice)
+            if not solvable:
+                raise PrecisionLimit(
+                    "integer lifts are inconsistent: the system sits beyond what "
+                    "double-precision targets can certify"
+                )
+        yield w, lattice
 
 
 class _Lift(NamedTuple):
@@ -326,8 +360,8 @@ class _Lift(NamedTuple):
 
     `rows` are the constrained rows of R, `expr` their expressions R' over the
     pivot rows and `pivots` the positions of R_P among them; `units[p]` is j
-    when pivot row p is the unit row e_j, else None.  `lattice` is the
-    LLL-reduced basis of L that `_pivot_lift` gives.
+    when pivot row p is the unit row e_j, else None.  `w` and `lattice` are
+    the coset `_pivot_lift` folds to: L in Hermite form, w reduced modulo it.
     """
 
     rows: list[dict[int, Fraction]]
@@ -339,15 +373,22 @@ class _Lift(NamedTuple):
     lattice: list[list[int]] | None
 
 
+def _units(rows: list[dict[int, Fraction]], pivots: list[int]) -> list[int | None]:
+    """j for each pivot row that is the unit row e_j, else None."""
+    return [next(iter(rows[p])) if list(rows[p].values()) == [1] else None for p in pivots]
+
+
 def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
     """The lift's phase vector in doubles: R_P Y = theta_P + 2pi w, free directions 0.
 
-    A column whose pivot row is the unit row e_j reads Y_j = phi_p; every other
+    w is first shrunk modulo L by Babai against L's LLL-reduced basis.  A
+    column whose pivot row is the unit row e_j reads Y_j = phi_p; every other
     e_j is expanded once over the pivot rows and the unit vectors independent
     of them (the free directions, where Y is 0), giving Y_j = sum_p c_p phi_p.
     """
+    w = lift.w if lift.lattice is None else size_reduce(lift.w, lll_reduce(lift.lattice))
     y = [0.0] * k
-    for j, theta, wp in zip(lift.units, lift.theta, lift.w):
+    for j, theta, wp in zip(lift.units, lift.theta, w):
         if j is not None:
             y[j] = theta + TWO_PI * wp
     cols = sorted(set(range(k)).difference(lift.units))
@@ -357,20 +398,23 @@ def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
         _, expr = expand_over_pivots(pivot_rows + [{j: Fraction(1)} for j in cols])
         for j, row in zip(cols, expr[r:]):
             coeffs = [(p, c) for p, c in row.items() if p < r]
-            turns = sum(c * lift.w[p] for p, c in coeffs)
+            turns = sum(c * w[p] for p, c in coeffs)
             y[j] = math.fsum(float(c) * lift.theta[p] for p, c in coeffs) + TWO_PI * float(turns)
     return tuple(y)
 
 
-def _check_lift(lift: _Lift, targets: PhaseTargets, tol: float = 1e-9) -> None:
-    """PrecisionLimit naming the first target the exact lift misses by more than tol.
+def _check_lift(
+    lift: _Lift, entries: Sequence[tuple[int, float]], tol: float = 1e-9, start: int = 0
+) -> None:
+    """PrecisionLimit naming the first target from row `start` on that the lift misses by over tol.
 
     R_n Y = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced modulo 1
     exactly in integers, so a lift of any size is checked without rounding
-    it.  Every relation held within tol times its l1 norm, so a miss here is
-    the tolerance's, not the doubles'.
+    it.  A row's miss is the same for every w of the coset, so the closure
+    scan checks each row once, when it joins.  Every relation held within tol
+    times its l1 norm, so a miss here is the tolerance's, not the doubles'.
     """
-    for row, (i, th) in zip(lift.expr, targets.entries):
+    for row, (i, th) in zip(lift.expr[start:], entries[start:]):
         # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
         turns = math.fsum(q.numerator * lift.w[j] % q.denominator / q.denominator
                           for j, q in row.items())
@@ -383,12 +427,24 @@ def _check_lift(lift: _Lift, targets: PhaseTargets, tol: float = 1e-9) -> None:
             )
 
 
+def _witness(
+    relations: list[dict[int, int]], thetas: list[float], tol: float
+) -> tuple[dict[int, int], float] | None:
+    """The first relation whose target defect exceeds tol times its l1 norm, and that defect."""
+    for g in relations:
+        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
+        if defect > tol * sum(abs(c) for c in g.values()):
+            return g, defect
+    return None
+
+
 def _decide(
     expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
 ) -> tuple[tuple[tuple[int, ...], ...], _Lift | tuple[tuple[int, ...], float]]:
     """The kernel, and the exact lift if every relation passes, else a witness and its defect.
 
-    An inconsistent integer lift raises PrecisionLimit.
+    The lift is the coset that `_pivot_lift` folds to over every constrained
+    row; an inconsistent integer lift raises PrecisionLimit.
     """
     idx = targets.indices()
     thetas = targets.thetas()
@@ -396,15 +452,14 @@ def _decide(
     wrapped = _wrapped_rows(expr)
     relations = _relations(pivots, expr, wrapped)
     kernel = tuple(_dense(g, len(idx)) for g in relations)
-    for g, m in zip(relations, kernel):
-        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
-        if defect > tol * sum(abs(c) for c in g.values()):
-            return kernel, (m, defect)
-
-    w, lattice = _pivot_lift(expr, wrapped, thetas, pivots)
+    if failed := _witness(relations, thetas, tol):
+        g, defect = failed
+        return kernel, (_dense(g, len(idx)), defect)
+    w, lattice = [], None
+    for w, lattice in _pivot_lift(expr, pivots, wrapped, thetas):
+        pass
     theta_p = [thetas[p] for p in pivots]
-    units = [next(iter(rows[p])) if list(rows[p].values()) == [1] else None for p in pivots]
-    return kernel, _Lift(rows, expr, pivots, units, theta_p, w, lattice)
+    return kernel, _Lift(rows, expr, pivots, _units(rows, pivots), theta_p, w, lattice)
 
 
 def solve_phase_system(
@@ -436,7 +491,7 @@ def solve_phase_system(
               for row, th in zip(outcome.rows, targets.thetas()))
     residual = max(map(circle_distance, misses), default=0.0)
     if residual > tol:
-        _check_lift(outcome, targets, tol)
+        _check_lift(outcome, targets.entries, tol)
         raise PrecisionLimit(
             f"phase vector lost precision in doubles: residual {residual:.3e} > tol {tol:.3e}"
         )
@@ -490,13 +545,17 @@ def _min_norm(lift: _Lift) -> float:
     phase wraps to its principal angle.  Otherwise |R_P^+ phi|^2 = phi^T G phi
     with G = (R_P R_P^T)^-1, the identity for unit pivot rows.  With s =
     theta_P / 2pi + w this is 4pi^2 |s + z|_G^2, minimised exactly over the
-    lift's basis of L (LLL-reduced once per decision, in `_pivot_lift`) by
-    `lattice.enumerate_near`, its bound shrunk to each point it visits.
+    LLL-reduced Hermite form of L (reduced once per call) by
+    `lattice.enumerate_near`, its bound shrunk to each point it visits.  The
+    exact minimum is scaled by 4^-e before its square root is taken in
+    doubles, so a minimum beyond a double still gives its norm (bit for bit
+    the unscaled one where that is finite); math.inf when the norm itself is
+    beyond a double.
     """
     if lift.lattice is None and None not in lift.units:
         return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
     r = len(lift.w)
-    gens = lift.lattice or [_dense({i: 1}, r) for i in range(r)]
+    gens = lll_reduce(lift.lattice) if lift.lattice else [_dense({i: 1}, r) for i in range(r)]
     gram = [{i: Fraction(1)} for i in range(r)]
     if None in lift.units:
         # G's rows are the expressions of the unit vectors over the rows of R_P R_P^T.
@@ -512,22 +571,61 @@ def _min_norm(lift: _Lift) -> float:
     # Gram-Schmidt in the metric G: s = sum_l mu[r][l] g*_l (L has full rank r).
     mu, norms = gram_schmidt([*gens, s], inner)
     best = enumerate_near(mu, norms, mu[r], math.inf, lambda x, length: length)
-    return TWO_PI * math.sqrt(best)
+    e = max(0, (best.numerator // best.denominator).bit_length() // 2 - 500)
+    try:
+        return math.ldexp(TWO_PI * math.sqrt(best / (1 << 2 * e)), e)
+    except OverflowError:
+        return math.inf
+
+
+def _prefix_lifts(
+    expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
+) -> Iterator[_Lift | None]:
+    """The exact lift of each prefix of the constrained rows, None at the first infeasible one.
+
+    One `_pivot_lift` fold over all the rows, read after each row; only the
+    row that joins is checked (`_check_lift`), the coset having fixed the
+    misses of the rows before it.  A row with no solution on the coset, or
+    missed by more than tol, makes the prefix infeasible when one of its
+    integer relations has a target defect beyond tol times its l1 norm (the
+    verdict `_decide` gives the prefix alone); otherwise its PrecisionLimit
+    stands.  Nothing is yielded after None.
+    """
+    thetas = targets.thetas()
+    rows, pivots, expr = _expand_rows(expansion, targets.indices())
+    units, theta_p = _units(rows, pivots), [thetas[p] for p in pivots]
+    wrapped = _wrapped_rows(expr)
+    fold = _pivot_lift(expr, pivots, wrapped, thetas)
+    for m in range(1, len(rows) + 1):
+        try:
+            w, lattice = next(fold)
+            r = len(w)
+            lift = _Lift(rows[:m], expr[:m], pivots[:r], units[:r], theta_p[:r], w, lattice)
+            _check_lift(lift, targets.entries, tol, start=m - 1)
+        except PrecisionLimit:
+            head = [p for p in pivots if p < m]
+            if _witness(_relations(head, expr[:m], [n for n in wrapped if n < m]), thetas, tol):
+                yield None
+                return
+            raise
+        yield lift
 
 
 def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]:
     """Per-truncation feasibility scan of the first-N phase systems.
 
-    For each N <= n_max the first N terms are aligned and the congruence
-    system is decided on the first N rows of one R, computed once for the
-    first n_max terms: earliest-first pivoting makes a prefix's basis and R
-    the prefix of the full ones, and rows below N use only the columns of
-    sources below N.  A feasible N reports the minimum |Y| over all its
-    solutions, for a basis of any rank, from the exact pivot lift (checked
-    exactly, never rounded to a phase vector; see `_min_norm`).
-    Feasibility at every N with min norms diverging is the finite signature
-    of a series lying in the closure of an equivalence class without
-    belonging to it.
+    The targets of the first n_max terms are extracted once, and one R is
+    computed for those terms: earliest-first pivoting makes a prefix's basis
+    and R the prefix of the full ones, and rows below N use only the columns
+    of sources below N.  The exact coset w + L is then carried from row to
+    row (`_prefix_lifts`), so truncation N reads the coset of its constrained
+    rows, never deciding its system afresh.  A feasible N reports the minimum
+    |Y| over all its solutions, for a basis of any rank (see `_min_norm`),
+    and PrecisionLimit, naming N, when that norm is beyond a double.  A
+    modulus or support mismatch at term N makes N and every later truncation
+    infeasible, and so does an infeasible N.  Feasibility at every N with
+    min norms diverging is the finite signature of a series lying in the
+    closure of an equivalence class without belonging to it.
     """
     check_integral(n_max, "n_max", DimensionMismatch)
     if not 1 <= n_max <= min(len(a.terms), len(b.terms)):
@@ -535,18 +633,29 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
             f"n_max {n_max} outside 1..{min(len(a.terms), len(b.terms))}"
         )
     _, expansion, _ = compute_basis([t.exponent for t in a.terms[:n_max]])
+    try:
+        targets, stop = extract_phase_targets(a.take_terms(n_max), b.take_terms(n_max)), n_max + 1
+    except (ModulusMismatch, SupportMismatch) as err:
+        stop = err.term
+        targets = PhaseTargets(())
+        if stop > 1:
+            targets = extract_phase_targets(a.take_terms(stop - 1), b.take_terms(stop - 1))
+    lifts = _prefix_lifts(expansion, targets)
+    constrained = set(targets.indices())
+    point = ClosurePoint(0, True, 0.0)
     out: list[ClosurePoint] = []
     for n in range(1, n_max + 1):
-        try:
-            targets = extract_phase_targets(a.take_terms(n), b.take_terms(n))
-        except (ModulusMismatch, SupportMismatch):
-            out.append(ClosurePoint(n, False, None))
-            continue
-        _, outcome = _decide(expansion, targets)
-        feasible = isinstance(outcome, _Lift)
-        if feasible:
-            _check_lift(outcome, targets)
-        out.append(ClosurePoint(n, feasible, _min_norm(outcome) if feasible else None))
+        feasible, norm = point.feasible and n < stop, point.min_norm
+        if feasible and n - 1 in constrained:
+            lift = next(lifts)
+            feasible = lift is not None
+            norm = _min_norm(lift) if feasible else None
+            if norm == math.inf:
+                raise PrecisionLimit(
+                    f"the minimum phase norm of truncation N = {n} is beyond a double"
+                )
+        point = ClosurePoint(n, feasible, norm if feasible else None)
+        out.append(point)
     return out
 
 

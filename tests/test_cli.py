@@ -221,6 +221,20 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("bohreq: error: ")
 
+    def test_closure_demo_norm_beyond_a_double_is_one_error_line(self, tmp_path, capsys):
+        # Bohr's series at N = 360: the minimum phase norm is not a double
+        f = tmp_path / "f360.json"
+        g = tmp_path / "g360.json"
+        write_series_file(scenarios.bohr_example(360), f)
+        write_series_file(scenarios.negate(scenarios.bohr_example(360)), g)
+        argv = ["closure-demo", "--series", str(f), "--series2", str(g), "--nmax", "360"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bohreq: error: ") and "N = 360" in lines[0]
+
     def test_eval_and_tail(self, files, capsys):
         _, f, _ = files
         assert run_command(["eval", "--series", f, "--sigma", "2", "--t", "0"]) == 0

@@ -15,6 +15,7 @@ from bohreq.equivalence import (
     PhaseTargets,
     _decide,
     _expand_rows,
+    _phases,
     circle_distance,
     closure_demo,
     extract_phase_targets,
@@ -197,6 +198,80 @@ class TestExtractPhaseTargets:
         for a, b in (((1.0, big), (1.0, 1.0)), ((1.0, 1.0), (1.0, big))):
             with pytest.raises(PrecisionLimit, match="moduli at term 2.*not both finite doubles"):
                 extract_phase_targets(spec_23(a), spec_23(b))
+
+
+def non_integral_twists(k: int):
+    """(a, b, Y0): 8 seeded series over k symbols with rational exponents, b a twist of a.
+
+    Every other one has a zero first coefficient, so its first basis source is
+    skipped, the pivot rows are not unit rows of R and some directions stay free.
+    """
+    rng = random.Random(7070 + k)
+    names = "ABC"[:k]
+    syms = SymbolTable([(name, 1.0 + 0.37 * i) for i, name in enumerate(names)])
+    for trial in range(8):
+        exps = [ExponentVector({name: 1}) for name in names]
+        while len(exps) < k + 2:
+            e = ExponentVector(
+                {name: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for name in names}
+            )
+            if e.coords() and e not in exps:
+                exps.append(e)
+        coeffs = [0.0 if trial % 2 and i == 0 else 1.0 for i in range(len(exps))]
+        a = SeriesSpec(syms, list(zip(exps, coeffs)))
+        basis, r, _ = compute_basis(exps)
+        y0 = [rng.uniform(0.0, TWO_PI) for _ in range(k)]
+        yield a, twist(a, basis, r, y0), y0
+
+
+def harmonic_without_two(n_terms: int, seed: int):
+    """1..N with the 2^-s coefficient zero, and a seeded twist: L has rank above 1."""
+    a = scenarios.ordinary_series(
+        [(n, 0.0 if n == 2 else 1.0 / n) for n in range(1, n_terms + 1)]
+    )
+    basis, r, _ = compute_basis(a.exponents())
+    rng = random.Random(seed)
+    return a, twist(a, basis, r, [rng.uniform(-20.0, 20.0) for _ in range(r.ncols)])
+
+
+def randomly_turned(a: SeriesSpec, seed: int):
+    """a, and a with every coefficient from the third on turned by a seeded random angle."""
+    rng = random.Random(seed)
+    turned = [t.coeff * (cmath.exp(1j * rng.uniform(0.0, TWO_PI)) if i >= 2 else 1.0)
+              for i, t in enumerate(a.terms)]
+    return a, a.with_coeffs(turned)
+
+
+def changed_at(pair, index: int, factor: complex):
+    """The pair with the second series' coefficient at `index` multiplied by factor."""
+    a, b = pair
+    coeffs = [t.coeff * (factor if i == index else 1.0) for i, t in enumerate(b.terms)]
+    return a, b.with_coeffs(coeffs)
+
+
+def stacked_coset(lift, thetas: list[float]):
+    """(w, Hermite form of L) from one diagonalization of every wrapped row at once.
+
+    Row n over the pivots, scaled by the lcm d of its denominators, gives
+    d R'_n . z + d u_n = round(d c_n); the kernel of the whole system, cut to
+    z, is L, and w is its solution reduced modulo L.
+    """
+    r = len(lift.pivots)
+    wrapped = [n for n, row in enumerate(lift.expr)
+               if any(q.denominator != 1 for q in row.values())]
+    if not wrapped:
+        return [0] * r, None
+    system, rhs = [], []
+    for i, n in enumerate(wrapped):
+        row = lift.expr[n]
+        d = math.lcm(*(q.denominator for q in row.values()))
+        scaled = [int(row.get(j, 0) * d) for j in range(r)]
+        system.append(scaled + [d if t == i else 0 for t in range(len(wrapped))])
+        terms = [d * thetas[n]] + [-c * th for c, th in zip(scaled, lift.theta) if c]
+        rhs.append(round(math.fsum(terms) / TWO_PI))
+    solution, kernel = lattice.solve_integer_rows(system, rhs)
+    basis = hermite_normalize([v[:r] for v in kernel])
+    return equivalence._reduce(solution[:r], basis), basis
 
 
 class TestExpandRows:
@@ -604,10 +679,12 @@ class TestClosureDemo:
             assert point.feasible
             assert point.min_norm == pytest.approx(PI * lcm, rel=1e-12)
         assert lcm == 500899824099675
-        # the exact lift has w size-reduced modulo lcm Z
+        # the exact lift is the coset w + lcm Z, and its phase has w
+        # size-reduced modulo lcm Z
         _, r, _ = compute_basis(f.exponents())
         _, lift = _decide(r, extract_phase_targets(f, scenarios.negate(f)))
-        assert abs(lift.theta[0] + TWO_PI * lift.w[0]) <= PI * (lcm + 1)
+        assert lift.lattice == [[lcm]] and 0 <= lift.w[0] < lcm
+        assert abs(_phases(lift, 1)[0]) <= PI * (lcm + 1)
 
     def test_twisted_ordinary_series_thirty_terms(self):
         # unit pivots over the primes and integral R: the shortest solution
@@ -676,22 +753,22 @@ class TestClosureDemo:
             assert abs(got.coeff - term.coeff) <= 1e-8 * max(1.0, abs(term.coeff))
 
     def test_each_decision_reduces_its_lattice_once(self, monkeypatch):
-        # `_pivot_lift` LLL-reduces L once; Babai and the closure search reuse it
+        # the fold keeps L in Hermite form; `_min_norm` LLL-reduces it once per
+        # closure prefix whose L is not Z^r, and a decision once, for Babai
         calls = {"lll": 0, "lattices": 0}
-        real_lll, real_lift = lattice.lll_reduce, equivalence._pivot_lift
+        real_lll, real_min_norm = lattice.lll_reduce, equivalence._min_norm
 
         def counted_lll(basis):
             calls["lll"] += 1
             return real_lll(basis)
 
-        def counted_lift(*args):
-            w, lat = real_lift(*args)
-            calls["lattices"] += lat is not None
-            return w, lat
+        def counted_min_norm(lift):
+            calls["lattices"] += lift.lattice is not None
+            return real_min_norm(lift)
 
         monkeypatch.setattr(lattice, "lll_reduce", counted_lll)
         monkeypatch.setattr(equivalence, "lll_reduce", counted_lll)
-        monkeypatch.setattr(equivalence, "_pivot_lift", counted_lift)
+        monkeypatch.setattr(equivalence, "_min_norm", counted_min_norm)
         f = scenarios.bohr_example(20)
         closure_demo(f, scenarios.negate(f), 20)
         assert calls == {"lll": 19, "lattices": 19}
@@ -701,6 +778,10 @@ class TestClosureDemo:
         calls.update(lll=0, lattices=0)
         closure_demo(a, twist(a, basis, r, y), 20)
         assert calls["lll"] == calls["lattices"] > 0
+        calls.update(lll=0, lattices=0)
+        f = scenarios.bohr_example(8)
+        assert is_equivalent_truncated(f, scenarios.negate(f)).equivalent
+        assert calls == {"lll": 1, "lattices": 0}
 
     def test_zero_exponent_truncation_has_zero_norm(self):
         # the first term of an ordinary series has exponent log 1 = 0: the
@@ -717,31 +798,100 @@ class TestClosureDemo:
         # rational exponents over k symbols, twisted by a short Y0; half the
         # instances skip the first basis source, so the pivot rows are not
         # unit rows of R and some directions stay free
-        rng = random.Random(7070 + k)
-        names = "ABC"[:k]
-        syms = SymbolTable([(name, 1.0 + 0.37 * i) for i, name in enumerate(names)])
         checked = 0
-        for trial in range(8):
-            exps = [ExponentVector({name: 1}) for name in names]
-            while len(exps) < k + 2:
-                e = ExponentVector(
-                    {name: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for name in names}
-                )
-                if e.coords() and e not in exps:
-                    exps.append(e)
-            coeffs = [0.0 if trial % 2 and i == 0 else 1.0 for i in range(len(exps))]
-            a = SeriesSpec(syms, list(zip(exps, coeffs)))
-            basis, r, _ = compute_basis(exps)
-            y0 = [rng.uniform(0.0, TWO_PI) for _ in range(k)]
-            b = twist(a, basis, r, y0)
-            for point in closure_demo(a, b, len(exps)):
-                rows = [i for i in range(point.n) if coeffs[i]]
+        for a, b, y0 in non_integral_twists(k):
+            r = compute_basis(a.exponents())[1]
+            for point in closure_demo(a, b, len(a.terms)):
+                rows = [i for i in range(point.n) if a.terms[i].coeff]
                 thetas = [cmath.phase(b.terms[i].coeff / a.terms[i].coeff) % TWO_PI for i in rows]
                 want = brute_min_norm(r.dense_rows(rows), thetas, math.hypot(*y0) + 1e-6)
                 assert point.feasible
                 assert point.min_norm == pytest.approx(want, rel=1e-9, abs=1e-9)
                 checked += 1
         assert checked == 8 * (k + 2)
+
+    @pytest.mark.parametrize("case", ["non_integral_2", "non_integral_3", "rank_twelve", "bohr",
+                                      "modulus_mismatch", "random_targets"])
+    def test_carried_coset_equals_a_fresh_decision(self, case, monkeypatch):
+        # the scan carries one coset w + L from row to row; every prefix must
+        # read what deciding that truncation alone gives: the verdict, w and
+        # the Hermite form of L (also checked against one diagonalization of
+        # all the prefix's wrapped rows at once), and the minimum norm
+        pairs = {
+            "non_integral_2": lambda: [(a, b) for a, b, _ in non_integral_twists(2)],
+            "non_integral_3": lambda: [(a, b) for a, b, _ in non_integral_twists(3)],
+            "rank_twelve": lambda: [harmonic_without_two(20, 2020)],
+            "bohr": lambda: [(scenarios.bohr_example(40),
+                              scenarios.negate(scenarios.bohr_example(40)))],
+            "modulus_mismatch": lambda: [
+                changed_at(harmonic_without_two(20, 2021), 9, 0.5),
+                changed_at((scenarios.bohr_example(8), scenarios.bohr_example(8)), 5, 0.5),
+            ],
+            # infeasible where a wrapped row's congruence is solved but misses
+            # its target (terms 6 and 3), and where it has no solution on the
+            # coset: 10^-s turned by pi after L has made z_4 even
+            "random_targets": lambda: [
+                randomly_turned(harmonic_without_two(20, 2022)[0], 2023),
+                randomly_turned(scenarios.bohr_example(12), 2024),
+                changed_at(harmonic_without_two(20, 2025), 9, -1.0),
+            ],
+        }[case]()
+        verdicts = set()
+        for a, b in pairs:
+            verdicts.update(self.scan_matches_fresh_decisions(a, b, monkeypatch))
+        want = {"modulus_mismatch": {True, False}, "random_targets": {True, False}}
+        assert verdicts == want.get(case, {True})
+
+    @staticmethod
+    def scan_matches_fresh_decisions(a, b, monkeypatch) -> list[bool]:
+        read, real_min_norm = {}, equivalence._min_norm
+
+        def recording_min_norm(lift):
+            read[len(lift.rows)] = lift
+            return real_min_norm(lift)
+
+        monkeypatch.setattr(equivalence, "_min_norm", recording_min_norm)
+        points = closure_demo(a, b, len(a.terms))
+        monkeypatch.undo()
+        for point in points:
+            try:
+                targets = extract_phase_targets(a.take_terms(point.n), b.take_terms(point.n))
+            except (ModulusMismatch, SupportMismatch):
+                assert not point.feasible
+                continue
+            _, r, _ = compute_basis(a.take_terms(point.n).exponents())
+            _, fresh = _decide(r, targets)
+            assert point.feasible == isinstance(fresh, equivalence._Lift)
+            if not point.feasible:
+                continue
+            if targets.entries:
+                carried = read[len(targets.entries)]
+                assert (carried.w, carried.lattice) == (fresh.w, fresh.lattice)
+                assert (fresh.w, fresh.lattice) == stacked_coset(fresh, targets.thetas())
+            assert point.min_norm == real_min_norm(fresh)
+        return [point.feasible for point in points]
+
+    def test_bohr_scan_runs_until_the_norm_leaves_doubles(self):
+        # the closed form pi * lcm den(lambda_n / lambda_1) to N = 359, where
+        # the norm is 3.4e307 (its square is beyond a double from N = 181);
+        # at N = 360 the norm itself is not a double, and the scan says so
+        def exponent(n):
+            odd = 2 * n - 1
+            return odd + Fraction(1, 2 * odd)
+
+        f = scenarios.bohr_example(360)
+        g = scenarios.negate(f)
+        start = time.process_time()
+        points = closure_demo(f, g, 359)
+        with pytest.raises(PrecisionLimit, match="truncation N = 360 is beyond a double"):
+            closure_demo(f, g, 360)
+        assert time.process_time() - start < 2.0
+        lcm = 1
+        for n, point in enumerate(points, start=1):
+            lcm = math.lcm(lcm, (exponent(n) / exponent(1)).denominator)
+            assert point.feasible
+            assert point.min_norm == pytest.approx(PI * lcm, rel=1e-12)
+        assert points[-1].min_norm > 1e307
 
     def test_nmax_validated(self):
         f = scenarios.bohr_example(3)
