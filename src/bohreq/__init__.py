@@ -16,13 +16,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "basis": ("Basis", "BohrMatrix", "compute_basis", "denominator_lcm", "is_integral"),
+        "basis": ("Basis", "BohrMatrix", "compute_basis", "denominator_lcms", "is_integral"),
         "core": (
             "ExponentVector",
             "SeriesSpec",
             "SymbolTable",
             "TailMajorant",
-            "numeric_value",
             "tail_bound",
             "validate_series",
         ),

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import ExponentVector, as_fraction
-from .errors import EmptyInput, IndexOutOfRange
 
 
 class BohrMatrix:
@@ -210,11 +209,10 @@ def compute_basis(
     Earliest-exponent-first pivoting: the basis is the subsequence of inputs
     whose coordinate vectors are independent of everything kept before, so the
     result is deterministic and basis elements are always original exponents.
-    Zero exponents get an all-zero R row and never enter the basis.
+    Zero exponents get an all-zero R row and never enter the basis, so an
+    empty list, or a constant series, has an empty basis.
     """
     exps = tuple(exponents)
-    if not exps:
-        raise EmptyInput("cannot compute a basis of an empty exponent list")
     source, r_rows = expand_over_pivots(exps)
     expansion = BohrMatrix._clean(r_rows, len(source))
     selection = BohrMatrix._clean([{i: Fraction(1)} for i in source], len(exps))
@@ -242,29 +240,3 @@ def denominator_lcms(matrix: BohrMatrix) -> list[int]:
 def is_integral(matrix: BohrMatrix) -> bool:
     """True iff every entry has denominator 1 (all-zero rows count as integral)."""
     return max(denominator_lcms(matrix), default=1) == 1
-
-
-def denominator_lcm(matrix: BohrMatrix, h: int) -> int:
-    """d_h, the lcm of entry denominators over the first h rows (1 for no entries)."""
-    if not 1 <= h <= matrix.nrows:
-        raise IndexOutOfRange(f"row prefix {h} outside 1..{matrix.nrows}")
-    return denominator_lcms(matrix)[h - 1]
-
-
-def make_integral_truncated(
-    basis: Basis, expansion: BohrMatrix, h: int
-) -> tuple[Basis, BohrMatrix]:
-    """Rescaled basis B' = B / d_h and integral R' = d_h * R on the first h rows.
-
-    The rows of R' reconstruct the same exponents exactly; when R is already
-    integral on the prefix this returns the inputs truncated unchanged.
-    """
-    d = denominator_lcm(expansion, h)
-    scaled = tuple(beta.scale(Fraction(1, d)) for beta in basis.elements)
-    rows = [
-        {j: q * d for j, q in expansion.row_items(i)} for i in range(h)
-    ]
-    return (
-        Basis(scaled, basis.source_indices),
-        BohrMatrix._clean(rows, expansion.ncols),
-    )

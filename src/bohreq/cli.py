@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import equivalence, scenarios
 from .basis import compute_basis, denominator_lcms, is_integral
-from .core import spec_tail_bound
+from .core import tail_bound
 from .errors import SeriesError, ValidationError
 from .seriesio import (
     atomic_write_text,
@@ -251,7 +251,7 @@ def _cmd_eval(args, spec) -> dict:
 def _cmd_tail(args, spec) -> dict:
     if spec.tail is None:
         raise ValidationError("series file declares no tail majorant")
-    return {"sigma": args.sigma, "bound": spec_tail_bound(spec, args.sigma)}
+    return {"sigma": args.sigma, "bound": tail_bound(spec.tail, spec.symbols, args.sigma)}
 
 
 def _cmd_uniform_distance(args, a, b) -> dict:

@@ -124,9 +124,6 @@ class ExponentVector:
                 return q
         return Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self._items
-
     def numeric_value(self, symbols: SymbolTable) -> float:
         return math.fsum(float(q) * symbols.value(name) for name, q in self._items)
 
@@ -152,11 +149,6 @@ class ExponentVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{name}: {q}" for name, q in self._items)
         return f"ExponentVector({{{body}}})"
-
-
-def numeric_value(exponent: ExponentVector, symbols: SymbolTable) -> float:
-    """Double-precision value of an exponent over the given symbol table."""
-    return exponent.numeric_value(symbols)
 
 
 class Term(NamedTuple):
@@ -409,9 +401,3 @@ def tail_bound(tail: TailMajorant, symbols: SymbolTable, sigma: float) -> float:
         raise PrecisionLimit(f"the tail bound at sigma = {sigma} is not a finite double")
     return bound
 
-
-def spec_tail_bound(spec: SeriesSpec, sigma: float) -> float:
-    """Tail bound of a spec carrying a majorant; 0.0 when the series is exact."""
-    if spec.tail is None:
-        return 0.0
-    return tail_bound(spec.tail, spec.symbols, sigma)

@@ -642,14 +642,16 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
             targets = extract_phase_targets(a.take_terms(stop - 1), b.take_terms(stop - 1))
     lifts = _prefix_lifts(expansion, targets)
     constrained = set(targets.indices())
-    point = ClosurePoint(0, True, 0.0)
+    point, last = ClosurePoint(0, True, 0.0), None
     out: list[ClosurePoint] = []
     for n in range(1, n_max + 1):
         feasible, norm = point.feasible and n < stop, point.min_norm
         if feasible and n - 1 in constrained:
             lift = next(lifts)
             feasible = lift is not None
-            norm = _min_norm(lift) if feasible else None
+            # a row that adds no pivot and leaves w + L as it was keeps the norm
+            if feasible and (last is None or (lift.w, lift.lattice) != (last.w, last.lattice)):
+                norm, last = _min_norm(lift), lift
             if norm == math.inf:
                 raise PrecisionLimit(
                     f"the minimum phase norm of truncation N = {n} is beyond a double"

@@ -36,14 +36,6 @@ class NonpositiveSigma(SeriesError):
         self.sigma = sigma
 
 
-class EmptyInput(SeriesError):
-    pass
-
-
-class IndexOutOfRange(SeriesError):
-    pass
-
-
 class DimensionMismatch(SeriesError):
     pass
 

@@ -38,6 +38,17 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _number(value, field: str) -> float:
+    """A JSON number (int or float, not a bool) as a double; an int beyond a
+    double reads as the infinity of its sign, for the field's finiteness check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{field} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_exponent(obj, where: str) -> ExponentVector:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: exponent must be a map of symbol -> rational")
@@ -47,10 +58,8 @@ def _parse_exponent(obj, where: str) -> ExponentVector:
 def _parse_coeff(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise ParseError(f"{where}: coeff must be an object with keys re, im")
-    try:
-        coeff = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{where}: bad coefficient: {err}") from None
+    parts = [_number(obj.get(part, 0.0), f"{where}.coeff.{part}") for part in ("re", "im")]
+    coeff = complex(*parts)
     if not cmath.isfinite(coeff):
         raise ParseError(f"{where}: coefficient {coeff} is not finite")
     return coeff
@@ -75,7 +84,7 @@ def parse_series_text(text: str) -> SeriesSpec:
         for i, sym in enumerate(doc["symbols"]):
             if not isinstance(sym, dict) or set(sym) != {"name", "value"}:
                 raise ParseError(f"symbols[{i}] must be an object with name and value")
-            entries.append((sym["name"], float(sym["value"])))
+            entries.append((sym["name"], _number(sym["value"], f"symbols[{i}].value")))
         symbols = SymbolTable(entries)
     except (TypeError, ValueError) as err:
         raise ValidationError(f"bad symbol table: {err}") from None
@@ -87,12 +96,7 @@ def parse_series_text(text: str) -> SeriesSpec:
             raise ParseError(f"{where} must be an object with exponent and coeff")
         terms.append((_parse_exponent(term["exponent"], where), _parse_coeff(term["coeff"], where)))
 
-    abscissa = float("-inf")
-    if "abscissa" in doc:
-        try:
-            abscissa = float(doc["abscissa"])
-        except (TypeError, ValueError) as err:
-            raise ParseError(f"bad abscissa: {err}") from None
+    abscissa = _number(doc["abscissa"], "abscissa") if "abscissa" in doc else -math.inf
 
     tail = None
     if "tail" in doc:
@@ -102,8 +106,8 @@ def parse_series_text(text: str) -> SeriesSpec:
         try:
             tail = TailMajorant(
                 lambda_next=_parse_exponent(tobj["lambdaNext"], "tail.lambdaNext"),
-                coeff_bound=float(tobj["coeffBound"]),
-                min_gap=float(tobj["minGap"]),
+                coeff_bound=_number(tobj["coeffBound"], "tail.coeffBound"),
+                min_gap=_number(tobj["minGap"], "tail.minGap"),
             )
         except ValueError as err:
             raise ValidationError(f"bad tail majorant: {err}") from None

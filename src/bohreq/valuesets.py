@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import compute_basis, denominator_lcm
+from .basis import compute_basis, denominator_lcms
 from .core import SeriesSpec
-from .equivalence import TWO_PI, KroneckerResult, kronecker_find_t  # noqa: F401
+from .equivalence import TWO_PI, kronecker_find_t  # noqa: F401
 from .errors import BadRange, EmptyCloud, PrecisionLimit, check_integral
 from .evaluation import BLOCK, evaluate, plan_sum
 
@@ -188,7 +188,7 @@ def sample_strip_via_equivalence(
     _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma1, sigma2)
     _, expansion, _ = compute_basis([term.exponent for term in spec.terms])
-    d = denominator_lcm(expansion, expansion.nrows) if expansion.nrows else 1
+    d = max(denominator_lcms(expansion), default=1)
     k = expansion.ncols
     # the draws are those of default_rng(seed).uniform(0, 2pi d, (k, count))
     # followed by count sigmas, made block by block: one generator per row of

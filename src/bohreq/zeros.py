@@ -397,26 +397,3 @@ def attains_value(
     _, inside = _first_clear(lambda rect: count_zeros(spec, v, rect, steps), [padded()])
     return inside >= 1
 
-
-def sigma_sequence(
-    spec: SeriesSpec,
-    m_max: int,
-    t_window: tuple[float, float],
-    tol: float = 1e-3,
-    sigma_floor: float = -50.0,
-    steps: int = 256,
-) -> list[float]:
-    """The abscissa sequence sigma_m = sigma_star(f(m)) for m = 1..m_max.
-
-    Constant series make every target degenerate; those entries are reported
-    as -inf rather than raised, keeping the sequence aligned with m.
-    """
-    _check_steps(steps)
-    out: list[float] = []
-    for m in range(1, m_max + 1):
-        target = evaluate(spec, complex(m, 0.0))
-        try:
-            out.append(sigma_star(spec, target, t_window, sigma_floor, tol, steps))
-        except DegenerateTarget:
-            out.append(float("-inf"))
-    return out

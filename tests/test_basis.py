@@ -10,14 +10,12 @@ from bohreq import scenarios
 from bohreq.basis import (
     BohrMatrix,
     compute_basis,
-    denominator_lcm,
+    denominator_lcms,
     expand_over_pivots,
     is_integral,
-    make_integral_truncated,
     reconstruct_exponent,
 )
 from bohreq.core import ExponentVector, SymbolTable
-from bohreq.errors import EmptyInput, IndexOutOfRange
 from helpers import random_exponent_list
 
 L2 = ExponentVector({"L2": 1})
@@ -60,8 +58,10 @@ class TestComputeBasis:
         assert t.dense_rows() == [[Fraction(1)]]
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            compute_basis([])
+        # no exponent: the constant series, with an empty basis
+        basis, r, t = compute_basis([])
+        assert basis.elements == () and basis.source_indices == ()
+        assert (r.nrows, r.ncols) == (t.nrows, t.ncols) == (0, 0)
 
     def test_zero_exponent_gets_zero_row(self):
         basis, r, _ = compute_basis([ExponentVector(), L2])
@@ -192,15 +192,14 @@ class TestExactReconstruction:
                 assert exps[items[0][0]] == basis.elements[j]
 
     def test_built_matrices_pass_the_public_checks(self):
-        # compute_basis and make_integral_truncated skip the constructor's
-        # checks; their rows must be what the checked constructor would keep
+        # compute_basis skips the constructor's checks; its rows must be what
+        # the checked constructor would keep
         rng = random.Random(1307)
         syms = SymbolTable([("A", 0.9182), ("B", -2.417), ("C", 5.55)])
         for _ in range(40):
             exps = random_exponent_list(rng, syms)
-            basis, r, t = compute_basis(exps)
-            _, r_int = make_integral_truncated(basis, r, rng.randint(1, len(exps)))
-            for m in (r, t, r_int):
+            _, r, t = compute_basis(exps)
+            for m in (r, t):
                 rows = [dict(m.row_items(i)) for i in range(m.nrows)]
                 assert m == BohrMatrix(rows, m.ncols)
                 assert all(type(q) is Fraction and q != 0 for row in rows for q in row.values())
@@ -231,62 +230,12 @@ class TestIsIntegral:
 class TestDenominatorLcm:
     def test_bohr_prefixes(self):
         _, r, _ = compute_basis(bohr_exponents(3))
-        assert [denominator_lcm(r, h) for h in (1, 2, 3)] == [1, 9, 45]
+        assert denominator_lcms(r) == [1, 9, 45]
 
     def test_integral_always_one(self):
         _, r, _ = compute_basis([L2, L3, L6])
-        assert all(denominator_lcm(r, h) == 1 for h in (1, 2, 3))
+        assert denominator_lcms(r) == [1, 1, 1]
 
     def test_two_rows(self):
         m = BohrMatrix([{0: Fraction(1, 2)}, {0: Fraction(1, 3)}], ncols=1)
-        assert denominator_lcm(m, 2) == 6
-
-    def test_out_of_range(self):
-        _, r, _ = compute_basis([L2])
-        with pytest.raises(IndexOutOfRange):
-            denominator_lcm(r, 2)
-        with pytest.raises(IndexOutOfRange):
-            denominator_lcm(r, 0)
-
-
-class TestMakeIntegralTruncated:
-    def test_bohr_h2(self):
-        basis, r, _ = compute_basis(bohr_exponents(3))
-        nb, nr = make_integral_truncated(basis, r, 2)
-        assert nb.elements == (ExponentVector({"ONE": "1/6"}),)
-        assert nr.dense_rows() == [[Fraction(9)], [Fraction(19)]]
-        # 9 * (1/6) = 3/2 and 19 * (1/6) = 19/6: same exponents, exactly
-        for i in range(2):
-            assert reconstruct_exponent(nr, i, nb) == bohr_exponents(3)[i]
-
-    def test_bohr_h3(self):
-        basis, r, _ = compute_basis(bohr_exponents(3))
-        nb, nr = make_integral_truncated(basis, r, 3)
-        assert nb.elements == (ExponentVector({"ONE": "1/30"}),)
-        assert nr.dense_rows() == [[Fraction(45)], [Fraction(95)], [Fraction(153)]]
-        for i in range(3):
-            assert reconstruct_exponent(nr, i, nb) == bohr_exponents(3)[i]
-
-    def test_integral_input_unchanged(self):
-        basis, r, _ = compute_basis([L2, L3, L6])
-        nb, nr = make_integral_truncated(basis, r, 3)
-        assert nb.elements == basis.elements
-        assert nr.dense_rows() == r.dense_rows()
-
-    def test_prefix_out_of_range(self):
-        basis, r, _ = compute_basis([L2, L3])
-        with pytest.raises(IndexOutOfRange):
-            make_integral_truncated(basis, r, 3)
-
-    def test_result_is_integral_with_unit_lcms(self):
-        rng = random.Random(505)
-        syms = SymbolTable([("A", 1.234), ("B", 4.321)])
-        for _ in range(25):
-            exps = random_exponent_list(rng, syms, max_terms=6)
-            basis, r, _ = compute_basis(exps)
-            h = rng.randint(1, len(exps))
-            nb, nr = make_integral_truncated(basis, r, h)
-            assert is_integral(nr)
-            assert all(denominator_lcm(nr, hh) == 1 for hh in range(1, h + 1))
-            for i in range(h):
-                assert reconstruct_exponent(nr, i, nb) == exps[i]
+        assert denominator_lcms(m) == [2, 6]

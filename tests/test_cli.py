@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -99,6 +100,35 @@ class TestSeriesFiles:
         text = emit_series_text(sample_spec()).replace('"coeffBound": 1.25', '"coeffBound": 1e400')
         with pytest.raises(ValidationError, match="coeff_bound must be finite"):
             parse_series_text(text)
+
+    def test_non_numbers_refused(self):
+        # JSON true and numeric strings are not numbers, in any numeric field
+        fields = {
+            "terms[1].coeff.re": ("terms", 1, "coeff", "re"),
+            "terms[0].coeff.im": ("terms", 0, "coeff", "im"),
+            "symbols[0].value": ("symbols", 0, "value"),
+            "abscissa": ("abscissa",),
+            "tail.coeffBound": ("tail", "coeffBound"),
+            "tail.minGap": ("tail", "minGap"),
+        }
+        for field, (*path, last) in fields.items():
+            for bad in (True, False, "1.5", " 2 ", None):
+                doc = json.loads(emit_series_text(sample_spec()))
+                node = doc
+                for key in path:
+                    node = node[key]
+                node[last] = bad
+                with pytest.raises(ParseError, match=re.escape(f"{field} must be a JSON number")):
+                    parse_series_text(json.dumps(doc))
+
+    def test_integer_beyond_a_double_is_not_finite(self):
+        # read as an infinity, so the field's own finiteness check refuses it
+        big = "1" + "0" * 400
+        text = emit_series_text(sample_spec())
+        with pytest.raises(ParseError, match=r"terms\[1\]: coefficient .* is not finite"):
+            parse_series_text(text.replace('"re": 2.0', f'"re": -{big}'))
+        with pytest.raises(ValidationError, match="non-finite value"):
+            parse_series_text(text.replace('"value": 0.6931471805599453', f'"value": {big}'))
 
     def test_round_trip_is_exact(self):
         spec = sample_spec()
@@ -234,6 +264,29 @@ class TestCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("bohreq: error: ") and "N = 360" in lines[0]
+
+    def test_empty_series_is_the_zero_function(self, tmp_path, capsys):
+        # no term: the basis is empty and f = 0; only the contour commands,
+        # whose f - v then vanishes identically, refuse it
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"symbols": [], "terms": []}')
+        e = str(empty)
+        assert run_command(["basis", "--series", e]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["basis"] == result["expansion"] == result["denominator_lcms"] == []
+        for route in ("direct", "equivalence"):
+            argv = ["value-set", "--series", e, "--route", route,
+                    "--sigma-min", "0", "--sigma-max", "1", "--count", "3"]
+            assert run_command(argv) == 0
+            assert capsys.readouterr().out == "re,im\n" + "0.0,0.0\n" * 3
+        assert run_command(["kronecker", "--series", e, "--target="]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["found"]
+        for command in ("equiv", "solve-phases"):
+            assert run_command([command, "--series", e, "--series2", e]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["phase"] == []
+        for argv in (["zeros", "--sigma-min", "0", "--sigma-max", "1"], ["sigma-star"]):
+            assert run_command([*argv, "--series", e, "--t-min", "0", "--t-max", "1"]) == 1
+            assert "vanishes identically" in capsys.readouterr().err
 
     def test_eval_and_tail(self, files, capsys):
         _, f, _ = files
@@ -655,7 +708,7 @@ class TestLazyImports:
             value = getattr(bohreq, name)
             assert namespace[name] is value
             assert name in listing
-        assert len(bohreq.__all__) == len(set(bohreq.__all__)) == 35
+        assert len(bohreq.__all__) == len(set(bohreq.__all__)) == 34
         from bohreq import zeros
 
         assert zeros.count_zeros is bohreq.count_zeros

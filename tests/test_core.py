@@ -13,9 +13,7 @@ from bohreq.core import (
     SeriesSpec,
     SymbolTable,
     TailMajorant,
-    numeric_value,
     product_plan,
-    spec_tail_bound,
     tail_bound,
     validate_series,
 )
@@ -73,27 +71,27 @@ class TestExponentVector:
         b = ExponentVector({"L3": "1/2"})
         assert a - b == ExponentVector({"L2": 1})
         assert b.scale(2) == ExponentVector({"L3": 1})
-        assert (a - a).is_zero()
+        assert a - a == ExponentVector()
 
 
 class TestNumericValue:
     def test_empty_combination(self):
-        assert numeric_value(ExponentVector(), table_23()) == 0.0
+        assert ExponentVector().numeric_value(table_23()) == 0.0
 
     def test_single_symbol(self):
-        assert numeric_value(ExponentVector({"L2": 1}), table_23()) == LOG2
+        assert ExponentVector({"L2": 1}).numeric_value(table_23()) == LOG2
 
     def test_rational_multiple_of_unit(self):
         # long-division oracle: plain float division is the correctly rounded
         # quotient, which the exact-rational path must match bit for bit
         syms = SymbolTable([(UNIT_SYMBOL, 1.0)])
-        value = numeric_value(ExponentVector({UNIT_SYMBOL: "19/6"}), syms)
+        value = ExponentVector({UNIT_SYMBOL: "19/6"}).numeric_value(syms)
         assert value == 19.0 / 6.0
         assert value == 3.1666666666666665
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
-            numeric_value(ExponentVector({"L5": 1}), table_23())
+            ExponentVector({"L5": 1}).numeric_value(table_23())
 
     def test_rational_linearity(self):
         rng = random.Random(1009)
@@ -110,8 +108,8 @@ class TestNumericValue:
 
             e1, e2 = rand_vec(), rand_vec()
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-            lhs = numeric_value(e1.scale(q) + e2, syms)
-            rhs = float(q) * numeric_value(e1, syms) + numeric_value(e2, syms)
+            lhs = (e1.scale(q) + e2).numeric_value(syms)
+            rhs = float(q) * e1.numeric_value(syms) + e2.numeric_value(syms)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -153,7 +151,7 @@ class TestTailBound:
         # frozen from the closed form exp(-99/7) / (1 - exp(-10/3)), checked
         # against a 40-digit evaluation: 7.4750018627054501e-07
         spec = scenarios.bohr_example(3)
-        bound = spec_tail_bound(spec, 2.0)
+        bound = tail_bound(spec.tail, spec.symbols, 2.0)
         assert bound == pytest.approx(7.4750018627054501e-07, rel=1e-12)
 
     def test_bound_dominates_true_tail_terms(self):
@@ -163,7 +161,7 @@ class TestTailBound:
             true_tail = math.fsum(
                 math.exp(-float(scenarios.bohr_exponent(n)) * sigma) for n in range(4, 51)
             )
-            assert true_tail <= spec_tail_bound(spec, sigma)
+            assert true_tail <= tail_bound(spec.tail, spec.symbols, sigma)
 
     def test_zero_coeff_bound(self):
         tail = TailMajorant(ExponentVector({"L2": 1}), 0.0, 1.0)
@@ -183,7 +181,7 @@ class TestTailBound:
 
     def test_monotone_vanishing(self):
         spec = scenarios.bohr_example(3)
-        values = [spec_tail_bound(spec, s) for s in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        values = [tail_bound(spec.tail, spec.symbols, s) for s in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-40
 
@@ -191,9 +189,9 @@ class TestTailBound:
         spec = scenarios.bohr_example(2)
         for sigma in (0.0, math.nan):
             with pytest.raises(NonpositiveSigma):
-                spec_tail_bound(spec, sigma)
+                tail_bound(spec.tail, spec.symbols, sigma)
         with pytest.raises(BadRange, match="need a finite sigma"):
-            spec_tail_bound(spec, math.inf)
+            tail_bound(spec.tail, spec.symbols, math.inf)
 
     def test_tiny_sigma_keeps_a_finite_bound(self):
         # 1 - exp(-x) rounds to 0 at x = (5/3) 1e-17; the closed form
@@ -203,21 +201,17 @@ class TestTailBound:
         sigma = 1e-17
         x = spec.tail.min_gap * sigma
         closed = math.exp(-99 / 14 * sigma) * (1 / x + 0.5 + x / 12)
-        assert spec_tail_bound(spec, sigma) == pytest.approx(closed, rel=1e-15)
+        assert tail_bound(spec.tail, spec.symbols, sigma) == pytest.approx(closed, rel=1e-15)
         assert 5.9e16 < closed < 6.1e16
 
     def test_bound_beyond_a_double_refused(self):
         # 1 / ((5/3) 1e-320) and exp(1000) are beyond a double
         spec = scenarios.bohr_example(3)
         with pytest.raises(PrecisionLimit, match="not a finite double"):
-            spec_tail_bound(spec, 1e-320)
+            tail_bound(spec.tail, spec.symbols, 1e-320)
         far = TailMajorant(ExponentVector({UNIT_SYMBOL: -1000}), 1.0, 1.0)
         with pytest.raises(PrecisionLimit, match="not a finite double"):
             tail_bound(far, spec.symbols, 1.0)
-
-    def test_exact_series_has_zero_tail(self):
-        spec = SeriesSpec(table_23(), [(ExponentVector({"L2": 1}), 1.0)])
-        assert spec_tail_bound(spec, 1.0) == 0.0
 
 
 class TestSeriesSpec:

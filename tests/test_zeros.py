@@ -24,7 +24,6 @@ from bohreq.zeros import (
     attains_value,
     boundary_margin,
     count_zeros,
-    sigma_sequence,
     sigma_star,
     winding_number,
 )
@@ -105,11 +104,8 @@ class TestCountZeros:
         # entry points that can answer without walking a contour refuse it too
         syms = SymbolTable([("L2", LOG2)])
         one_term = SeriesSpec(syms, [(ExponentVector({"L2": 1}), 1.0)])
-        constant = SeriesSpec(syms, [(ExponentVector(), 1.0)])
         with pytest.raises(BadRange):
             sigma_star(one_term, 0.0, (-5, 5), -5.0, steps=steps)
-        with pytest.raises(BadRange):
-            sigma_sequence(constant, 2, (-5, 5), steps=steps)
 
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(BadRange):
@@ -212,24 +208,6 @@ class TestAttainsValue:
         # with one exponential left, f - v = 1e-12 2^{-s} has no zero at all
         one_term = SeriesSpec(syms, spec.terms[:2])
         assert not attains_value(one_term, 1.0, -5e-5, 5e-5, (0.0, 10.0))
-
-
-class TestSigmaSequence:
-    def test_constant_series_all_minus_infinity(self):
-        syms = SymbolTable([("L2", LOG2)])
-        spec = SeriesSpec(syms, [(ExponentVector(), 1.0)])
-        assert sigma_sequence(spec, 3, (-20, 20)) == [float("-inf")] * 3
-
-    def test_one_plus_two_closed_form(self):
-        # f(s) = f(m) happens exactly on the line sigma = m
-        values = sigma_sequence(one_plus_two(), 3, (-20, 20), tol=1e-3)
-        for m, got in enumerate(values, start=1):
-            assert got == pytest.approx(float(m), abs=2e-3)
-
-    def test_bohr_example_increasing(self):
-        values = sigma_sequence(scenarios.bohr_example(4), 3, (-50, 50), tol=1e-3)
-        assert all(math.isfinite(v) for v in values)
-        assert values[0] <= values[1] <= values[2]
 
 
 # -- the array walk against the depth-first scalar walk -----------------------
