@@ -628,10 +628,11 @@ def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]
     closure of an equivalence class without belonging to it.
     """
     check_integral(n_max, "n_max", DimensionMismatch)
-    if not 1 <= n_max <= min(len(a.terms), len(b.terms)):
-        raise DimensionMismatch(
-            f"n_max {n_max} outside 1..{min(len(a.terms), len(b.terms))}"
-        )
+    terms = min(len(a.terms), len(b.terms))
+    if terms == 0:
+        raise DimensionMismatch("a series has no terms, so there is no truncation to scan")
+    if not 1 <= n_max <= terms:
+        raise DimensionMismatch(f"n_max {n_max} outside 1..{terms}")
     _, expansion, _ = compute_basis([t.exponent for t in a.terms[:n_max]])
     try:
         targets, stop = extract_phase_targets(a.take_terms(n_max), b.take_terms(n_max)), n_max + 1

@@ -3,15 +3,15 @@
 count_zeros walks a rectangle boundary counterclockwise accumulating argument
 increments of f - v.  One walker, `_walk`, follows a batch of segments in
 arrays: the samples of all of them are evaluated in one call and every
-increment is taken in one NumPy pass; increments beyond pi/2 are bisected one
-level at a time, each level's midpoints over the whole batch evaluated in one
-call.  A segment's argument is the sum of its pieces' increments, level by
-level, in no order along it.  A contour's four sides are one batch.  A zero
-sitting on (or hugging) the contour surfaces as BoundaryTooClose or
-NonconvergentSubdivision rather than a silent miscount; a series that
-overflows a double on the contour surfaces as the PrecisionLimit that
-`evaluate` raises, and an f - v that overflows where f does not as the
-PrecisionLimit of the walk's own check.
+increment is taken in one NumPy pass; a piece whose increment is beyond pi/2
+is cut into SPLIT equal pieces, one level at a time, each level's new points
+over the whole batch evaluated in one call.  A segment's argument is the sum
+of its pieces' increments, level by level, in no order along it.  A
+contour's four sides are one batch.  A zero sitting on (or hugging) the
+contour surfaces as BoundaryTooClose or NonconvergentSubdivision rather
+than a silent miscount; a series that overflows a double on the contour
+surfaces as the PrecisionLimit that `evaluate` raises, and an f - v that
+overflows where f does not as the PrecisionLimit of the walk's own check.
 
 sigma_star bisects on the left edge of [sigma, sigma_top] x t_window, where
 sigma_top is a dominance bound beyond which the lowest-exponent coefficient of
@@ -55,6 +55,12 @@ HALF_PI = 0.5 * math.pi
 #: Adaptive refinement cap per walked segment (a rectangle side, or a piece).
 MAX_SIDE_SAMPLES = 2**14
 
+#: Equal pieces a rejected piece is cut into per refinement level.  A power
+#: of two, so every piece lies on the dyadic grid of repeated halving, inside
+#: the piece that halving would accept.
+SPLIT = 16
+_CUTS = np.arange(1, SPLIT) / SPLIT
+
 #: Deterministic outward paddings tried when a contour clips a zero, as
 #: fractions of (1 + window span).
 _JITTERS = (0.0, 3.1e-7, 1.9e-6, 1.1e-5, 6.7e-5)
@@ -95,14 +101,16 @@ def _walk(
 
     The segments are walked together: the steps + 1 evenly spaced samples of
     every segment are evaluated in one array call, and every increment is
-    taken in one array pass.  Increments that exceed pi/2 (or are NaN), or
-    whose ratio w2 / w1 is not a finite double, are halved level by level,
-    each level's midpoints, over all segments, in one array call; a segment
-    may take at most MAX_SIDE_SAMPLES samples.  Each level adds its accepted
-    increments to their segments' totals, so a segment's total is the same
-    to the bit in any batch.  A sample where f - v or |f - v| is not a
-    finite double raises PrecisionLimit (NumPy's warnings are off): no
-    refinement mends that.
+    taken in one array pass.  A piece whose increment exceeds pi/2 (or is
+    NaN), or whose ratio w2 / w1 is not a finite double, is cut into SPLIT
+    equal pieces, level by level: its SPLIT - 1 inner points
+    p1 + (p2 - p1) j / SPLIT, for every such piece of every segment, are
+    evaluated in one array call per level.  A segment may take at most
+    MAX_SIDE_SAMPLES samples, counting SPLIT - 1 per cut piece.  Each level
+    adds its accepted increments to their segments' totals, so a segment's
+    total is the same to the bit in any batch.  A sample where f - v or
+    |f - v| is not a finite double raises PrecisionLimit (NumPy's warnings
+    are off): no refinement mends that.
     """
     starts = np.array([a for a, _, _ in segments])
     spans = np.array([b - a for a, b, _ in segments])
@@ -137,16 +145,19 @@ def _walk(
         if ok.all():
             return totals.tolist()
         k1, p1, p2, w1, w2 = k1[~ok], p1[~ok], p2[~ok], w1[~ok], w2[~ok]
-        counts += np.bincount(k1, minlength=len(segments))
+        counts += (SPLIT - 1) * np.bincount(k1, minlength=len(segments))
         if counts.max() > MAX_SIDE_SAMPLES:
             a, b, _ = segments[np.argmax(counts)]
             raise NonconvergentSubdivision(
                 f"side {a} -> {b} needed more than {MAX_SIDE_SAMPLES} samples"
             )
-        pm = 0.5 * (p1 + p2)
-        wm = w_at(k1, pm)
-        k1, p1, p2 = np.concatenate([k1, k1]), np.concatenate([p1, pm]), np.concatenate([pm, p2])
-        w1, w2 = np.concatenate([w1, wm]), np.concatenate([wm, w2])
+        # each rejected piece's ends and SPLIT - 1 inner points, one row a piece
+        pm = p1[:, None] + (p2 - p1)[:, None] * _CUTS
+        wm = w_at(np.repeat(k1, SPLIT - 1), pm.ravel()).reshape(pm.shape)
+        p = np.column_stack([p1, pm, p2])
+        w = np.column_stack([w1, wm, w2])
+        k1 = np.repeat(k1, SPLIT)
+        p1, p2, w1, w2 = p[:, :-1].ravel(), p[:, 1:].ravel(), w[:, :-1].ravel(), w[:, 1:].ravel()
 
 
 def _check_steps(steps: int) -> None:
@@ -196,10 +207,10 @@ def winding_number(
 ) -> tuple[int, float]:
     """Winding number of f - v around the rectangle, with the rounding defect.
 
-    Each side starts from `steps` equal segments (steps >= 1) and bisects
-    those whose argument increment exceeds pi/2.  As in sigma_star, an f - v
-    of one term winds 0 times without a walk, and one of no terms raises
-    DegenerateTarget.
+    Each side starts from `steps` equal segments (steps >= 1) and cuts
+    each piece whose argument increment exceeds pi/2 into SPLIT equal ones,
+    as often as it takes.  As in sigma_star, an f - v of one term winds 0
+    times without a walk, and one of no terms raises DegenerateTarget.
     """
     _check_steps(steps)
     v = _finite_target(v)

@@ -288,6 +288,22 @@ class TestCommands:
             assert run_command([*argv, "--series", e, "--t-min", "0", "--t-max", "1"]) == 1
             assert "vanishes identically" in capsys.readouterr().err
 
+    def test_closure_demo_on_an_empty_series_names_no_range(self, files, capsys):
+        # an empty series has no truncation, so no --nmax is valid and the
+        # error says so instead of naming the range 1..0
+        tmp_path, f, _ = files
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"symbols": [], "terms": []}')
+        e = str(empty)
+        for pair in ((e, e), (e, f), (f, e)):
+            argv = ["closure-demo", "--series", pair[0], "--series2", pair[1], "--nmax", "1"]
+            assert run_command(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "bohreq: error: a series has no terms, so there is no truncation to scan\n"
+            )
+
     def test_eval_and_tail(self, files, capsys):
         _, f, _ = files
         assert run_command(["eval", "--series", f, "--sigma", "2", "--t", "0"]) == 0

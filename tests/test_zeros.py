@@ -214,12 +214,13 @@ class TestAttainsValue:
 
 
 def reference_side(spec, v, a, b, steps, margin, depth=None):
-    """The depth-first scalar walk: one phase and one evaluation per segment.
+    """The depth-first scalar walk: one phase per piece, and one evaluation
+    for the zeros.SPLIT - 1 inner points of each rejected piece.
 
     Sums the accepted increments left to right along the side and returns
     the total.  It evaluates through `zeros.evaluate`, so a test that
     records that name sees its points.  `depth`, a one-element list, gets
-    the deepest bisection level reached.
+    the deepest refinement level reached.
     """
 
     def w_at(p):
@@ -245,13 +246,13 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             if abs(delta) <= zeros.HALF_PI:
                 total += delta
                 continue
-            count += 1
+            count += zeros.SPLIT - 1
             if count > zeros.MAX_SIDE_SAMPLES:
                 raise NonconvergentSubdivision(f"side {a} -> {b} needed more samples")
-            pm = 0.5 * (p1 + p2)
-            wm = w_at(pm)
-            stack.append((pm, wm, p2, w2, level + 1))
-            stack.append((p1, w1, pm, wm, level + 1))
+            inner = [p1 + (p2 - p1) * (j / zeros.SPLIT) for j in range(1, zeros.SPLIT)]
+            cut = list(zip([p1, *inner, p2], [w1, *w_at(np.array(inner)).tolist(), w2]))
+            for (q1, v1), (q2, v2) in reversed(list(zip(cut, cut[1:]))):
+                stack.append((q1, v1, q2, v2, level + 1))
     return total
 
 
@@ -397,7 +398,7 @@ class TestArrayWalk:
             # arctan2 round apart from cmath's), never the count
             assert abs(got_defect - defect) <= 1e-12
             bisected += depth[0] > 0
-        assert bisected >= 3  # the cases exercise the bisection levels
+        assert bisected >= 3  # the cases exercise the refinement levels
 
     def test_sigma_star_matches_scalar_walk(self, monkeypatch):
         rng = random.Random(2626)
@@ -444,7 +445,7 @@ class TestArrayWalk:
 
     def test_one_array_call_per_level(self, monkeypatch):
         # every evaluation of a walk takes an array, and a contour makes one
-        # call for the samples of its four sides plus one per bisection level
+        # call for the samples of its four sides plus one per refinement level
         # of its deepest side
         shapes = []
 
@@ -462,14 +463,67 @@ class TestArrayWalk:
             assert len(shapes) <= 1 + depth[0]
             assert all(len(shape) == 1 for shape in shapes)
 
+    def test_each_level_cuts_each_rejected_piece_into_split_pieces(self, monkeypatch):
+        # on the side from c to c + 16i the walk's points are c + 16 p i to
+        # the bit, so each parameter p is read back exactly.  Level L adds
+        # the SPLIT - 1 inner points j / (steps SPLIT^L) of every piece of
+        # level L - 1 whose increment exceeds pi/2, and of no other piece
+        spec, v, steps = one_plus_two(), 0.0, 64
+        a, b = complex(1e-4, 0.0), complex(1e-4, 16.0)
+        calls = []
+
+        def recording(spec, s):
+            calls.append(np.imag(s) / 16.0)
+            return evaluate(spec, s)
+
+        monkeypatch.setattr(zeros, "evaluate", recording)
+        zeros._walk(spec, v, [(a, b, steps)], boundary_margin(v))
+        monkeypatch.undo()
+
+        def rejected(ends):
+            w = (evaluate(spec, a + (b - a) * ends.ravel()) - v).reshape(ends.shape)
+            ratio = w[:, 1] / w[:, 0]
+            return ~((np.abs(np.angle(ratio)) <= zeros.HALF_PI) & np.isfinite(ratio))
+
+        assert np.array_equal(calls[0], np.arange(steps + 1) / steps)
+        ends = np.column_stack([calls[0][:-1], calls[0][1:]])
+        for level, points in enumerate(calls[1:], start=1):
+            rows = points.reshape(-1, zeros.SPLIT - 1)
+            parents = ends[rejected(ends)]
+            assert len(rows) == len(parents) > 0
+            grid = rows * (steps * zeros.SPLIT**level)
+            first = parents[:, :1] * (steps * zeros.SPLIT**level)
+            assert np.array_equal(grid - first, np.tile(np.arange(1, zeros.SPLIT), (len(rows), 1)))
+            cuts = np.column_stack([parents[:, 0], rows, parents[:, 1]])
+            ends = np.stack([cuts[:, :-1], cuts[:, 1:]], axis=-1).reshape(-1, 2)
+        assert len(calls) >= 3 and not rejected(ends).any()
+
 
 class TestWalkErrors:
     def test_sample_cap_is_enforced(self, monkeypatch):
         # the left edge runs 1e-7 to the right of the 22 zeros of 1 + 2^{-s}
         # on sigma = 0 with t in [0, 200]; each bends the argument by about pi
-        # within ~1e-7 of t, so the side needs several hundred midpoints
+        # within ~1e-7 of t, so the side needs several hundred more points.
+        # The array walk and the scalar walk count the samples of a side
+        # alike: each raises exactly when the cap is below the side's total
         rect = Rectangle((1e-7, 1.0), (0.0, 200.0))
         assert count_zeros(one_plus_two(), 0.0, rect) == 0
+        left, margin, sizes = sides(rect)[3], boundary_margin(0.0), []
+
+        def recording(spec, s):
+            sizes.append(np.size(s))
+            return evaluate(spec, s)
+
+        monkeypatch.setattr(zeros, "evaluate", recording)
+        zeros._walk(one_plus_two(), 0.0, [left], margin)
+        total = sum(sizes)
+        assert total > 300
+        for walk in (zeros._walk, reference_walk):
+            monkeypatch.setattr(zeros, "MAX_SIDE_SAMPLES", total)
+            walk(one_plus_two(), 0.0, [left], margin)
+            monkeypatch.setattr(zeros, "MAX_SIDE_SAMPLES", total - 1)
+            with pytest.raises(NonconvergentSubdivision):
+                walk(one_plus_two(), 0.0, [left], margin)
         monkeypatch.setattr(zeros, "MAX_SIDE_SAMPLES", 300)
         with pytest.raises(NonconvergentSubdivision):
             count_zeros(one_plus_two(), 0.0, rect)
@@ -487,14 +541,14 @@ class TestWalkErrors:
 
     def test_too_close_midpoint_reports_a_point_of_its_side(self):
         # the left edge sigma = 0 passes through the zero at t = pi / log 2,
-        # between two samples: a bisection midpoint lands within the margin
+        # between two samples: a point of a cut piece lands within the margin
         spec, v = one_plus_two(), 0.0
         margin = boundary_margin(v)
         with pytest.raises(BoundaryTooClose) as info:
             count_zeros(spec, v, Rectangle((0.0, 1.0), (4.0, 5.0)))
         err = info.value
         assert err.point.real == 0.0 and 4.0 < err.point.imag < 5.0
-        assert err.point.imag * 256 % 1 != 0  # a midpoint, not a sample
+        assert err.point.imag * 256 % 1 != 0  # a point of a cut piece, not a sample
         assert err.modulus <= margin == err.margin
         assert abs(evaluate(spec, err.point) - v) <= margin
 
@@ -502,7 +556,7 @@ class TestWalkErrors:
         # 30^{800} and 30^{400} are beyond a double; f = 1.5e308 + 2^{-s} and
         # v = -1.5e308 are finite, f - v is not; for f = 1.5e308 i + 2^{-s},
         # f - v is finite and |f - v| is not.  The walk refuses at the first
-        # sample instead of bisecting to the cap on every ladder rung, and
+        # sample instead of cutting to the cap on every ladder rung, and
         # NumPy warns of nothing.  On f of at most two nonzero coefficients
         # the coefficients of f - v refuse before any walk (in sigma_star
         # always); with a third term, count_zeros walks, and the walk refuses
@@ -532,7 +586,7 @@ class TestWalkErrors:
         # f = 1e-7 + e^{-1000 s}: |f| runs from 1e-7 to 8e307 along the top
         # side, one segment, so w2 / w1 is beyond a double there; NumPy makes
         # it inf - inf i, whose angle -pi/4 is 0.13 off the true -0.92.  The
-        # segment is halved instead of accepted, and NumPy warns of nothing
+        # segment is cut instead of accepted, and NumPy warns of nothing
         spec = SeriesSpec(
             SymbolTable([("A", 1000.0)]),
             [(ExponentVector(), 1e-7), (ExponentVector({"A": 1}), 1.0)],
@@ -708,7 +762,7 @@ class TestStripWalk:
 
     def test_coarse_steps_match_whole_contour_per_step(self, monkeypatch):
         # with 3 steps a side, a step's bottom and top pieces are a single
-        # segment, which sometimes turns by more than pi/2 and is bisected;
+        # segment, which sometimes turns by more than pi/2 and is cut;
         # the results still match a whole contour per step
         rng = random.Random(5)
         walk, evaluate_ = zeros._walk, zeros.evaluate
@@ -721,7 +775,7 @@ class TestStripWalk:
         def recording_evaluate(spec, s):
             segments, calls = batch
             batch[1] += 1
-            if len(segments) == 3 and calls > 0:  # a bisection level of a step
+            if len(segments) == 3 and calls > 0:  # a refinement level of a step
                 horizontal = {segments[1][0].imag, segments[2][0].imag}
                 bisected[0] += bool(np.isin(np.imag(s), list(horizontal)).any())
             return evaluate_(spec, s)
@@ -786,11 +840,27 @@ class TestStripWalk:
             bisections = math.ceil(math.log2((sigma_top - floor) / tol))
             assert len(edges) == (bisections if math.isfinite(got) else 0)
             # a whole contour per step walked at least 4 (steps + 1) points;
-            # each left side adds steps + 1 samples and its few bisection
-            # midpoints, and the pieces add at most 4 (steps + len(edges))
+            # each left side adds steps + 1 samples and the few points of
+            # its cut pieces, and the pieces add at most 4 (steps + len(edges))
             # samples in all, since hi - lo halves at each step: less than
             # one more contour
             assert points[0] < (steps + 1) * len(edges) + 2 * contour
+
+    def test_evaluate_call_budget(self, monkeypatch):
+        # the zeros workload's ordinary sigma_star: the strip and the 12
+        # bisection steps of tol 1e-3 take 27 evaluate calls, where halving a
+        # rejected piece per level took 53
+        h30, calls = harmonic_30(), [0]
+
+        def counting(spec, s):
+            calls[0] += 1
+            return evaluate(spec, s)
+
+        v = evaluate(h30, complex(0.8, 3.0))
+        monkeypatch.setattr(zeros, "evaluate", counting)
+        got = sigma_star(h30, v, (-20.0, 20.0), -1.0, 1e-3)
+        assert got >= 0.8 - 1e-3
+        assert calls[0] <= 27
 
 
 def poly_zeros(spec, v):
