@@ -147,7 +147,8 @@ def evaluate(
     points gives an array of values of the same shape.  A fresh term of the
     product plan is exp(-lambda(n) s); a child term is the product of two
     earlier terms.  A value that is not a finite double raises
-    PrecisionLimit naming the first such point.
+    PrecisionLimit naming the first such point, or BadRange naming the first
+    point that is itself not finite, when there is one.
     """
     s = np.asarray(point.s if isinstance(point, EvalPoint) else point, dtype=complex)
     flat = s.ravel()
@@ -162,6 +163,9 @@ def evaluate(
         out = plan_sum(spec, flat.size, fresh)
     finite = np.isfinite(out)
     if not finite.all():
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise BadRange(f"evaluation point must be finite: {complex(flat[bad[0]])}")
         i = np.flatnonzero(~finite)[0]
         raise PrecisionLimit(
             f"the value at {complex(flat[i])} is {complex(out[i])}, not a finite double"

@@ -1,8 +1,10 @@
 """Exact integer lattice routines: Hermite forms, kernels, diagonalization, LLL.
 
-Everything here is exact, in Python ints and `Fraction`s; one Gram-Schmidt
-serves LLL, Babai and the enumeration of lattice points near a target.
-Matrices are lists of row lists; inputs are never mutated.
+Everything here is exact, in Python ints and `Fraction`s.  One Euclidean
+elimination (`_echelon`) serves the Hermite forms, the left kernel and the
+diagonal form; one Gram-Schmidt serves LLL, Babai and the enumeration of
+lattice points near a target.  Matrices are lists of row lists; inputs are
+never mutated.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ def _row_axpy(rows: list[list[int]], target: int, source: int, q: int) -> None:
         r_t[k] -= q * r_s[k]
 
 
-def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical basis of the lattice spanned by the given rows.
+def _echelon(H: list[list[int]], ncols: int) -> int:
+    """Bring the first `ncols` columns of H to row Hermite form in place; return the rank.
 
-    Row-style Hermite form: zero rows dropped, pivots positive, entries above
-    each pivot reduced into [0, pivot).  Column by column, the smallest
-    nonzero entry at or below the staircase (the earliest row among equals)
-    reduces the others until it is the only one left (Euclid); its row, made
-    positive, is the next pivot row and at once reduces the rows above it.
+    Column by column, the smallest nonzero entry at or below the staircase
+    (the earliest row among equals) reduces the others until it is the only
+    one left (Euclid); its row, made positive, is the next pivot row and at
+    once reduces the rows above it into [0, pivot).  Whole rows move, so the
+    entries past `ncols` record the row operations.  Rows from the rank on
+    are zero in the first `ncols` columns.
     """
-    H = [list(map(int, row)) for row in rows]
     m = len(H)
     r = 0
-    for col in range(len(H[0]) if m else 0):
+    for col in range(ncols):
         if r == m:
             break
         settled = False
@@ -63,28 +65,43 @@ def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             if q:
                 _row_axpy(H, t, r, q)
         r += 1
-    return H[:r]
+    return r
+
+
+def hermite_normalize(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical basis of the lattice spanned by the given rows.
+
+    Row-style Hermite form (`_echelon`): zero rows dropped, pivots positive,
+    entries above each pivot reduced into [0, pivot).
+    """
+    H = [list(map(int, row)) for row in rows]
+    return H[:_echelon(H, len(H[0]) if H else 0)]
 
 
 def integer_left_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Hermite-reduced basis of {m integer : m^T A = 0} for rational A.
 
-    Empty list when the rows are linearly independent over Q.  The rows of U
-    past the rank in U A V = D annihilate A, and U is unimodular, so the
-    lattice is saturated: any integer vector annihilating A lies in the span
-    returned.
+    Empty list when the rows are linearly independent over Q.  The rows of
+    [A | I] (A scaled to integers) span the pairs (m^T A, m), so the rows of
+    their Hermite form whose A part is zero, the rows past the rank of A,
+    span every integer m annihilating A: the kernel, saturated, and its
+    I parts are already in Hermite form.
     """
     scale = math.lcm(*(q.denominator for row in rows for q in row))
-    U, _, _, rank = diagonalize([[int(q * scale) for q in row] for row in rows])
-    return hermite_normalize(U[rank:])
+    width = len(rows[0]) if rows else 0
+    H = hermite_normalize(
+        [[int(q * scale) for q in row] + e for row, e in zip(rows, _identity(len(rows)))]
+    )
+    return [h[width:] for h in H if not any(h[:width])]
 
 
 def solve_integer_rows(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
     """Some integer solution z of matrix @ z = rhs (None when there is none), and the kernel.
 
-    Returns (z or None, kernel): the kernel is a Hermite-reduced basis of {v
-    integer : matrix @ v = 0}, the columns of V past the rank in U A V = D,
-    saturated because V is unimodular.  One diagonalization gives both.
+    Returns (z or None, kernel) from one `diagonalize`, U A V = D: z is V w
+    for w solving D w = U rhs, and the kernel is a Hermite-reduced basis of
+    {v integer : matrix @ v = 0}, the columns of V past the rank, saturated
+    because V is unimodular.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -219,61 +236,24 @@ def diagonalize(matrix: Sequence[Sequence[int]]):
     """Unimodular U, V with U @ matrix @ V diagonal (no divisibility chain).
 
     Returns (U, diag, V, rank) where diag lists the positive diagonal entries
-    d_0..d_{rank-1}.  This is the Smith-style reduction used to decouple
-    simultaneous integer congruences; the full divisibility normalization is
-    not needed for that and is skipped.  It is the only routine here that
-    builds U or V: both kernels and the integer solution are read off it.
+    d_0..d_{rank-1}; the divisibility chain of the Smith form is not needed
+    to decouple congruences and is not imposed.  Kannan and Bachem's
+    alternation: the Hermite form (`_echelon`) of the columns beside V^T,
+    then of the rows beside U, until nothing is left off the diagonal.  After
+    the first column form only the first `rank` columns are nonzero, so each
+    row form is upper triangular with its pivots on the diagonal; a round
+    either clears the first uncleared row and column or shrinks its pivot.
     """
     A = [list(map(int, row)) for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    def col_axpy(M: list[list[int]], target: int, source: int, q: int) -> None:
-        for row in M:
-            row[target] -= q * row[source]
-
-    def col_swap(M: list[list[int]], a: int, b: int) -> None:
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best[0]):
-                    best = (abs(A[i][j]), i, j)
-        if best is None:
-            break
-        _, i0, j0 = best
-        if i0 != t:
-            A[t], A[i0] = A[i0], A[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            col_swap(A, t, j0)
-            col_swap(V, t, j0)
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                _row_axpy(A, i, t, q)
-                _row_axpy(U, i, t, q)
-                if A[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                col_axpy(A, j, t, q)
-                col_axpy(V, j, t, q)
-                if A[t][j] != 0:
-                    dirty = True
-        if dirty or any(A[i][t] for i in range(t + 1, m)) or any(A[t][j] for j in range(t + 1, n)):
-            continue
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    diag = [A[i][i] for i in range(t)]
-    return U, diag, V, t
+    U, Vt = _identity(m), _identity(n)
+    while True:
+        T = [[row[j] for row in A] + Vt[j] for j in range(n)]
+        _echelon(T, m)
+        Vt = [t[m:] for t in T]
+        H = [[t[i] for t in T] + U[i] for i in range(m)]
+        rank = _echelon(H, n)
+        A, U = [h[:n] for h in H], [h[n:] for h in H]
+        if not any(any(A[i][i + 1:]) for i in range(rank)):
+            return U, [A[i][i] for i in range(rank)], [list(col) for col in zip(*Vt)], rank

@@ -97,6 +97,8 @@ def parse_series_text(text: str) -> SeriesSpec:
         terms.append((_parse_exponent(term["exponent"], where), _parse_coeff(term["coeff"], where)))
 
     abscissa = _number(doc["abscissa"], "abscissa") if "abscissa" in doc else -math.inf
+    if math.isnan(abscissa) or abscissa == math.inf:
+        raise ParseError(f"abscissa must be finite or -Infinity, got {abscissa}")
 
     tail = None
     if "tail" in doc:

@@ -323,8 +323,8 @@ def sigma_star(
     """
     _check_steps(steps)
     check_tol(tol)
-    if not t_window[0] < t_window[1]:
-        raise BadRange(f"degenerate t window {t_window}")
+    if not -math.inf < t_window[0] < t_window[1] < math.inf:
+        raise BadRange(f"degenerate or unbounded t window {t_window}")
     if not math.isfinite(sigma_floor):
         raise BadRange(f"need a finite sigma_floor, got {sigma_floor}")
     v = _finite_target(v)
@@ -389,10 +389,10 @@ def attains_value(
     sits exactly on the contour; a rung whose inset would empty the strip is
     not tried, so a narrow strip raises the error of the last one tried.
     """
-    if not sigma1 < sigma2:
-        raise BadRange(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
-    if not t_window[0] < t_window[1]:
-        raise BadRange(f"degenerate t window {t_window}")
+    if not -math.inf < sigma1 < sigma2 < math.inf:
+        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
+    if not -math.inf < t_window[0] < t_window[1] < math.inf:
+        raise BadRange(f"degenerate or unbounded t window {t_window}")
     v = _finite_target(v)
     t0, t1 = t_window
 

@@ -80,6 +80,16 @@ class TestSeriesFiles:
             with pytest.raises(ParseError, match=r"terms\[0\]: coefficient .* is not finite"):
                 parse_series_text(text)
 
+    def test_abscissa_nan_or_plus_infinity_refused(self):
+        # emit drops a non-finite abscissa, so only its default -Infinity round-trips
+        for value in ("NaN", "Infinity", "1" + "0" * 400):
+            text = f'{{"symbols": [], "terms": [], "abscissa": {value}}}'
+            with pytest.raises(ParseError, match="abscissa must be finite or -Infinity"):
+                parse_series_text(text)
+        for value in ("-Infinity", "-1" + "0" * 400, "0.5"):
+            spec = parse_series_text(f'{{"symbols": [], "terms": [], "abscissa": {value}}}')
+            assert parse_series_text(emit_series_text(spec)) == spec
+
     def test_json_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_series_text("{ not json }")
@@ -458,6 +468,7 @@ class TestCommands:
             ["solve-phases", "--series", f, "--series2", str(nan)],
             ["closure-demo", "--series", f, "--series2", str(nan), "--nmax", "3"],
             ["tail", "--series", str(big), "--sigma", "1"],
+            ["sigma-star", "--series", f, "--t-min", "0", "--t-max", "inf"],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()

@@ -253,6 +253,16 @@ class TestOverflow:
                 evaluate(spec, EvalPoint(-400.0, 1.0))
             assert evaluate(spec, points[:1])[0] == evaluate(spec, points[0])
 
+    def test_non_finite_point_is_bad_input_not_a_precision_limit(self):
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        points = np.array([-400.0 + 1.0j, 1.0 + 1.0j, complex("nan"), complex(1, math.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadRange, match=r"must be finite: \(nan\+0j\)"):
+                evaluate(spec, complex("nan"))
+            with pytest.raises(BadRange, match=r"must be finite: \(nan\+0j\)"):
+                evaluate(spec, points)
+
     def test_uniform_distance_of_an_overflowing_series(self):
         spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
         box = GridBox((-400.0, -399.0), (0.0, 1.0), 2, 2)

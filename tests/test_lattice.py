@@ -384,9 +384,22 @@ class TestEnumerateNear:
 class TestDiagonalize:
     def test_exact_factorization_and_unimodularity(self):
         rng = random.Random(24)
+        cases = [[[0] * 3, [0] * 3], [[], []]]
         for _ in range(60):
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-            a = [[rng.randint(-8, 8) for _ in range(ncols)] for _ in range(nrows)]
+            cases.append([[rng.randint(-8, 8) for _ in range(ncols)] for _ in range(nrows)])
+        for _ in range(20):
+            # a row [h_1..h_r, d] as the closure scan's fold solves it, h reduced modulo d
+            d = rng.randint(1, 10**6)
+            cases.append([[rng.randrange(d) for _ in range(rng.randint(1, 4))] + [d]])
+            # a tall column, as the left kernel of one wrapped column once was
+            cases.append([[rng.randint(-1000, 1000)] for _ in range(rng.randint(2, 6))])
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            cases.append(
+                [[rng.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)]
+            )
+        for a in cases:
+            nrows, ncols = len(a), len(a[0])
             u, diag, v, rank = diagonalize(a)
             assert abs(frac_det(u)) == 1
             assert abs(frac_det(v)) == 1

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import time
 import warnings
 
@@ -165,8 +166,11 @@ class TestSigmaStar:
         assert count_zeros(spec, 0.0, Rectangle((got - 2 * tol, 5.0), (0, 20))) >= 1
 
     def test_bad_window(self):
-        with pytest.raises(BadRange):
-            sigma_star(one_plus_two(), 0.0, (5, 5), sigma_floor=-5.0)
+        # an infinite edge is refused as the caller gave it, not as the
+        # (nan, nan) its first jitter would make of it
+        for window in ((5, 5), (0, math.inf), (-math.inf, 0), (math.nan, 1)):
+            with pytest.raises(BadRange, match=re.escape(f"t window {window}")):
+                sigma_star(one_plus_two(), 0.0, window, sigma_floor=-5.0)
 
 
 class TestAttainsValue:
@@ -185,8 +189,12 @@ class TestAttainsValue:
         assert attains_value(f, v, 1.9, 2.1, (-60, 60))
 
     def test_bad_strip(self):
-        with pytest.raises(BadRange):
-            attains_value(two_three(), 0.5, 1.0, 1.0, (-1, 1))
+        for sigma1, sigma2 in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(BadRange, match="need finite sigma1 < sigma2"):
+                attains_value(two_three(), 0.5, sigma1, sigma2, (-1, 1))
+        for window in ((1, -1), (0, math.inf), (-math.inf, math.inf)):
+            with pytest.raises(BadRange, match=re.escape(f"t window {window}")):
+                attains_value(two_three(), 0.5, 0.9, 1.1, window)
 
     def test_narrow_strip_raises_the_last_clipping_error(self):
         # |f - v| = 1e-12 |2^{-s} + 3^{-s}| <= 2e-12 lies within the margin
