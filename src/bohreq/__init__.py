@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "basis": ("Basis", "BohrMatrix", "compute_basis", "denominator_lcms", "is_integral"),
+        "basis": ("Basis", "BohrMatrix", "compute_basis", "denominator_lcms"),
         "core": (
             "ExponentVector",
             "SeriesSpec",
@@ -36,7 +36,7 @@ _EXPORTS = {
             "solve_phase_system",
             "twist",
         ),
-        "evaluation": ("EvalPoint", "GridBox", "evaluate", "shift_series", "uniform_distance"),
+        "evaluation": ("GridBox", "evaluate", "shift_series", "uniform_distance"),
         "scenarios": ("bohr_example", "negate", "ordinary_series", "tau"),
         "valuesets": ("ValueCloud", "hausdorff"),
         "zeros": ("Rectangle", "count_zeros", "sigma_star"),

@@ -235,8 +235,3 @@ def denominator_lcms(matrix: BohrMatrix) -> list[int]:
         d = math.lcm(d, *(q.denominator for q in row.values()))
         lcms.append(d)
     return lcms
-
-
-def is_integral(matrix: BohrMatrix) -> bool:
-    """True iff every entry has denominator 1 (all-zero rows count as integral)."""
-    return max(denominator_lcms(matrix), default=1) == 1

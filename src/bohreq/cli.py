@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import equivalence, scenarios
-from .basis import compute_basis, denominator_lcms, is_integral
+from .basis import compute_basis, denominator_lcms
 from .core import tail_bound
 from .errors import SeriesError, ValidationError
 from .seriesio import (
@@ -190,6 +190,7 @@ def _matrix_obj(matrix) -> list[dict[str, str]]:
 
 def _cmd_basis(args, spec) -> dict:
     basis, expansion, selection = compute_basis([t.exponent for t in spec.terms])
+    lcms = denominator_lcms(expansion)
     return {
         "basis": [
             {name: format_rational(q) for name, q in beta.items()}
@@ -198,8 +199,8 @@ def _cmd_basis(args, spec) -> dict:
         "source_terms": [i + 1 for i in basis.source_indices],
         "expansion": _matrix_obj(expansion),
         "selection": _matrix_obj(selection),
-        "integral": is_integral(expansion),
-        "denominator_lcms": denominator_lcms(expansion),
+        "integral": max(lcms, default=1) == 1,
+        "denominator_lcms": lcms,
     }
 
 
@@ -244,7 +245,7 @@ def _cmd_closure_demo(args, a, b) -> dict:
 def _cmd_eval(args, spec) -> dict:
     from . import evaluation
 
-    value = evaluation.evaluate(spec, evaluation.EvalPoint(args.sigma, args.t))
+    value = evaluation.evaluate(spec, complex(args.sigma, args.t))
     return {"re": value.real, "im": value.imag}
 
 

@@ -62,20 +62,6 @@ _pin_mmap_threshold()
 
 
 @dataclass(frozen=True)
-class EvalPoint:
-    sigma: float
-    t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise BadRange(f"evaluation point must be finite: {self}")
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
-
-
-@dataclass(frozen=True)
 class GridBox:
     """Inclusive rectangular grid: (steps + 1) points per axis."""
 
@@ -138,20 +124,21 @@ def plan_sum(
     return out
 
 
-def evaluate(
-    spec: SeriesSpec, point: EvalPoint | complex | np.ndarray
-) -> complex | np.ndarray:
+def evaluate(spec: SeriesSpec, point: complex | np.ndarray) -> complex | np.ndarray:
     """sum a(n) exp(-lambda(n) s) at s = sigma + it, summed in term order.
 
-    A point (an EvalPoint or a complex number) gives a complex; an array of
-    points gives an array of values of the same shape.  A fresh term of the
-    product plan is exp(-lambda(n) s); a child term is the product of two
-    earlier terms.  A value that is not a finite double raises
-    PrecisionLimit naming the first such point, or BadRange naming the first
-    point that is itself not finite, when there is one.
+    A complex point gives a complex; an array of points gives an array of
+    values of the same shape.  A point that is not finite raises BadRange
+    naming the first such point, before anything is summed.  A fresh term
+    of the product plan is exp(-lambda(n) s); a child term is the product of
+    two earlier terms.  A value that is not a finite double raises
+    PrecisionLimit naming the first such point.
     """
-    s = np.asarray(point.s if isinstance(point, EvalPoint) else point, dtype=complex)
+    s = np.asarray(point, dtype=complex)
     flat = s.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise BadRange(f"evaluation point must be finite: {complex(flat[np.argmin(finite)])}")
     lams = spec.numeric_exponents()
     neg = np.array([-lams[n] for n in spec.product_plan().fresh])
 
@@ -163,10 +150,7 @@ def evaluate(
         out = plan_sum(spec, flat.size, fresh)
     finite = np.isfinite(out)
     if not finite.all():
-        bad = np.flatnonzero(~np.isfinite(flat))
-        if bad.size:
-            raise BadRange(f"evaluation point must be finite: {complex(flat[bad[0]])}")
-        i = np.flatnonzero(~finite)[0]
+        i = np.argmin(finite)
         raise PrecisionLimit(
             f"the value at {complex(flat[i])} is {complex(out[i])}, not a finite double"
         )
@@ -183,8 +167,11 @@ def shift_series(spec: SeriesSpec, tau_shift: float) -> SeriesSpec:
     """The vertical shift s -> s + i tau as a coefficient twist.
 
     evaluate(shift_series(spec, tau), s) == evaluate(spec, s + i tau) up to
-    rounding: coefficient n picks up the phase exp(-i lambda(n) tau).
+    rounding: coefficient n picks up the phase exp(-i lambda(n) tau).  A
+    shift that is not finite raises BadRange.
     """
+    if not math.isfinite(tau_shift):
+        raise BadRange(f"need a finite shift, got {tau_shift}")
     lams = spec.numeric_exponents()
     coeffs = [
         term.coeff * complex(math.cos(lam * tau_shift), -math.sin(lam * tau_shift))

@@ -161,9 +161,12 @@ def _walk(
 
 
 def _check_steps(steps: int) -> None:
+    """A side's first samples, steps + 1, must fit in MAX_SIDE_SAMPLES."""
     check_integral(steps, "steps")
     if steps < 1:
         raise BadRange(f"need steps >= 1, got {steps}")
+    if steps >= MAX_SIDE_SAMPLES:
+        raise BadRange(f"need steps < MAX_SIDE_SAMPLES = {MAX_SIDE_SAMPLES}, got {steps}")
 
 
 def _finite_target(v: complex) -> complex:
@@ -207,9 +210,9 @@ def winding_number(
 ) -> tuple[int, float]:
     """Winding number of f - v around the rectangle, with the rounding defect.
 
-    Each side starts from `steps` equal segments (steps >= 1) and cuts
-    each piece whose argument increment exceeds pi/2 into SPLIT equal ones,
-    as often as it takes.  As in sigma_star, an f - v of one term winds 0
+    Each side starts from `steps` equal segments (1 <= steps <
+    MAX_SIDE_SAMPLES) and cuts each piece whose argument increment exceeds
+    pi/2 into SPLIT equal ones, as often as it takes.  As in sigma_star, an f - v of one term winds 0
     times without a walk, and one of no terms raises DegenerateTarget.
     """
     _check_steps(steps)

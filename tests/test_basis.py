@@ -12,7 +12,6 @@ from bohreq.basis import (
     compute_basis,
     denominator_lcms,
     expand_over_pivots,
-    is_integral,
     reconstruct_exponent,
 )
 from bohreq.core import ExponentVector, SymbolTable
@@ -215,16 +214,18 @@ class TestExactReconstruction:
 
 
 class TestIsIntegral:
+    """R is integral iff its last denominator lcm is 1 (an empty R has none)."""
+
     def test_ordinary_integral(self):
         _, r, _ = compute_basis([L2, L3, L6])
-        assert is_integral(r)
+        assert denominator_lcms(r)[-1] == 1
 
     def test_bohr_not_integral(self):
         _, r, _ = compute_basis(bohr_exponents(3))
-        assert not is_integral(r)
+        assert denominator_lcms(r)[-1] != 1
 
     def test_zero_row_is_integral(self):
-        assert is_integral(BohrMatrix([{}], ncols=0))
+        assert denominator_lcms(BohrMatrix([{}], ncols=0)) == [1]
 
 
 class TestDenominatorLcm:

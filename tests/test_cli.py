@@ -437,8 +437,9 @@ class TestCommands:
     def test_bad_ranges_are_one_error_line(self, files, capsys):
         # non-finite points, inverted or NaN boxes, empty grids, an unbounded
         # Kronecker search, a NaN target phase, a negative sampling seed, an
-        # infinite tail abscissa, non-finite twist phases, a NaN coefficient
-        # and an overflowing tail majorant are refused before any evaluation
+        # infinite tail abscissa, non-finite twist phases, a NaN coefficient,
+        # an overflowing tail majorant and a step count at the cap on a
+        # side's samples are refused before any evaluation
         tmp_path, f, g = files
         doc = json.loads(Path(f).read_text())
         doc["terms"][1]["coeff"]["re"] = math.nan
@@ -469,6 +470,10 @@ class TestCommands:
             ["closure-demo", "--series", f, "--series2", str(nan), "--nmax", "3"],
             ["tail", "--series", str(big), "--sigma", "1"],
             ["sigma-star", "--series", f, "--t-min", "0", "--t-max", "inf"],
+            [
+                "zeros", "--series", f, "--sigma-min", "-1", "--sigma-max", "1",
+                *box, "--steps", "16384",
+            ],
         ):
             assert run_command(argv) == 1, argv
             captured = capsys.readouterr()
@@ -735,7 +740,7 @@ class TestLazyImports:
             value = getattr(bohreq, name)
             assert namespace[name] is value
             assert name in listing
-        assert len(bohreq.__all__) == len(set(bohreq.__all__)) == 34
+        assert len(bohreq.__all__) == len(set(bohreq.__all__)) == 32
         from bohreq import zeros
 
         assert zeros.count_zeros is bohreq.count_zeros

@@ -183,6 +183,10 @@ class TestExtractPhaseTargets:
     def test_alignment_required(self):
         with pytest.raises(DimensionMismatch):
             extract_phase_targets(spec_236(), spec_23())
+        syms = SymbolTable([("L2", math.log(2)), ("L3", math.log(3))])
+        spec_26 = SeriesSpec(syms, [(L2, 1.0), (L6, 1.0)])
+        with pytest.raises(DimensionMismatch, match="exponent vectors differ at term 2"):
+            extract_phase_targets(spec_23(), spec_26)
 
     def test_non_finite_coefficient_refused(self):
         # specs built in code skip the file parser's check; the term is 1-based
@@ -327,6 +331,11 @@ class TestIntegerKernel:
     def test_sum_relation(self):
         _, r, _ = compute_basis([L2, L3, L6])
         assert integer_kernel(r, [0, 1, 2]) == [(1, 1, -1)]
+
+    def test_empty_row_selection_refused(self):
+        _, r, _ = compute_basis([L2, L3, L6])
+        with pytest.raises(DimensionMismatch, match="row selection must be nonempty"):
+            integer_kernel(r, [])
 
     def test_independent_rows_empty(self):
         _, r, _ = compute_basis([L2, L3])

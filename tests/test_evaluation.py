@@ -17,7 +17,6 @@ from bohreq.equivalence import twist
 from bohreq.errors import BadRange, PrecisionLimit
 from bohreq.evaluation import (
     BLOCK,
-    EvalPoint,
     GridBox,
     evaluate,
     evaluate_grid,
@@ -38,13 +37,13 @@ def spec_23() -> SeriesSpec:
 
 class TestEvaluate:
     def test_real_point(self):
-        assert evaluate(spec_23(), EvalPoint(1.0, 0.0)) == pytest.approx(5.0 / 6.0)
+        assert evaluate(spec_23(), complex(2.0, 0.0)) == pytest.approx(13.0 / 36.0)
 
     def test_half_period_point_against_high_precision_oracle(self):
         # frozen 40-digit oracle: 2^{-s} + 3^{-s} at s = 1 + i pi/log 2 equals
         # -0.4120801946413064649 + 0.32152949932595695606 i; the first term is
         # exactly -1/2 there
-        value = evaluate(spec_23(), EvalPoint(1.0, math.pi / math.log(2)))
+        value = evaluate(spec_23(), complex(1.0, math.pi / math.log(2)))
         assert value.real == pytest.approx(-0.4120801946413064649, abs=1e-14)
         assert value.imag == pytest.approx(0.32152949932595695606, abs=1e-14)
 
@@ -59,12 +58,12 @@ class TestEvaluate:
             want = mp.exp(-mp.log(2) * mp.mpc(sigma, t)) + mp.exp(
                 -mp.log(3) * mp.mpc(sigma, t)
             )
-            got = evaluate(spec, EvalPoint(sigma, t))
+            got = evaluate(spec, complex(sigma, t))
             assert abs(got - complex(want)) <= 1e-12 * max(1.0, abs(got))
 
     def test_bohr_three_terms_at_two(self):
         # frozen oracle: e^{-3} + e^{-19/3} + e^{-51/5} = 0.051600342232282448
-        value = evaluate(scenarios.bohr_example(3), EvalPoint(2.0, 0.0))
+        value = evaluate(scenarios.bohr_example(3), complex(2.0, 0.0))
         assert value == pytest.approx(0.051600342232282448, rel=1e-13)
         assert value.imag == 0.0
 
@@ -160,7 +159,7 @@ class TestEvaluate:
 
     def test_point_gives_complex_array_gives_array(self):
         spec = spec_23()
-        for point in (EvalPoint(1.0, 2.0), complex(1.0, 2.0), np.complex128(1.0 + 2.0j)):
+        for point in (complex(1.0, 2.0), np.complex128(1.0 + 2.0j)):
             assert type(evaluate(spec, point)) is complex
         for shape in ((0,), (1,), (3,), (2, 3)):
             values = evaluate(spec, np.full(shape, 1.0 + 2.0j))
@@ -173,9 +172,9 @@ class TestEvaluate:
         lams = spec.numeric_exponents()
         for sigma in (1.0, 2.0):
             for t in (-3.0, 0.0, 7.5):
-                full = evaluate(spec, EvalPoint(sigma, t))
+                full = evaluate(spec, complex(sigma, t))
                 for n in (2, 5):
-                    head = evaluate(spec.take_terms(n), EvalPoint(sigma, t))
+                    head = evaluate(spec.take_terms(n), complex(sigma, t))
                     allowed = math.fsum(math.exp(-lam * sigma) for lam in lams[n:])
                     # at t = 0 the bound is attained exactly; leave rounding room
                     assert abs(full - head) <= allowed * (1 + 1e-12) + 1e-15
@@ -206,6 +205,11 @@ class TestShiftSeries:
             lhs = evaluate(shift_series(spec, tau_shift), s)
             rhs = evaluate(spec, s + 1j * tau_shift)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("tau_shift", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift_refused(self, tau_shift):
+        with pytest.raises(BadRange, match="need a finite shift"):
+            shift_series(scenarios.bohr_example(3), tau_shift)
 
 
 class TestUniformDistance:
@@ -250,7 +254,7 @@ class TestOverflow:
             with pytest.raises(PrecisionLimit, match=r"at \(-400\+1j\).*not a finite double"):
                 evaluate(spec, points)
             with pytest.raises(PrecisionLimit, match="not a finite double"):
-                evaluate(spec, EvalPoint(-400.0, 1.0))
+                evaluate(spec, complex(-400.0, 1.0))
             assert evaluate(spec, points[:1])[0] == evaluate(spec, points[0])
 
     def test_non_finite_point_is_bad_input_not_a_precision_limit(self):
@@ -262,6 +266,20 @@ class TestOverflow:
                 evaluate(spec, complex("nan"))
             with pytest.raises(BadRange, match=r"must be finite: \(nan\+0j\)"):
                 evaluate(spec, points)
+
+    def test_infinite_point_with_a_finite_sum_is_refused(self):
+        # with no constant term every exp(-lambda_n s) is 0 at s = inf, so the
+        # sum alone would read 0j there; the point is refused before summing
+        spec = scenarios.ordinary_series([(2, 1.0), (3, 0.5)])
+        points = np.array([1.0 + 0.0j, complex(math.inf, 0.0), complex(math.inf, math.nan)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadRange, match=r"must be finite: \(inf\+0j\)"):
+                evaluate(spec, complex(math.inf, 0.0))
+            with pytest.raises(BadRange, match=r"must be finite: \(inf\+0j\)"):
+                evaluate(spec, points)
+            with pytest.raises(BadRange, match=r"must be finite: \(inf\+0j\)"):
+                evaluate(spec, points.reshape(1, 3))
 
     def test_uniform_distance_of_an_overflowing_series(self):
         spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])

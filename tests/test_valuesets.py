@@ -72,6 +72,9 @@ class TestSampling:
             sample_strip_direct(two_three(), 0.5, 1.5, -1.0, 10, 0)
         with pytest.raises(BadRange):
             sample_line(two_three(), 1.0, 0.0, 10, 0)
+        for sigma0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadRange, match="finite sigma0"):
+                sample_line(two_three(), sigma0, 10.0, 10, 0)
         # a count or seed that is not a non-negative integer
         for count, seed in ((100.5, 0), (10, -1), (10, 1.5)):
             with pytest.raises(BadRange):
@@ -257,6 +260,14 @@ class TestKronecker:
         hit = kronecker_find_t([LOG2], [math.pi], tol=1e-12, t_max_search=1.0)
         assert not hit.found
         assert hit.t is None and hit.residual is None
+
+    def test_lattice_point_whose_times_miss_the_window_is_rejected(self):
+        # beta_2 = 2 beta_1 ties the phases: x_2 = 2 x_1 (mod 2pi), so
+        # |x_1 - y_1| <= tol and |x_2| <= tol need 2 y_1 - 3 tol <= 0.  The
+        # search visits lattice points whose t intervals do not meet in
+        # [0, t_max], and must reject them rather than report a time
+        hit = kronecker_find_t([LOG2, 2.0 * LOG2], [1.65e-3, 0.0], 1e-3, 1e3)
+        assert hit == (False, None, None)
 
     def test_bad_parameters(self):
         with pytest.raises(BadRange):

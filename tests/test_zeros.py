@@ -111,6 +111,22 @@ class TestCountZeros:
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(BadRange):
             Rectangle((1.0, 1.0), (0.0, 1.0))
+        for t_range in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(BadRange, match="degenerate or unbounded t range"):
+                Rectangle((0.0, 1.0), t_range)
+
+    def test_steps_at_the_sample_cap_rejected(self):
+        # steps + 1 first samples must fit in the cap on a side's samples,
+        # whatever refinement adds; one step fewer is walked
+        rect, cap = Rectangle((-1, 1), (0, 10)), zeros.MAX_SIDE_SAMPLES
+        message = f"need steps < MAX_SIDE_SAMPLES = {cap}, got {cap}"
+        with pytest.raises(BadRange, match=message):
+            count_zeros(one_plus_two(), 0.0, rect, cap)
+        with pytest.raises(BadRange, match=message):
+            sigma_star(one_plus_two(), 0.0, (-30, 30), sigma_floor=-5.0, steps=cap)
+        with pytest.raises(BadRange, match=message):
+            attains_value(one_plus_two(), 0.0, -1.0, 1.0, (-30, 30), cap)
+        assert count_zeros(one_plus_two(), 0.0, rect, cap - 1) == 1
 
     def test_conjugate_symmetry(self):
         # real coefficients: zeros come in conjugate pairs
@@ -183,9 +199,7 @@ class TestAttainsValue:
 
     def test_value_inside_cloud_attained(self):
         f = scenarios.bohr_example(4)
-        from bohreq.evaluation import EvalPoint, evaluate
-
-        v = evaluate(f, EvalPoint(2.0, 0.0)) + 0.001
+        v = evaluate(f, complex(2.0, 0.0)) + 0.001
         assert attains_value(f, v, 1.9, 2.1, (-60, 60))
 
     def test_bad_strip(self):
@@ -547,6 +561,15 @@ class TestWalkErrors:
                 count_zeros(spec, v, rect, steps=16)
             assert count_zeros(spec, v, rect, steps=256) == count
 
+    def test_argument_off_a_whole_turn_is_refused(self):
+        # a closed boundary's argument is a multiple of 2pi; a total more
+        # than WINDING_DEFECT_LIMIT away from one is a walk that lost track
+        limit = zeros.WINDING_DEFECT_LIMIT
+        assert zeros._turns(zeros.TWO_PI + 0.5 * limit) == (1, pytest.approx(0.5 * limit))
+        for total in (zeros.TWO_PI + 2.0 * limit, -2.0 * limit, 1.0):
+            with pytest.raises(NonconvergentSubdivision, match="away from a 2pi multiple"):
+                zeros._turns(total)
+
     def test_too_close_midpoint_reports_a_point_of_its_side(self):
         # the left edge sigma = 0 passes through the zero at t = pi / log 2,
         # between two samples: a point of a cut piece lands within the margin
@@ -750,14 +773,17 @@ class TestLadder:
             SymbolTable([("ONE", 1.0)]),
             [(ExponentVector(), 1e9), (ExponentVector({"ONE": 20}), -1e9 * math.exp(26.0))],
         )
-        calls = []
+        batches = 0
+        walk = zeros._walk
 
-        def counting(*args):
-            calls.append(args[2])
-            assert len(calls) < 200, "the bisection does not end"
-            return count_zeros(*args)
+        def counting(spec, v, segments, margin):
+            # the strip, then one batch per bisection step
+            nonlocal batches
+            batches += 1
+            assert batches < 200, "the bisection does not end"
+            return walk(spec, v, segments, margin)
 
-        monkeypatch.setattr(zeros, "count_zeros", counting)
+        monkeypatch.setattr(zeros, "_walk", counting)
         got = sigma_star(spec, 0.0, (-0.1, 0.13), 0.0, tol=1e-17)
         assert got == pytest.approx(1.3, abs=1e-15)
 
