@@ -43,6 +43,15 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def fsum_or_inf(values: Iterable[float]) -> float:
+    """math.fsum of the values, or inf where fsum or a value raises: a value
+    or a partial sum beyond a double, or inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
 class SymbolTable:
     """Ordered (name, value) pairs naming the real numbers exponents combine.
 
@@ -125,7 +134,11 @@ class ExponentVector:
         return Fraction(0)
 
     def numeric_value(self, symbols: SymbolTable) -> float:
-        return math.fsum(float(q) * symbols.value(name) for name, q in self._items)
+        """The exponent's double value; PrecisionLimit when it is not a finite double."""
+        value = fsum_or_inf(float(q) * symbols.value(name) for name, q in self._items)
+        if not math.isfinite(value):
+            raise PrecisionLimit(f"the value of exponent {self} is not a finite double")
+        return value
 
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         merged = dict(self._items)
@@ -362,11 +375,13 @@ class SeriesSpec:
 
 
 def validate_series(spec: SeriesSpec) -> SeriesSpec:
-    """Check strict increase of numeric exponent values and exact uniqueness
-    of exponent vectors; returns the spec unchanged.
+    """Check strict increase of numeric exponent values, the tail majorant's
+    first omitted exponent included, and exact uniqueness of exponent
+    vectors; returns the spec unchanged.
 
     Raises NonIncreasingExponents or DuplicateExponent with the 1-based
-    position of the offending term.
+    position of the offending term (n + 1 for the tail of n terms), and
+    PrecisionLimit or UnknownSymbol when an exponent has no finite value.
     """
     seen: dict[ExponentVector, int] = {}
     prev = float("-inf")
@@ -377,6 +392,14 @@ def validate_series(spec: SeriesSpec) -> SeriesSpec:
         if value <= prev:
             raise NonIncreasingExponents(pos)
         prev = value
+    if spec.tail is not None:
+        value = spec.tail.lambda_next.numeric_value(spec.symbols)
+        if value <= prev:
+            raise NonIncreasingExponents(
+                len(spec.terms) + 1,
+                f"the tail's first omitted exponent {value} does not exceed "
+                f"the last exponent {prev}, at term {len(spec.terms) + 1}",
+            )
     return spec
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .basis import Basis, BohrMatrix, compute_basis, expand_over_pivots
-from .core import SeriesSpec
+from .core import SeriesSpec, fsum_or_inf
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -135,7 +135,8 @@ def twist(
 ) -> SeriesSpec:
     """Multiply coefficient n by exp(i (R Y)_n); exponents are untouched.
 
-    BadRange when a phase is not finite.
+    BadRange when a phase is not finite, PrecisionLimit when a coefficient's
+    phase (R Y)_n is not a finite double.
     """
     if expansion.nrows != len(spec.terms):
         raise DimensionMismatch(
@@ -150,7 +151,9 @@ def twist(
         raise BadRange(f"need finite phases, got {list(phases)}")
     coeffs = []
     for i, term in enumerate(spec.terms):
-        phi = math.fsum(float(q) * phases[j] for j, q in expansion.row_items(i))
+        phi = fsum_or_inf(float(q) * phases[j] for j, q in expansion.row_items(i))
+        if not math.isfinite(phi):
+            raise PrecisionLimit(f"the phase of term {i + 1} is not a finite double")
         coeffs.append(term.coeff * cmath.exp(1j * phi))
     return spec.with_coeffs(coeffs)
 

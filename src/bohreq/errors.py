@@ -72,6 +72,12 @@ def check_tol(tol: float) -> None:
         raise BadRange(f"need a finite tol > 0, got {tol}")
 
 
+def check_range(lo: float, hi: float, name: str) -> None:
+    """BadRange naming `name` unless lo < hi are finite with a finite span hi - lo."""
+    if not 0 < hi - lo < math.inf:  # a NaN or infinite end gives no such span
+        raise BadRange(f"need finite ends lo < hi and a finite span hi - lo, got {name}")
+
+
 def check_integral(value, name: str, error: type[SeriesError] = BadRange) -> None:
     try:
         operator.index(value)  # NumPy ints pass, floats do not

@@ -72,8 +72,9 @@ class GridBox:
 
     def __post_init__(self):
         (s0, s1), (t0, t1) = self.sigma_range, self.t_range
-        if not (s0 <= s1 and t0 <= t1):  # also refuses a NaN end
-            raise BadRange(f"box ranges must satisfy min <= max: {self}")
+        # a NaN or infinite end gives a NaN or infinite span; an axis may be one line thick
+        if not (0 <= s1 - s0 < math.inf and 0 <= t1 - t0 < math.inf):
+            raise BadRange(f"box ranges need finite ends min <= max and a finite span: {self}")
         check_integral(self.sigma_steps, "sigma_steps")
         check_integral(self.t_steps, "t_steps")
         if self.sigma_steps < 1 or self.t_steps < 1:
@@ -151,9 +152,7 @@ def evaluate(spec: SeriesSpec, point: complex | np.ndarray) -> complex | np.ndar
     finite = np.isfinite(out)
     if not finite.all():
         i = np.argmin(finite)
-        raise PrecisionLimit(
-            f"the value at {complex(flat[i])} is {complex(out[i])}, not a finite double"
-        )
+        raise PrecisionLimit(f"the value at {complex(flat[i])} is not a finite double")
     out = out.reshape(s.shape)
     return complex(out) if out.ndim == 0 else out
 

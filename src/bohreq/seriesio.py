@@ -78,6 +78,9 @@ def parse_series_text(text: str) -> SeriesSpec:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
     if "symbols" not in doc or "terms" not in doc:
         raise ParseError("series document needs 'symbols' and 'terms'")
+    for name in ("symbols", "terms"):
+        if not isinstance(doc[name], list):
+            raise ParseError(f"{name} must be a JSON list")
 
     try:
         entries = []

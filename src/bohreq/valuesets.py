@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import compute_basis, denominator_lcms
-from .core import SeriesSpec
+from .core import SeriesSpec, fsum_or_inf
 from .equivalence import TWO_PI, kronecker_find_t  # noqa: F401
-from .errors import BadRange, EmptyCloud, PrecisionLimit, check_integral
+from .errors import BadRange, EmptyCloud, PrecisionLimit, check_integral, check_range
 from .evaluation import BLOCK, evaluate, plan_sum
 
 
@@ -55,13 +55,10 @@ def _modulus_cap(spec: SeriesSpec, sigma_lo: float, sigma_hi: float) -> float:
     Raises PrecisionLimit when the bound is not a finite double: the values
     themselves would then overflow.
     """
-    try:
-        cap = math.fsum(
-            abs(term.coeff) * max(math.exp(-lam * sigma_lo), math.exp(-lam * sigma_hi))
-            for lam, term in zip(spec.numeric_exponents(), spec.terms)
-        )
-    except OverflowError:
-        cap = math.inf
+    cap = fsum_or_inf(
+        abs(term.coeff) * max(math.exp(-lam * sigma_lo), math.exp(-lam * sigma_hi))
+        for lam, term in zip(spec.numeric_exponents(), spec.terms)
+    )
     if not math.isfinite(cap):
         raise PrecisionLimit(
             f"the triangle bound on |f| for sigma in [{sigma_lo}, {sigma_hi}] "
@@ -109,10 +106,8 @@ def sample_strip_direct(
     systematic resampling, and the points drawn in one cell form a randomly
     shifted lattice inside it.
     """
-    if not -math.inf < sigma1 < sigma2 < math.inf:
-        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
-    if not 0 < t_max < math.inf:
-        raise BadRange(f"need a finite t_max > 0, got {t_max}")
+    check_range(sigma1, sigma2, f"sigma range {(sigma1, sigma2)}")
+    check_range(-t_max, t_max, f"t range (-t_max, t_max) for t_max = {t_max}")
     _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma1, sigma2)
     rng = np.random.default_rng(seed)
@@ -183,8 +178,7 @@ def sample_strip_via_equivalence(
     expansion denominators over all rows), twists the coefficients, and
     evaluates at a uniform sigma in the strip with t = 0.
     """
-    if not -math.inf < sigma1 < sigma2 < math.inf:
-        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
+    check_range(sigma1, sigma2, f"sigma range {(sigma1, sigma2)}")
     _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma1, sigma2)
     _, expansion, _ = compute_basis([term.exponent for term in spec.terms])
@@ -210,7 +204,10 @@ def sample_strip_via_equivalence(
         terms.imag = rows @ phases.reshape(k, points)
         np.exp(terms, out=terms)
 
-    values = plan_sum(spec, count, fresh)
+    # lambda_n sigma may overflow to an infinite exponent: _check_modulus
+    # refuses what is left not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = plan_sum(spec, count, fresh)
     _check_modulus(values, cap)
     meta = {
         "sigma1": sigma1,
@@ -228,8 +225,7 @@ def sample_line(
     """Values on the vertical line sigma = sigma0, t stratified over [-t_max, t_max]."""
     if not math.isfinite(sigma0):
         raise BadRange(f"need a finite sigma0, got {sigma0}")
-    if not 0 < t_max < math.inf:
-        raise BadRange(f"need a finite t_max > 0, got {t_max}")
+    check_range(-t_max, t_max, f"t range (-t_max, t_max) for t_max = {t_max}")
     _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma0, sigma0)
     rng = np.random.default_rng(seed)

@@ -45,6 +45,7 @@ from .errors import (
     NonconvergentSubdivision,
     PrecisionLimit,
     check_integral,
+    check_range,
     check_tol,
 )
 from .evaluation import evaluate
@@ -79,10 +80,8 @@ class Rectangle:
     t_range: tuple[float, float]
 
     def __post_init__(self):
-        if not -math.inf < self.sigma_range[0] < self.sigma_range[1] < math.inf:
-            raise BadRange(f"degenerate or unbounded sigma range {self.sigma_range}")
-        if not -math.inf < self.t_range[0] < self.t_range[1] < math.inf:
-            raise BadRange(f"degenerate or unbounded t range {self.t_range}")
+        check_range(*self.sigma_range, f"sigma range {self.sigma_range}")
+        check_range(*self.t_range, f"t range {self.t_range}")
 
     def corners(self) -> tuple[complex, complex, complex, complex]:
         (s0, s1), (t0, t1) = self.sigma_range, self.t_range
@@ -326,8 +325,7 @@ def sigma_star(
     """
     _check_steps(steps)
     check_tol(tol)
-    if not -math.inf < t_window[0] < t_window[1] < math.inf:
-        raise BadRange(f"degenerate or unbounded t window {t_window}")
+    check_range(*t_window, f"t window {t_window}")
     if not math.isfinite(sigma_floor):
         raise BadRange(f"need a finite sigma_floor, got {sigma_floor}")
     v = _finite_target(v)
@@ -392,10 +390,8 @@ def attains_value(
     sits exactly on the contour; a rung whose inset would empty the strip is
     not tried, so a narrow strip raises the error of the last one tried.
     """
-    if not -math.inf < sigma1 < sigma2 < math.inf:
-        raise BadRange(f"need finite sigma1 < sigma2, got {sigma1}, {sigma2}")
-    if not -math.inf < t_window[0] < t_window[1] < math.inf:
-        raise BadRange(f"degenerate or unbounded t window {t_window}")
+    check_range(sigma1, sigma2, f"sigma range {(sigma1, sigma2)}")
+    check_range(*t_window, f"t window {t_window}")
     v = _finite_target(v)
     t0, t1 = t_window
 

@@ -140,6 +140,62 @@ class TestSeriesFiles:
         with pytest.raises(ValidationError, match="non-finite value"):
             parse_series_text(text.replace('"value": 0.6931471805599453', f'"value": {big}'))
 
+    def test_terms_and_symbols_must_be_lists(self):
+        for name, doc in (
+            ("terms", '{"symbols": [], "terms": 5}'),
+            ("symbols", '{"symbols": {"A": 1.5}, "terms": []}'),
+        ):
+            with pytest.raises(ParseError, match=f"^{name} must be a JSON list$"):
+                parse_series_text(doc)
+
+    @pytest.mark.parametrize(
+        "symbols, exponent",
+        [
+            ({"ONE": 1.0}, {"ONE": "1" + "0" * 400}),  # a coordinate beyond a double
+            ({"X": 1e10}, {"X": "1" + "0" * 300}),  # its product with the symbol
+            ({"A": 1e10, "B": 2e10}, {"A": "1" + "0" * 300, "B": "-1" + "0" * 300}),  # inf - inf
+        ],
+    )
+    def test_exponent_beyond_a_double_refused(self, symbols, exponent, tmp_path, capsys):
+        doc = {
+            "symbols": [{"name": n, "value": v} for n, v in symbols.items()],
+            "terms": [{"exponent": exponent, "coeff": {"re": 1.0, "im": 0.0}}],
+        }
+        with pytest.raises(ValidationError, match="^invalid series: .* is not a finite double$"):
+            parse_series_text(json.dumps(doc))
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(doc))
+        assert run_command(["basis", "--series", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"bohreq: error: invalid series: [^\n]*\n", captured.err)
+
+    def test_tail_is_checked_when_read(self, tmp_path, capsys):
+        # the tail must name declared symbols and start past the last
+        # exponent, 2 here, or the "certified" bound bounds nothing
+        doc = {
+            "symbols": [{"name": "ONE", "value": 1.0}],
+            "terms": [{"exponent": {"ONE": "2"}, "coeff": {"re": 1.0, "im": 0.0}}],
+            "tail": {"lambdaNext": {"ONE": "3"}, "coeffBound": 1.0, "minGap": 1.0},
+        }
+        assert parse_series_text(json.dumps(doc)).tail is not None
+        f = tmp_path / "f.json"
+        low = "does not exceed the last exponent 2.0, at term 2"
+        for lambda_next, message in (
+            ({"Z": "3"}, "exponent references undeclared symbol 'Z'"),
+            ({"ONE": "1/2"}, f"the tail's first omitted exponent 0.5 {low}"),
+            ({"ONE": "2"}, f"the tail's first omitted exponent 2.0 {low}"),
+        ):
+            doc["tail"]["lambdaNext"] = lambda_next
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                parse_series_text(json.dumps(doc))
+            f.write_text(json.dumps(doc))
+            for argv in (["basis"], ["tail", "--sigma", "1"]):
+                assert run_command([*argv, "--series", str(f)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"bohreq: error: invalid series: {message}\n"
+
     def test_round_trip_is_exact(self):
         spec = sample_spec()
         text = emit_series_text(spec)
@@ -402,6 +458,7 @@ class TestCommands:
         f = str(tmp_path / "h30.json")
         write_series_file(scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)]), f)
         doc = json.loads(Path(b3).read_text())
+        doc["terms"] = [{"exponent": {"ONE": "-1001"}, "coeff": {"re": 1.0, "im": 0.0}}]
         doc["tail"]["lambdaNext"] = {"ONE": "-1000"}
         far = tmp_path / "far.json"
         far.write_text(json.dumps(doc))
@@ -481,6 +538,44 @@ class TestCommands:
             lines = captured.err.splitlines()
             assert len(lines) == 1, captured.err
             assert lines[0].startswith("bohreq: error: ")
+
+    def test_overflowing_spans_are_refused_by_name(self, files, capsys):
+        # finite ends whose span is beyond a double, and an infinite end of a
+        # grid box, are refused as the options gave them, not as NaN points
+        # or a NumPy warning
+        _, f, g = files
+        span = "bohreq: error: need finite ends lo < hi and a finite span hi - lo, got"
+        t_max = f"{span} t range (-t_max, t_max) for t_max = 1e+308"
+        box = "bohreq: error: box ranges need finite ends min <= max and a finite span: GridBox"
+        distance = ["uniform-distance", "--series", f, "--series2", g, "--t-min", "0", "--t-max", "1"]
+        for argv, message in (
+            (
+                ["zeros", "--series", f, "--sigma-min=-1e308", "--sigma-max", "1e308",
+                 "--t-min", "0", "--t-max", "1"],
+                f"{span} sigma range (-1e+308, 1e+308)",
+            ),
+            (
+                ["sigma-star", "--series", f, "--t-min=-1e308", "--t-max", "1e308"],
+                f"{span} t window (-1e+308, 1e+308)",
+            ),
+            (
+                ["value-set", "--series", f, "--sigma-min", "1", "--sigma-max", "2",
+                 "--t-max", "1e308", "--count", "5"],
+                t_max,
+            ),
+            (["line-set", "--series", f, "--sigma0", "1", "--t-max", "1e308", "--count", "5"], t_max),
+            ([*distance, "--sigma-min", "1", "--sigma-max", "inf"], f"{box}(sigma_range=(1.0, inf)"),
+            (
+                [*distance, "--sigma-min=-1e308", "--sigma-max", "1e308"],
+                f"{box}(sigma_range=(-1e+308, 1e+308)",
+            ),
+        ):
+            assert run_command(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith(message), lines[0]
 
     def test_tol_is_checked_where_it_is_read(self, files, capsys):
         # a negative, NaN or infinite tol is refused, not read as a modulus
@@ -701,7 +796,13 @@ def _package_env() -> dict:
     """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(bohreq.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # a NumPy RuntimeWarning fails a subprocess run as pyproject.toml makes
+    # it fail a run in this process
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(path),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
 
 
 class TestLazyImports:
@@ -753,3 +854,99 @@ class TestLazyImports:
             capture_output=True, text=True, env=_package_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+#: A valid run of each command that reads a float option, with F and G for
+#: the two series files, and the float options it reads.  Each option is
+#: given each of _EXTREMES in turn.
+_FLOAT_OPTIONS = {
+    "twist": (["--series", "F", "--phases", "1.25"], ["--phases"]),
+    "solve-phases": (["--series", "F", "--series2", "G"], ["--tol"]),
+    "equiv": (["--series", "F", "--series2", "G"], ["--tol"]),
+    "eval": (["--series", "F", "--sigma", "2", "--t", "0"], ["--sigma", "--t"]),
+    "tail": (["--series", "F", "--sigma", "2"], ["--sigma"]),
+    "uniform-distance": (
+        ["--series", "F", "--series2", "G", "--sigma-min", "1", "--sigma-max", "2",
+         "--t-min", "0", "--t-max", "1", "--grid", "2x2"],
+        ["--sigma-min", "--sigma-max", "--t-min", "--t-max"],
+    ),
+    "value-set": (
+        ["--series", "F", "--sigma-min", "1", "--sigma-max", "2", "--t-max", "10",
+         "--count", "5"],
+        ["--sigma-min", "--sigma-max", "--t-max"],
+    ),
+    "line-set": (["--series", "F", "--sigma0", "1", "--t-max", "10", "--count", "5"],
+                 ["--sigma0", "--t-max"]),
+    "sigma-star": (
+        ["--series", "F", "--t-min", "0", "--t-max", "1", "--sigma-floor", "-1",
+         "--steps", "16"],
+        ["--tol", "--v-re", "--v-im", "--t-min", "--t-max", "--sigma-floor"],
+    ),
+    "zeros": (
+        ["--series", "F", "--sigma-min", "1", "--sigma-max", "2", "--t-min", "0",
+         "--t-max", "1", "--steps", "16"],
+        ["--v-re", "--v-im", "--sigma-min", "--sigma-max", "--t-min", "--t-max"],
+    ),
+    "kronecker": (
+        ["--series", "F", "--target", "1", "--tol", "1e-3", "--t-max-search", "10"],
+        ["--target", "--tol", "--t-max-search"],
+    ),
+}
+
+#: Valid values that ask for unbounded work would be left out: a tiny tol,
+#: or a Kronecker search of a basis of several elements over t in [0, 1e308].
+#: None of these is one here: the basis of Bohr's series has one element, so
+#: `--t-max-search 1e308` tries one time, and `--tol 1e308` ends at once.
+_EXTREMES = ("nan", "inf", "-inf", "1e308", "-1e308")
+
+
+def _extreme_runs() -> list:
+    runs = []
+    for command, (base, options) in _FLOAT_OPTIONS.items():
+        routes = (["--route", "direct"], ["--route", "equivalence"])
+        for route in routes if command == "value-set" else ([],):
+            for option in options:
+                for value in _EXTREMES:
+                    # written --option=value so a leading minus is not read as an option
+                    argv = [command, *route, *base, f"{option}={value}"]
+                    name = " ".join([command, *route[1:], f"{option}={value}"])
+                    runs.append(pytest.param(argv, value, id=name))
+    return runs
+
+
+def test_float_options_table_is_complete():
+    # every option parsed as a float, or a list of floats, is in the table
+    from bohreq.cli import _phases_arg, build_parser
+
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    for name, sub in commands.choices.items():
+        taken = sorted(
+            a.option_strings[0] for a in sub._actions if a.type in (float, _phases_arg)
+        )
+        assert taken == sorted(_FLOAT_OPTIONS.get(name, ([], []))[1]), name
+
+
+@pytest.fixture(scope="module")
+def series_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("extremes")
+    f, g = tmp / "f.json", tmp / "g.json"
+    write_series_file(scenarios.bohr_example(3), f)
+    write_series_file(scenarios.negate(scenarios.bohr_example(3)), g)
+    return {"F": str(f), "G": str(g)}
+
+
+@pytest.mark.parametrize("argv, value", _extreme_runs())
+def test_extreme_float_options(argv, value, series_files, capsys):
+    # each run succeeds, or exits 1 with one error line that names NaN only
+    # when NaN was given; a NumPy RuntimeWarning fails the test
+    code = run_command([series_files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("bohreq: error: ")
+        assert value == "nan" or "nan" not in lines[0].lower(), lines[0]
+    else:
+        assert code in (0, 2), captured.err
+        assert captured.err == ""

@@ -93,6 +93,21 @@ class TestNumericValue:
         with pytest.raises(UnknownSymbol):
             ExponentVector({"L5": 1}).numeric_value(table_23())
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            {"A": 10**400},  # a coordinate beyond a double
+            {"A": 10**300},  # its product with the symbol
+            {"A": 10**300, "B": -(10**300)},  # inf - inf
+            {"A": 10**298, "B": 5 * 10**297},  # 1e308 + 1e308
+        ],
+    )
+    def test_value_beyond_a_double_is_a_precision_limit(self, coords):
+        symbols = SymbolTable([("A", 1e10), ("B", 2e10)])
+        with pytest.raises(PrecisionLimit, match="is not a finite double"):
+            ExponentVector(coords).numeric_value(symbols)
+        assert ExponentVector({"A": 10**297}).numeric_value(symbols) == 1e307
+
     def test_rational_linearity(self):
         rng = random.Random(1009)
         syms = SymbolTable([("A", 0.7314), ("B", -1.25), ("C", 3.0001)])
@@ -144,6 +159,16 @@ class TestValidateSeries:
         )
         with pytest.raises(DuplicateExponent):
             validate_series(spec)
+
+    def test_tail_below_the_last_exponent_flagged_after_the_last_term(self):
+        terms = [(ExponentVector({"L2": 1}), 1.0), (ExponentVector({"L3": 1}), 1.0)]
+        for lambda_next in ({"L2": 1}, {"L3": 1}):
+            spec = SeriesSpec(table_23(), terms, tail=TailMajorant(ExponentVector(lambda_next), 1.0, 0.5))
+            with pytest.raises(NonIncreasingExponents, match="the tail's first omitted exponent") as err:
+                validate_series(spec)
+            assert err.value.index == 3
+        spec = SeriesSpec(table_23(), terms, tail=TailMajorant(ExponentVector({"L2": 2}), 1.0, 0.5))
+        assert validate_series(spec) is spec
 
 
 class TestTailBound:

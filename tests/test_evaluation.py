@@ -348,6 +348,15 @@ class TestGridBox:
         with pytest.raises(BadRange):
             GridBox((1.0, 2.0), (0.0, 1.0), 2, 3.0)
         assert GridBox((1.0, 2.0), (0.0, 1.0), np.int64(2), 3).sigma_points().size == 3
+        # an infinite end or a span beyond a double is refused as given, not
+        # evaluated at the NaN and infinite points np.linspace makes of it;
+        # an axis one line thick is still a box
+        for bad in ((0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf), (-1e308, 1e308)):
+            with pytest.raises(BadRange, match="finite ends min <= max and a finite span"):
+                GridBox(bad, (0.0, 1.0), 2, 2)
+            with pytest.raises(BadRange, match="finite ends min <= max and a finite span"):
+                GridBox((0.0, 1.0), bad, 2, 2)
+        assert GridBox((1.0, 1.0), (0.0, 0.0), 2, 2).sigma_points().tolist() == [1.0] * 3
 
     def test_inclusive_grid(self):
         box = GridBox((0.0, 1.0), (0.0, 2.0), 4, 8)

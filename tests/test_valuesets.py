@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestSampling:
         for sigma0 in (math.nan, math.inf, -math.inf):
             with pytest.raises(BadRange, match="finite sigma0"):
                 sample_line(two_three(), sigma0, 10.0, 10, 0)
+        # 2 t_max or sigma2 - sigma1 beyond a double is refused as given,
+        # not sampled as NaN and infinite points
+        message = "got t range (-t_max, t_max) for t_max = 1e+308"
+        with pytest.raises(BadRange, match=re.escape(message)):
+            sample_strip_direct(two_three(), 0.5, 1.5, 1e308, 10, 0)
+        with pytest.raises(BadRange, match=re.escape(message)):
+            sample_line(two_three(), 1.0, 1e308, 10, 0)
+        message = "got sigma range (-1e+308, 1e+308)"
+        with pytest.raises(BadRange, match=re.escape(message)):
+            sample_strip_direct(two_three(), -1e308, 1e308, 10.0, 10, 0)
+        with pytest.raises(BadRange, match=re.escape(message)):
+            sample_strip_via_equivalence(two_three(), -1e308, 1e308, 10, 0)
         # a count or seed that is not a non-negative integer
         for count, seed in ((100.5, 0), (10, -1), (10, 1.5)):
             with pytest.raises(BadRange):

@@ -109,11 +109,13 @@ class TestCountZeros:
             sigma_star(one_term, 0.0, (-5, 5), -5.0, steps=steps)
 
     def test_degenerate_rectangle_rejected(self):
-        with pytest.raises(BadRange):
-            Rectangle((1.0, 1.0), (0.0, 1.0))
-        for t_range in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
-            with pytest.raises(BadRange, match="degenerate or unbounded t range"):
-                Rectangle((0.0, 1.0), t_range)
+        # finite ends whose span is beyond a double are refused as given,
+        # not as the NaN points the walk would make between them
+        for bad in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(BadRange, match=re.escape(f"span hi - lo, got sigma range {bad}")):
+                Rectangle(bad, (0.0, 1.0))
+            with pytest.raises(BadRange, match=re.escape(f"span hi - lo, got t range {bad}")):
+                Rectangle((0.0, 1.0), bad)
 
     def test_steps_at_the_sample_cap_rejected(self):
         # steps + 1 first samples must fit in the cap on a side's samples,
@@ -184,8 +186,8 @@ class TestSigmaStar:
     def test_bad_window(self):
         # an infinite edge is refused as the caller gave it, not as the
         # (nan, nan) its first jitter would make of it
-        for window in ((5, 5), (0, math.inf), (-math.inf, 0), (math.nan, 1)):
-            with pytest.raises(BadRange, match=re.escape(f"t window {window}")):
+        for window in ((5, 5), (0, math.inf), (-math.inf, 0), (math.nan, 1), (-1e308, 1e308)):
+            with pytest.raises(BadRange, match=re.escape(f"span hi - lo, got t window {window}")):
                 sigma_star(one_plus_two(), 0.0, window, sigma_floor=-5.0)
 
 
@@ -203,11 +205,13 @@ class TestAttainsValue:
         assert attains_value(f, v, 1.9, 2.1, (-60, 60))
 
     def test_bad_strip(self):
-        for sigma1, sigma2 in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0)):
-            with pytest.raises(BadRange, match="need finite sigma1 < sigma2"):
-                attains_value(two_three(), 0.5, sigma1, sigma2, (-1, 1))
-        for window in ((1, -1), (0, math.inf), (-math.inf, math.inf)):
-            with pytest.raises(BadRange, match=re.escape(f"t window {window}")):
+        # a span beyond a double is refused as given, where each rung's
+        # inset would have been NaN and the ladder empty
+        for sigmas in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)):
+            with pytest.raises(BadRange, match=re.escape(f"span hi - lo, got sigma range {sigmas}")):
+                attains_value(two_three(), 0.5, *sigmas, (-1, 1))
+        for window in ((1, -1), (0, math.inf), (-math.inf, math.inf), (-1e308, 1e308)):
+            with pytest.raises(BadRange, match=re.escape(f"span hi - lo, got t window {window}")):
                 attains_value(two_three(), 0.5, 0.9, 1.1, window)
 
     def test_narrow_strip_raises_the_last_clipping_error(self):
