@@ -264,10 +264,11 @@ class TailMajorant:
 class _Derived:
     """What a series computes from its exponents alone, on first use."""
 
-    __slots__ = ("lams", "plan")
+    __slots__ = ("lams", "reach", "plan")
 
     def __init__(self):
         self.lams: tuple[float, ...] | None = None
+        self.reach: float | None = None
         self.plan: ProductPlan | None = None
 
 
@@ -325,6 +326,15 @@ class SeriesSpec:
         if derived.lams is None:
             derived.lams = tuple(t.exponent.numeric_value(self._symbols) for t in self._terms)
         return derived.lams
+
+    def exponent_reach(self) -> float:
+        """max |lambda_n| over the terms (0.0 for none), computed on the first
+        call only: lambda_n t is a finite double for every n when this times
+        |t| is."""
+        derived = self._derived
+        if derived.reach is None:
+            derived.reach = max(map(abs, self.numeric_exponents()), default=0.0)
+        return derived.reach
 
     def product_plan(self) -> ProductPlan:
         """The exponents' product plan (see `product_plan`), built on the

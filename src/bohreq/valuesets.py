@@ -1,24 +1,29 @@
 """Value-set sampling on strips and lines, and finite-cloud comparison.
 
 Two routes produce the same regions for equivalent series: route A evaluates
-the series directly at sampled points (with `evaluation.evaluate`); route B
+the series directly at sampled points (`evaluation.evaluate_blocks`); route B
 samples the equivalence class, twisting by random phase vectors drawn from
 the period box [0, 2pi d)^k with d the lcm of expansion-matrix denominators
 (for an integral matrix this is the plain torus box).  Route B sums the torus
 lift sum_n c_n exp(i R_n . y - lambda_n sigma) over the series' product plan
 (`evaluation.plan_sum`): a fresh term is one complex exp, a child term the
 product of two stored ones, since exponents that add have rows R_n that add.
-Both routes work through the points in blocks of `evaluation.BLOCK`: route B
-draws its phases and sigmas block by block from the same stream, and route A
-keeps only its cell picks and the output at full length.  Cloud proximity is
-measured by the two-sided Hausdorff distance between finite point sets.
-`kronecker_find_t`, the shift-time search, lives in `equivalence` (it needs no
-NumPy) and is re-exported here under the same name.
+Both routes work through the points in blocks, which `plan_sum` shares among
+threads, so every block is made from the seed and its own position alone:
+route B's phases and sigmas, and route A's and the line's jitter, come from
+generators advanced to the block's first draw in the one stream of
+`default_rng(seed)`, drawn in turn, so a cloud depends neither on the threads
+nor on the block length.  Route A keeps only its cell picks and the output at
+full length.  Cloud proximity is measured by the two-sided Hausdorff distance
+between finite point sets.  `kronecker_find_t`, the shift-time search, lives
+in `equivalence` (it needs no NumPy) and is re-exported here under the same
+name.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,7 @@ from .basis import compute_basis, denominator_lcms
 from .core import SeriesSpec, fsum_or_inf
 from .equivalence import TWO_PI, kronecker_find_t  # noqa: F401
 from .errors import BadRange, EmptyCloud, PrecisionLimit, check_integral, check_range
-from .evaluation import BLOCK, evaluate, plan_sum
+from .evaluation import BLOCK, evaluate, evaluate_blocks, plan_sum
 
 
 @dataclass(frozen=True)
@@ -138,17 +143,18 @@ def sample_strip_direct(
     per_cell = np.bincount(pick, minlength=len(centres))
     first = np.cumsum(per_cell) - per_cell
     shift = rng.uniform(size=len(centres))
-    values = np.empty(count, dtype=complex)
-    # points are built and evaluated one block at a time; the last draw is
-    # sequential, so drawing it per block gives the same numbers
-    for lo in range(0, count, BLOCK):
-        cell = pick[lo : lo + BLOCK]
-        rank = np.arange(lo, lo + len(cell)) - first[cell]
-        u = (rank + rng.uniform(size=len(cell))) / per_cell[cell]
+    jitter = 1 + len(centres)  # the jitter in sigma follows the draws above
+
+    def points(block: slice) -> np.ndarray:
+        cell = pick[block]
+        rank = np.arange(block.start, block.start + len(cell)) - first[cell]
+        u = (rank + _stream(seed, jitter + block.start).uniform(size=len(cell))) / per_cell[cell]
         v = (rank * _GOLDEN + shift[cell]) % 1.0
         sig = sigma1 + (cell // n_t + u) * d_sig
         t = -t_max + (cell % n_t + v) * d_t
-        values[lo : lo + len(cell)] = evaluate(spec, sig + 1j * t)
+        return sig + 1j * t
+
+    values = evaluate_blocks(spec, count, points, t_max)
     _check_modulus(values, cap)
     meta = {
         "sigma1": sigma1,
@@ -185,23 +191,30 @@ def sample_strip_via_equivalence(
     d = max(denominator_lcms(expansion), default=1)
     k = expansion.ncols
     # the draws are those of default_rng(seed).uniform(0, 2pi d, (k, count))
-    # followed by count sigmas, made block by block: one generator per row of
-    # phases and one for the sigmas, each advanced to where its numbers start
-    # in that one stream, so no count-sized array of phases is held
-    phase_draws = [_stream(seed, j * count) for j in range(k)]
-    sigma_draws = _stream(seed, k * count)
+    # followed by count sigmas, made block by block: each block's row of
+    # phases and its sigmas come from a generator advanced to where those
+    # numbers start in that one stream, so no count-sized array is held
+    phase_scale = TWO_PI * d
     fresh_terms = list(spec.product_plan().fresh)
     rows = np.array(expansion.float_rows(), dtype=float).reshape(len(spec.terms), k)
     rows = rows[fresh_terms]
     lams = spec.numeric_exponents()
     neg = np.array([-lams[n] for n in fresh_terms])
+    held = threading.local()  # each thread's buffers for y and R_n . y
 
     def fresh(block: slice, terms: np.ndarray) -> None:
         # exp(i R_n . y - lambda_n sigma), one complex exp per fresh term
         points = block.stop - block.start
-        phases = np.array([g.uniform(0.0, TWO_PI * d, points) for g in phase_draws])
-        np.multiply.outer(neg, sigma_draws.uniform(sigma1, sigma2, points), out=terms.real)
-        terms.imag = rows @ phases.reshape(k, points)
+        if not hasattr(held, "phases"):
+            held.phases, held.lifted = np.empty(k * BLOCK), np.empty(len(rows) * BLOCK)
+        phases = held.phases[: k * points].reshape(k, points)
+        for j, row in enumerate(phases):
+            # uniform(0, scale) is 0 + scale * u, which is scale * u
+            _stream(seed, j * count + block.start).random(out=row)
+        phases *= phase_scale
+        sigmas = _stream(seed, k * count + block.start).uniform(sigma1, sigma2, points)
+        np.multiply.outer(neg, sigmas, out=terms.real)
+        terms.imag = np.matmul(rows, phases, out=held.lifted[: terms.size].reshape(terms.shape))
         np.exp(terms, out=terms)
 
     # lambda_n sigma may overflow to an infinite exponent: _check_modulus
@@ -228,14 +241,15 @@ def sample_line(
     check_range(-t_max, t_max, f"t range (-t_max, t_max) for t_max = {t_max}")
     _check_draws(count, seed)
     cap = _modulus_cap(spec, sigma0, sigma0)
-    rng = np.random.default_rng(seed)
-    values = np.empty(count, dtype=complex)
-    # one jittered sample per equal subinterval: quasi-uniform coverage of the
-    # line, drawn and evaluated one block at a time
-    for lo in range(0, count, BLOCK):
-        hi = min(lo + BLOCK, count)
-        t = -t_max + (np.arange(lo, hi) + rng.uniform(size=hi - lo)) * (2.0 * t_max / count)
-        values[lo:hi] = evaluate(spec, sigma0 + 1j * t)
+    step = 2.0 * t_max / count
+
+    def points(block: slice) -> np.ndarray:
+        # one jittered sample per equal subinterval: quasi-uniform coverage
+        jitter = _stream(seed, block.start).uniform(size=block.stop - block.start)
+        t = -t_max + (np.arange(block.start, block.stop) + jitter) * step
+        return sigma0 + 1j * t
+
+    values = evaluate_blocks(spec, count, points, t_max)
     _check_modulus(values, cap)
     meta = {"sigma0": sigma0, "t_max": t_max, "count": count, "seed": seed}
     return ValueCloud(values, "direct-line", meta)

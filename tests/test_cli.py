@@ -577,6 +577,25 @@ class TestCommands:
             assert len(lines) == 1, captured.err
             assert lines[0].startswith(message), lines[0]
 
+    def test_overflowing_phase_is_refused_by_name(self, files, capsys):
+        # lambda t beyond a double is named as the phase, not as a value that
+        # is not a finite double, though |f| is bounded on the line
+        _, f, g = files
+        phase = "bohreq: error: the phase lambda t is beyond a double for lambda = 5.1 and |t| = "
+        for argv, t in (
+            (["eval", "--series", f, "--sigma", "2", "--t", "1e308"], "1e+308"),
+            (["line-set", "--series", f, "--sigma0", "1", "--t-max", "8e307", "--count", "5"], "8e+307"),
+            (
+                ["uniform-distance", "--series", f, "--series2", g, "--sigma-min", "1",
+                 "--sigma-max", "2", "--t-min", "0", "--t-max", "1e308"],
+                "1e+308",
+            ),
+        ):
+            assert run_command(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [phase + t]
+
     def test_tol_is_checked_where_it_is_read(self, files, capsys):
         # a negative, NaN or infinite tol is refused, not read as a modulus
         # mismatch, a pass or a one-step bisection; the commands that never

@@ -252,6 +252,16 @@ class TestSeriesSpec:
         with pytest.raises(ValueError):
             spec.with_coeffs([1.0])
 
+    def test_exponent_reach_is_the_largest_modulus(self):
+        # the phase bound of evaluation: the largest |lambda_n|, whichever sign
+        syms = SymbolTable([("A", 3.5)])
+        terms = [(ExponentVector({"A": -1}), 1.0), (ExponentVector({"A": Fraction(1, 2)}), 1.0)]
+        spec = SeriesSpec(syms, terms)
+        assert spec.exponent_reach() == 3.5
+        assert spec.with_coeffs([2.0, 2.0]).exponent_reach() == 3.5
+        assert SeriesSpec(syms, []).exponent_reach() == 0.0
+        assert scenarios.bohr_example(3).exponent_reach() == 5.1
+
 
 def poly_series(degree: int) -> SeriesSpec:
     """P(e^{-s}) = sum_{k <= degree} e^{-k s} over the unit symbol."""

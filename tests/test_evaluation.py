@@ -3,14 +3,18 @@
 import cmath
 import ctypes
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bohreq import core, scenarios, valuesets
+from bohreq import core, evaluation, scenarios, valuesets
 from bohreq.basis import compute_basis
 from bohreq.core import UNIT_SYMBOL, ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import twist
@@ -281,6 +285,25 @@ class TestOverflow:
             with pytest.raises(BadRange, match=r"must be finite: \(inf\+0j\)"):
                 evaluate(spec, points.reshape(1, 3))
 
+    def test_overflowing_phase_is_refused_by_name(self):
+        # lambda t beyond a double is refused before summing, naming the phase,
+        # not read as a value that is not finite; a finite phase is summed
+        spec = scenarios.bohr_example(3)
+        phase = r"phase lambda t is beyond a double for lambda = 5\.1 and \|t\| = "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in (complex(2.0, 1e308), np.array([2.0, complex(2.0, -1e308)])):
+                with pytest.raises(PrecisionLimit, match=phase + r"1e\+308"):
+                    evaluate(spec, point)
+            # the samplers check t_max: a t range of span 1.6e308 is a finite double
+            with pytest.raises(PrecisionLimit, match=phase + r"8e\+307"):
+                valuesets.sample_line(spec, 1.0, 8e307, 5, seed=1)
+            with pytest.raises(PrecisionLimit, match=phase + r"8e\+307"):
+                valuesets.sample_strip_direct(spec, 1.0, 2.0, 8e307, 5, seed=1)
+            assert cmath.isfinite(evaluate(spec, complex(2.0, 1e307)))
+            # a sigma far beyond the phase bound is no phase: every term is 0
+            assert evaluate(spec, np.array([complex(1e308, 1.0)]))[0] == 0j
+
     def test_uniform_distance_of_an_overflowing_series(self):
         spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
         box = GridBox((-400.0, -399.0), (0.0, 1.0), 2, 2)
@@ -335,6 +358,117 @@ class TestShiftPhaseExact:
                 assert shifted.coeffs()[n] == pytest.approx(
                     negated.coeffs()[n], abs=1e-10
                 )
+
+
+def _shared(monkeypatch, workers: int) -> dict:
+    """Outputs of every entry point that sums blocks, with `workers` threads."""
+    monkeypatch.setattr(evaluation, "WORKERS", workers)
+    rng = np.random.default_rng(2727)
+    spec = scenarios.ordinary_series([(n, complex(*rng.normal(size=2))) for n in range(1, 31)])
+    other = shift_series(spec, 0.25)
+    got = {}
+    for count in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        s = rng.uniform(-1.0, 3.0, count) + 1j * rng.uniform(-100.0, 100.0, count)
+        got[f"evaluate {count}"] = evaluate(spec, s)
+        # a strided (count, 2) view, summed as its C-order copy
+        got[f"evaluate {count} x 2"] = evaluate(spec, np.stack([s, s[::-1]]).T)
+        got[f"direct {count}"] = valuesets.sample_strip_direct(spec, 1.0, 2.0, 100.0, count, 5).points
+        got[f"equivalence {count}"] = valuesets.sample_strip_via_equivalence(spec, 1.0, 2.0, count, 5).points
+        got[f"line {count}"] = valuesets.sample_line(spec, 1.0, 100.0, count, 5).points
+    # 4, BLOCK, BLOCK + 1 and 3 BLOCK + 9 points
+    for steps in ((1, 1), (1, BLOCK // 2 - 1), (2, BLOCK // 3), (4, 4916)):
+        box = GridBox((0.5, 1.5), (-10.0, 10.0), *steps)
+        got[f"grid {steps}"] = evaluate_grid(spec, box)
+        got[f"distance {steps}"] = np.array(uniform_distance(spec, other, box))
+    return {name: value.tobytes() for name, value in got.items()}
+
+
+class TestWorkers:
+    """The blocks of one call are shared among threads; the bits are not."""
+
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch):
+        serial = _shared(monkeypatch, 1)
+        assert _shared(monkeypatch, 2) == serial
+        # more threads than this host may have CPUs, switching as often as
+        # the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _shared(monkeypatch, 3) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_blocks_are_shared_among_the_threads(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 3)
+        spec = scenarios.ordinary_series([(1, 1.0), (2, 0.5)])
+        size, seen = 3 * BLOCK + 5, {}
+
+        def fresh(block, rows):
+            seen[block.start] = threading.current_thread().name
+            rows[:] = 1.0
+
+        assert evaluation.plan_sum(spec, size, fresh).tolist() == [1.5] * size
+        starts = range(0, size, BLOCK // 3)
+        assert sorted(seen) == list(starts)
+        assert len(set(seen.values())) == 3
+        # a call of one block stays on the calling thread
+        seen.clear()
+        evaluation.plan_sum(spec, BLOCK, fresh)
+        assert seen == {0: threading.current_thread().name}
+
+    def test_errors_on_a_worker_are_the_serial_errors(self, monkeypatch):
+        # the first value that is not finite sits in a block summed on a
+        # worker (block 1), a later one on the calling thread
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)])
+        points = np.full(3 * BLOCK, 2.0 + 1.0j)
+        points[5000], points[9000] = -400.0 + 1.0j, -800.0 + 0.0j
+        before = threading.active_count()
+        messages = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evaluation, "WORKERS", workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PrecisionLimit) as info:
+                    evaluate(spec, points)
+            messages.append(str(info.value))
+            assert threading.active_count() == before
+            evaluate(spec, np.full(3 * BLOCK, 2.0 + 1.0j))
+            assert threading.active_count() == before
+        assert messages == ["the value at (-400+1j) is not a finite double"] * 3
+
+    def test_a_failing_hook_on_a_worker_is_raised_after_every_thread_ends(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        spec = scenarios.ordinary_series([(1, 1.0)])
+        before = threading.active_count()
+
+        def fresh(block, rows):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError(f"block at {block.start}")
+            rows[:] = 1.0
+
+        with pytest.raises(ArithmeticError, match=f"block at {BLOCK // 2}"):
+            evaluation.plan_sum(spec, 2 * BLOCK, fresh)
+        assert threading.active_count() == before
+
+
+_IMPORT_ONLY = """
+import sys, threading
+import bohreq.evaluation
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+assert "logging" not in sys.modules
+"""
+
+
+def test_importing_the_evaluator_starts_no_thread():
+    # nor imports the executor or logging machinery: every process of the
+    # float layer would pay for their import
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGridBox:

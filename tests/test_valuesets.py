@@ -203,16 +203,21 @@ class TestSampling:
     def test_pilot_beyond_doubles_gives_equal_weights(self, monkeypatch, spec, sigma1, sigma2):
         # the |f'|^2 pilot falls back to equal weights, without a warning: the
         # points are those drawn for a constant series, whose weights are equal
-        evaluate = valuesets.evaluate
+        evaluate, evaluate_blocks = valuesets.evaluate, valuesets.evaluate_blocks
         calls = []
-        monkeypatch.setattr(
-            valuesets, "evaluate", lambda f, s: calls.append((f, s)) or evaluate(f, s)
-        )
+
+        def recording(f, size, points, t_max):
+            calls.append((f, points(slice(0, size))))
+            return evaluate_blocks(f, size, points, t_max)
+
+        monkeypatch.setattr(valuesets, "evaluate_blocks", recording)
 
         def sample(f):
             calls.clear()
             cloud = sample_strip_direct(f, sigma1, sigma2, 10.0, 200, seed=4)
-            return cloud, np.concatenate([s for g, s in calls if g is f])
+            ((g, points),) = calls
+            assert g is f
+            return cloud, points
 
         constant = SeriesSpec(SymbolTable([("L2", LOG2)]), [(ExponentVector(), 1.0)])
         with warnings.catch_warnings():
