@@ -213,10 +213,11 @@ def _cmd_solve_phases(args, a, b) -> tuple[dict, bool]:
     targets = equivalence.extract_phase_targets(a, b, args.tol)
     _, expansion, _ = compute_basis([t.exponent for t in a.terms])
     system = equivalence.solve_phase_system(expansion, targets, args.tol)
+    rows = system.row_indices
     result = {
         "feasible": system.feasible,
-        "kernel": [list(m) for m in system.kernel],
-        "constrained_terms": [i + 1 for i in system.row_indices],
+        "kernel": [list(m) for m in equivalence.integer_kernel(expansion, rows)] if rows else [],
+        "constrained_terms": [i + 1 for i in rows],
     }
     if system.feasible:
         result["phase"] = list(system.phase)

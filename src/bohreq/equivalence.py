@@ -91,20 +91,16 @@ class PhaseTargets:
 class CongruenceSystem:
     """Verdict on the truncated system R Y = theta (mod 2pi).
 
-    `kernel` generates every integer relation among the constrained rows, in
-    the form `integer_kernel` gives (pivot form where the rows' expression
-    over the pivots is integral), and each vector annihilates the rows
-    exactly (rational arithmetic).  Feasible verdicts carry `phase`, the
-    exact pivot lift of the solution rounded to doubles, and `residual`, the
-    worst target miss of that rounded vector, at most `tol` (a lift too large
-    for doubles to carry within `tol` raises PrecisionLimit instead).
-    Infeasible ones carry an integer witness, one of the kernel vectors,
-    whose target defect exceeds `tol` times its l1 norm.
+    Feasible verdicts carry `phase`, the exact pivot lift of the solution
+    rounded to doubles, and `residual`, the worst target miss of that rounded
+    vector, at most `tol` (a lift too large for doubles to carry within `tol`
+    raises PrecisionLimit instead).  Infeasible ones carry an integer
+    witness, one of the vectors `integer_kernel(expansion, row_indices)`
+    gives, whose target defect exceeds `tol` times its l1 norm.
     """
 
     row_indices: tuple[int, ...]
     targets: PhaseTargets
-    kernel: tuple[tuple[int, ...], ...]
     feasible: bool
     tol: float
     phase: tuple[float, ...] | None = None
@@ -443,26 +439,26 @@ def _witness(
 
 def _decide(
     expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
-) -> tuple[tuple[tuple[int, ...], ...], _Lift | tuple[tuple[int, ...], float]]:
-    """The kernel, and the exact lift if every relation passes, else a witness and its defect.
+) -> _Lift | tuple[tuple[int, ...], float]:
+    """The exact lift if every relation passes, else a witness and its defect.
 
-    The lift is the coset that `_pivot_lift` folds to over every constrained
-    row; an inconsistent integer lift raises PrecisionLimit.
+    The relations stay in the sparse form `_relations` gives; only the
+    witness is written out densely, over the constrained rows.  The lift is
+    the coset that `_pivot_lift` folds to over every constrained row; an
+    inconsistent integer lift raises PrecisionLimit.
     """
     idx = targets.indices()
     thetas = targets.thetas()
     rows, pivots, expr = _expand_rows(expansion, idx)
     wrapped = _wrapped_rows(expr)
-    relations = _relations(pivots, expr, wrapped)
-    kernel = tuple(_dense(g, len(idx)) for g in relations)
-    if failed := _witness(relations, thetas, tol):
+    if failed := _witness(_relations(pivots, expr, wrapped), thetas, tol):
         g, defect = failed
-        return kernel, (_dense(g, len(idx)), defect)
+        return _dense(g, len(idx)), defect
     w, lattice = [], None
     for w, lattice in _pivot_lift(expr, pivots, wrapped, thetas):
         pass
     theta_p = [thetas[p] for p in pivots]
-    return kernel, _Lift(rows, expr, pivots, _units(rows, pivots), theta_p, w, lattice)
+    return _Lift(rows, expr, pivots, _units(rows, pivots), theta_p, w, lattice)
 
 
 def solve_phase_system(
@@ -481,11 +477,12 @@ def solve_phase_system(
     rounded phase misses a target by more than tol: the exact lift already
     misses it (every relation holds within tol times its l1 norm, yet their
     misses add up past tol), or only the doubles do (Bohr's series from N =
-    9).  BadRange unless 0 < tol < inf.
+    9).  BadRange unless 0 < tol < inf.  Of the relations, only the witness
+    is kept.
     """
     check_tol(tol)
-    kernel, outcome = _decide(expansion, targets, tol)
-    common = dict(row_indices=tuple(targets.indices()), targets=targets, kernel=kernel, tol=tol)
+    outcome = _decide(expansion, targets, tol)
+    common = dict(row_indices=tuple(targets.indices()), targets=targets, tol=tol)
     if not isinstance(outcome, _Lift):
         witness, defect = outcome
         return CongruenceSystem(feasible=False, witness=witness, defect=defect, **common)

@@ -182,6 +182,15 @@ def plan_sum(
     return out
 
 
+def _check_phase(spec: SeriesSpec, t_max: float) -> None:
+    """PrecisionLimit when a phase lambda t, |t| <= t_max, is beyond a double."""
+    lam = spec.exponent_reach()
+    if not math.isfinite(lam * t_max):
+        raise PrecisionLimit(
+            f"the phase lambda t is beyond a double for lambda = {lam} and |t| = {t_max}"
+        )
+
+
 def evaluate_blocks(
     spec: SeriesSpec, size: int, points: Callable[[slice], np.ndarray], t_max: float
 ) -> np.ndarray:
@@ -195,11 +204,7 @@ def evaluate_blocks(
     is not a finite double raises PrecisionLimit naming the first such
     point.
     """
-    lam = spec.exponent_reach()
-    if not math.isfinite(lam * t_max):
-        raise PrecisionLimit(
-            f"the phase lambda t is beyond a double for lambda = {lam} and |t| = {t_max}"
-        )
+    _check_phase(spec, t_max)
     lams = spec.numeric_exponents()
     neg = np.array([-lams[n] for n in spec.product_plan().fresh])
 
@@ -255,10 +260,12 @@ def shift_series(spec: SeriesSpec, tau_shift: float) -> SeriesSpec:
 
     evaluate(shift_series(spec, tau), s) == evaluate(spec, s + i tau) up to
     rounding: coefficient n picks up the phase exp(-i lambda(n) tau).  A
-    shift that is not finite raises BadRange.
+    shift that is not finite raises BadRange, and a phase lambda(n) tau
+    beyond a double raises PrecisionLimit.
     """
     if not math.isfinite(tau_shift):
         raise BadRange(f"need a finite shift, got {tau_shift}")
+    _check_phase(spec, abs(tau_shift))
     lams = spec.numeric_exponents()
     coeffs = [
         term.coeff * complex(math.cos(lam * tau_shift), -math.sin(lam * tau_shift))

@@ -21,7 +21,7 @@ from .core import (
     SymbolTable,
     TailMajorant,
 )
-from .errors import BadIndex
+from .errors import BadIndex, PrecisionLimit
 
 
 def bohr_exponent(n: int) -> Fraction:
@@ -69,14 +69,25 @@ class TauValue(NamedTuple):
         return 2 * self.odd_product
 
 
-def tau(m: int) -> TauValue:
-    """Shift time 2pi * prod_{n<=m}(2n-1) for the counterexample series."""
+def _odd_product(m: int) -> int:
+    """The exact integer prod_{n<=m}(2n-1), for a shift index m >= 1."""
     if m < 1:
         raise BadIndex(f"shift index must be >= 1, got {m}")
-    prod = 1
-    for n in range(1, m + 1):
-        prod *= 2 * n - 1
-    return TauValue(2.0 * math.pi * prod, prod)
+    return math.prod(range(1, 2 * m, 2))
+
+
+def tau(m: int) -> TauValue:
+    """Shift time 2pi * prod_{n<=m}(2n-1) for the counterexample series.
+
+    PrecisionLimit from m = 151, where it is beyond a double;
+    `shift_phase_exact` reads the exact product at any m.
+    """
+    prod = _odd_product(m)
+    try:
+        value = 2.0 * math.pi * prod
+    except OverflowError:
+        raise PrecisionLimit(f"the shift time tau_m is beyond a double at m = {m}") from None
+    return TauValue(value, prod)
 
 
 class ShiftPhase(NamedTuple):
@@ -93,8 +104,8 @@ class ShiftPhase(NamedTuple):
 
 
 def shift_phase_exact(n: int, m: int) -> ShiftPhase:
-    """Pure rational check of the counterexample cancellation at term n, shift m."""
-    q = bohr_exponent(n) * tau(m).pi_multiple
+    """Pure rational check of the counterexample cancellation at term n, shift m, at any m."""
+    q = bohr_exponent(n) * 2 * _odd_product(m)
     residual = (q % 2) - 1
     return ShiftPhase(residual == 0, residual)
 

@@ -16,7 +16,7 @@ from bohreq import scenarios
 from bohreq.basis import compute_basis
 from bohreq.cli import _cloud_text, run_command
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable, TailMajorant
-from bohreq.equivalence import twist
+from bohreq.equivalence import integer_kernel, twist
 from bohreq.errors import ParseError, ValidationError
 from bohreq.seriesio import (
     emit_series_text,
@@ -208,6 +208,23 @@ class TestSeriesFiles:
         assert emit_series_text(spec) == emit_series_text(scenarios.bohr_example(5))
 
 
+def _solve_phases_pair(name: str) -> tuple[SeriesSpec, SeriesSpec, int]:
+    """A pair for `solve-phases` and the exit code it gives."""
+    if name == "bohr":  # one rational column, with wrapped rows
+        f = scenarios.bohr_example(3)
+        return f, scenarios.negate(f), 0
+    if name == "skipped source":  # the pivot row 3/2 is not a unit row of R
+        exps = [ExponentVector({"ONE": q}) for q in ("1", "3/2", "7/3")]
+        a = SeriesSpec(SymbolTable([("ONE", 1.0)]), list(zip(exps, [0.0, 1.0, 0.5 - 0.25j])))
+        basis, r, _ = compute_basis(a.exponents())
+        return a, twist(a, basis, r, [37.0]), 0
+    if name == "infeasible":
+        a = scenarios.ordinary_series([(2, 1.0), (3, 1.0), (6, 1.0)])
+        return a, scenarios.ordinary_series([(2, 1j), (3, -1.0), (6, 1.0)]), 2
+    empty = SeriesSpec(SymbolTable([]), [])
+    return empty, empty, 0
+
+
 class TestCommands:
     @pytest.fixture()
     def files(self, tmp_path):
@@ -277,6 +294,29 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["feasible"] is False
         assert payload["result"]["witness"] == [1, 1, -1]
+
+    @pytest.mark.parametrize("name", ["bohr", "skipped source", "infeasible", "empty"])
+    def test_solve_phases_prints_the_kernel_of_its_constrained_rows(self, name, tmp_path, capsys):
+        a, b, code = _solve_phases_pair(name)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for spec, path in zip((a, b), paths):
+            write_series_file(spec, path)
+        argv = ["solve-phases", "--series", str(paths[0]), "--series2", str(paths[1])]
+        assert run_command(argv) == code
+        result = json.loads(capsys.readouterr().out)["result"]
+        rows = [n - 1 for n in result["constrained_terms"]]
+        _, r, _ = compute_basis(a.exponents())
+        assert result["kernel"] == ([list(m) for m in integer_kernel(r, rows)] if rows else [])
+        assert (result["kernel"] == []) == (name == "empty")
+        if code == 2:
+            assert result["witness"] in result["kernel"]
+        for m in result["kernel"]:
+            # sum_n m_n R[n] = 0 exactly, column by column
+            total: dict[int, Fraction] = {}
+            for c, n in zip(m, rows, strict=True):
+                for j, q in r.row_items(n):
+                    total[j] = total.get(j, Fraction(0)) + c * q
+            assert not any(total.values())
 
     def test_closure_demo(self, files, capsys):
         _, f, g = files

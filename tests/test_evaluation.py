@@ -215,6 +215,16 @@ class TestShiftSeries:
         with pytest.raises(BadRange, match="need a finite shift"):
             shift_series(scenarios.bohr_example(3), tau_shift)
 
+    def test_overflowing_phase_is_refused_by_name(self):
+        # lambda tau beyond a double names the phase, as evaluate does; a
+        # finite phase is still shifted
+        spec = scenarios.bohr_example(3)
+        phase = r"phase lambda t is beyond a double for lambda = 5\.1 and \|t\| = 1e\+308"
+        for tau_shift in (1e308, -1e308):
+            with pytest.raises(PrecisionLimit, match=phase):
+                shift_series(spec, tau_shift)
+        assert all(cmath.isfinite(c) for c in shift_series(spec, 1e307).coeffs())
+
 
 class TestUniformDistance:
     def test_identical_series(self):
@@ -347,6 +357,14 @@ class TestShiftPhaseExact:
             for m in range(1, 7)
             for n in range(1, m + 1)
         )
+
+    def test_exact_where_tau_is_beyond_a_double(self):
+        # tau(160) is not a double, but the oracle never rounds: 2n - 1 divides
+        # the odd product for n <= m, and the prime 331 = 2 * 166 - 1 does not
+        assert all(shift_phase_exact(n, 160).is_minus_one for n in (1, 3, 151, 160))
+        result = shift_phase_exact(166, 160)
+        assert not result.is_minus_one
+        assert result.residual.denominator == 331
 
     def test_agrees_with_float_coefficients(self):
         # the exact -1 phases really do negate the first m coefficients

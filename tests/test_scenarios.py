@@ -8,7 +8,7 @@ import pytest
 from bohreq import scenarios
 from bohreq.basis import compute_basis, denominator_lcms
 from bohreq.core import ExponentVector, validate_series
-from bohreq.errors import BadIndex
+from bohreq.errors import BadIndex, PrecisionLimit
 from bohreq.evaluation import evaluate
 
 
@@ -73,6 +73,12 @@ class TestTau:
     def test_bad_shift_index(self):
         with pytest.raises(BadIndex):
             scenarios.tau(0)
+
+    def test_beyond_a_double_is_refused_by_name(self):
+        # 2pi * prod_{n<=m}(2n-1) is a finite double up to m = 150
+        assert math.isfinite(scenarios.tau(150).value)
+        with pytest.raises(PrecisionLimit, match=r"beyond a double at m = 151$"):
+            scenarios.tau(151)
 
 
 class TestNegate:
