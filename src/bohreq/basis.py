@@ -5,13 +5,16 @@ order and keeping every exponent whose coordinate vector is rationally
 independent of those already kept.  The expansion matrix R (Lambda = R B) and
 the selection matrix T (B = T Lambda) are exact; R rows reconstruct the
 exponents in ExponentVector arithmetic, not merely numerically.  The
-elimination behind them works in integers first, `Fraction` only where a
-division is inexact: ordinary series have integer coordinates and a 0/1 R on
-the pivots, so they make no Fraction until R is built.
+elimination behind them keeps a triangular echelon, each row's other
+coordinates above its lead, so a new pivot adds one row and changes none.  It
+works in integers first, `Fraction` only where a division is inexact:
+ordinary series have integer coordinates and a 0/1 R on the pivots, so they
+make no Fraction until R is built.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,9 +64,6 @@ class BohrMatrix:
     @property
     def ncols(self) -> int:
         return self._ncols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, Fraction(0))
 
     def row_items(self, i: int) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._rows[i].items()))
@@ -139,12 +139,12 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     """
     pivots: list[int] = []
     rows: list[dict[int, Fraction]] = []
-    # Mutually reduced echelon rows over the coordinates, keyed by lead key:
-    # (coordinates, expression of the row over pivot positions).  No row's
-    # coordinates contain another row's lead, so reducing a vector by one row
-    # neither adds a lead coordinate nor changes another lead's value: the
-    # leads among the vector's own coordinates are all the rows it needs, and
-    # their reductions commute.  Entries are ints where whole (see `_exact`);
+    # Triangular echelon rows over the coordinates, keyed by lead (least)
+    # key: (coordinates, expression of the row over pivot positions).  A row's
+    # other coordinates lie above its lead, so clearing a vector's leads in
+    # increasing order only adds coordinates above the lead just cleared.  The
+    # pending leads are a heap, one cancelled before its turn is skipped, and
+    # a kept row never changes.  Entries are ints where whole (see `_exact`);
     # `_exact` runs only on a result that is not already an int.
     echelon: dict[object, tuple[dict, dict[int, int | Fraction]]] = {}
     shared = _Shared()
@@ -152,7 +152,12 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
     for idx, vec in enumerate(vectors):
         work = {name: _exact(q) for name, q in vec.items()}
         combo: dict[int, int | Fraction] = {}
-        for lead in [name for name in work if name in echelon]:
+        leads = [name for name in work if name in echelon]
+        leads.sort()
+        while leads:
+            lead = heapq.heappop(leads)
+            if lead not in work:
+                continue
             coords, expr = echelon[lead]
             a, b = work[lead], coords[lead]
             f = a // b if type(a) is int and type(b) is int and not a % b else _ratio(a, b)
@@ -161,6 +166,8 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
                 if type(new) is not int:
                     new = _exact(new)
                 if new:
+                    if name not in work and name in echelon:
+                        heapq.heappush(leads, name)
                     work[name] = new
                 else:
                     work.pop(name, None)
@@ -179,25 +186,7 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
         for j, q in combo.items():
             if q:
                 expr[j] = -q
-        lead = min(work)
-        for coords, other_expr in echelon.values():
-            c = coords.get(lead)
-            if c:
-                f = _ratio(c, work[lead])
-                for name, q in work.items():
-                    new = coords.get(name, 0) - f * q
-                    if type(new) is not int:
-                        new = _exact(new)
-                    if new:
-                        coords[name] = new
-                    else:
-                        coords.pop(name, None)
-                for j, q in expr.items():
-                    new = other_expr.get(j, 0) - f * q
-                    if type(new) is not int:
-                        new = _exact(new)
-                    other_expr[j] = new
-        echelon[lead] = (work, expr)
+        echelon[min(work)] = (work, expr)
     return pivots, rows
 
 

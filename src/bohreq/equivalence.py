@@ -157,12 +157,14 @@ def twist(
 def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> PhaseTargets:
     """Phase targets theta(n) making b a twist of a, or a proof none exist.
 
-    Both specs must carry the identical exponent list (align first by taking
-    the union of exponent sets with zero coefficients where a series is
-    missing a term).  Raises ModulusMismatch or SupportMismatch, with 1-based
-    term positions, when the series cannot be equivalent at all, BadRange
-    unless 0 < tol < inf or a coefficient is not finite, and PrecisionLimit
-    when a finite coefficient's modulus is beyond a double.
+    Both specs must carry the identical exponent list, the same vectors with
+    the same values, or DimensionMismatch names the first term that differs
+    (align first by taking the union of exponent sets with zero coefficients
+    where a series is missing a term).  Raises ModulusMismatch or
+    SupportMismatch, with 1-based term positions, when the series cannot be
+    equivalent at all, BadRange unless 0 < tol < inf or a coefficient is not
+    finite, and PrecisionLimit when a finite coefficient's modulus is beyond
+    a double.
     """
     check_tol(tol)
     if len(a.terms) != len(b.terms):
@@ -172,6 +174,12 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta.exponent != tb.exponent:
             raise DimensionMismatch(f"exponent vectors differ at term {i + 1}")
+    if a.symbols != b.symbols:  # equal tables give equal values, others may too
+        for i, (la, lb) in enumerate(zip(a.numeric_exponents(), b.numeric_exponents())):
+            if la != lb:
+                raise DimensionMismatch(
+                    f"exponent values differ at term {i + 1}: {la!r} vs {lb!r}"
+                )
     entries: list[tuple[int, float]] = []
     skipped: list[int] = []
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):

@@ -64,10 +64,6 @@ class TauValue(NamedTuple):
     value: float
     odd_product: int
 
-    @property
-    def pi_multiple(self) -> int:
-        return 2 * self.odd_product
-
 
 def _odd_product(m: int) -> int:
     """The exact integer prod_{n<=m}(2n-1), for a shift index m >= 1."""

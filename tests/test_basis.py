@@ -44,11 +44,7 @@ class TestComputeBasis:
     def test_bohr_example_single_column(self):
         basis, r, _ = compute_basis(bohr_exponents(3))
         assert basis.elements == (ExponentVector({"ONE": "3/2"}),)
-        assert [r.entry(i, 0) for i in range(3)] == [
-            Fraction(1),
-            Fraction(19, 9),
-            Fraction(17, 5),
-        ]
+        assert r.dense_rows() == [[Fraction(1)], [Fraction(19, 9)], [Fraction(17, 5)]]
 
     def test_singleton(self):
         basis, r, t = compute_basis([L2])
@@ -66,7 +62,7 @@ class TestComputeBasis:
         basis, r, _ = compute_basis([ExponentVector(), L2])
         assert basis.elements == (L2,)
         assert r.row_items(0) == ()
-        assert r.entry(1, 0) == 1
+        assert r.row_items(1) == ((0, 1),)
 
     def test_idempotent_on_basis_elements(self):
         rng = random.Random(33)
@@ -173,6 +169,38 @@ class TestExpandOverPivots:
         assert pivots == [0, 1]
         assert rows == [{0: 1}, {1: 1}, {0: Fraction(1, 2)}, {0: -4, 1: 2}, {}]
         assert all(type(q) is Fraction for row in rows for q in row.values())
+
+    def test_reduction_adds_lead_coordinates(self):
+        # clearing {0: 1} at lead 0 brings in leads 1 and 2, cleared in turn
+        vectors = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}, {2: 1}, {0: 1}]
+        pivots, rows = expand_over_pivots(vectors)
+        assert pivots == [0, 1, 2]
+        assert rows[-1] == {0: 1, 1: -1, 2: 1}
+        assert (pivots, rows) == reference_expansion(vectors)
+
+    def test_key_lookups_grow_linearly(self):
+        # independent vectors, each one new key: no earlier row is visited
+        class Key:
+            hashes = 0
+
+            def __init__(self, i):
+                self.i = i
+
+            def __hash__(self):
+                Key.hashes += 1
+                return hash(self.i)
+
+            def __eq__(self, other):
+                return self.i == other.i
+
+            def __lt__(self, other):
+                return self.i < other.i
+
+        vectors = [{Key(i): 1} for i in range(2000)]
+        Key.hashes = 0
+        pivots, rows = expand_over_pivots(vectors)
+        assert pivots == list(range(2000))
+        assert Key.hashes <= 20 * len(vectors)
 
 
 class TestExactReconstruction:

@@ -371,6 +371,23 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("bohreq: error: ") and "N = 360" in lines[0]
 
+    def test_differing_exponent_values_are_one_error_line(self, tmp_path, capsys):
+        # x = 1 against x = 3 over the same vectors: e^{-s} + e^{-2s} and
+        # e^{-3s} + e^{-6s}, which no twist relates
+        terms = [(ExponentVector({"x": 1}), 1.0), (ExponentVector({"x": 2}), 1.0)]
+        f = tmp_path / "f.json"
+        g = tmp_path / "g.json"
+        write_series_file(SeriesSpec(SymbolTable([("x", 1.0)]), terms), f)
+        write_series_file(SeriesSpec(SymbolTable([("x", 3.0)]), terms), g)
+        pair = ["--series", str(f), "--series2", str(g)]
+        for argv in (["equiv", *pair], ["solve-phases", *pair], ["closure-demo", *pair, "--nmax", "2"]):
+            assert run_command(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "bohreq: error: exponent values differ at term 1: 1.0 vs 3.0"
+            ]
+
     def test_empty_series_is_the_zero_function(self, tmp_path, capsys):
         # no term: the basis is empty and f = 0; only the contour commands,
         # whose f - v then vanishes identically, refuse it

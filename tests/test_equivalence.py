@@ -196,6 +196,22 @@ class TestExtractPhaseTargets:
         with pytest.raises(DimensionMismatch, match="exponent vectors differ at term 2"):
             extract_phase_targets(spec_23(), spec_26)
 
+    def test_exponent_values_must_agree(self):
+        # e^{-s} + e^{-2s} against e^{-3s} + e^{-6s}: the same vectors over x,
+        # whose value differs, so the exponents are not the same
+        terms = [(ExponentVector({"x": 1}), 1.0), (ExponentVector({"x": 2}), 1.0)]
+        one = SeriesSpec(SymbolTable([("x", 1.0)]), terms)
+        three = SeriesSpec(SymbolTable([("x", 3.0)]), terms)
+        with pytest.raises(DimensionMismatch, match="exponent values differ at term 1: 1.0 vs 3.0"):
+            extract_phase_targets(one, three)
+        with pytest.raises(DimensionMismatch):
+            is_equivalent_truncated(one, three)
+        # values, not tables, are compared: the symbols' order does not matter
+        swapped = SeriesSpec(SymbolTable([("L3", math.log(3)), ("L2", math.log(2))]),
+                             list(zip([L2, L3], (1.0, 1j))))
+        targets = extract_phase_targets(spec_23(), swapped)
+        assert targets.entries == ((0, 0.0), (1, pytest.approx(PI / 2)))
+
     def test_non_finite_coefficient_refused(self):
         # specs built in code skip the file parser's check; the term is 1-based
         for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):

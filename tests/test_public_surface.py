@@ -1,10 +1,11 @@
-"""Every public function and class of bohreq has a reader.
+"""Every public function, class and class member of bohreq has a reader.
 
-A module-level public name must be referenced somewhere in `src/bohreq` or
-`perfbench/` (as a name, an attribute or an import), be exported in
-`bohreq.__all__`, or be listed below with the reason it stays.  Code that
-only its own tests call fails here, so it goes with its tests instead of
-lingering.  Both trees are only read.
+A module-level public name, and each public method, property or field of a
+public class, must be referenced somewhere in `src/bohreq` or `perfbench/`
+(as a name, an attribute or an import), be exported in `bohreq.__all__`, or
+be listed below with the reason it stays.  Code that only its own tests call
+fails here, so it goes with its tests instead of lingering.  Both trees are
+only read.
 """
 
 import ast
@@ -32,8 +33,19 @@ def _trees() -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(), str(path)) for path in paths}
 
 
+def _member_names(node: ast.stmt) -> list[str]:
+    """The names a statement of a class body defines: a method, property or field."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return []
+
+
 def _public_definitions(trees: dict[Path, ast.Module]) -> dict[str, str]:
-    """Each module-level public function or class of bohreq, with where it is defined."""
+    """Each public function, class and `Class.member` of bohreq, with where it is defined."""
     found = {}
     for path, tree in trees.items():
         if path.parent.name != "bohreq":
@@ -41,6 +53,10 @@ def _public_definitions(trees: dict[Path, ast.Module]) -> dict[str, str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 found[node.name] = f"{path.stem}.py:{node.lineno}"
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    for name in _member_names(member):
+                        if not name.startswith("_"):
+                            found[f"{node.name}.{name}"] = f"{path.stem}.py:{member.lineno}"
     return found
 
 
@@ -60,6 +76,8 @@ def _references(trees: dict[Path, ast.Module]) -> set[str]:
 def test_every_public_name_has_a_reader():
     trees = _trees()
     defined, read = _public_definitions(trees), _references(trees) | set(bohreq.__all__)
-    unread = {name: where for name, where in defined.items() if name not in read}
+    unread = {
+        name: where for name, where in defined.items() if name.rpartition(".")[2] not in read
+    }
     # a kept name that gains a reader, or is deleted, leaves the list too
     assert unread == {name: defined.get(name) for name in KEPT}

@@ -68,7 +68,7 @@ class TestTau:
         assert scenarios.tau(1).odd_product == 1
         assert scenarios.tau(2).odd_product == 3
         assert scenarios.tau(3).odd_product == 15
-        assert scenarios.tau(4).pi_multiple == 2 * 105
+        assert scenarios.tau(4).odd_product == 105
 
     def test_bad_shift_index(self):
         with pytest.raises(BadIndex):
