@@ -6,10 +6,10 @@ independent of those already kept.  The expansion matrix R (Lambda = R B) and
 the selection matrix T (B = T Lambda) are exact; R rows reconstruct the
 exponents in ExponentVector arithmetic, not merely numerically.  The
 elimination behind them keeps a triangular echelon, each row's other
-coordinates above its lead, so a new pivot adds one row and changes none.  It
-works in integers first, `Fraction` only where a division is inexact:
-ordinary series have integer coordinates and a 0/1 R on the pivots, so they
-make no Fraction until R is built.
+coordinates above its lead, so a new pivot adds one row and changes none.
+Every entry is in `core.as_rational`'s form, an int when it is whole, so the
+arithmetic is in integers wherever a division is exact: ordinary series have
+integer coordinates and a 0/1 R on the pivots, and make no Fraction at all.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import ExponentVector, as_fraction
+from .core import ExponentVector, as_rational
 
 
 class BohrMatrix:
@@ -32,14 +32,14 @@ class BohrMatrix:
         ncols = int(ncols)
         if ncols < 0:
             raise ValueError("ncols must be >= 0")
-        cleaned: list[dict[int, Fraction]] = []
+        cleaned: list[dict[int, int | Fraction]] = []
         for row in rows:
-            out: dict[int, Fraction] = {}
+            out: dict[int, int | Fraction] = {}
             for j, q in row.items():
                 j = int(j)
                 if not 0 <= j < ncols:
                     raise ValueError(f"column {j} outside 0..{ncols - 1}")
-                q = as_fraction(q)
+                q = as_rational(q)
                 if q != 0:
                     out[j] = q
             cleaned.append(out)
@@ -47,8 +47,9 @@ class BohrMatrix:
         self._ncols = ncols
 
     @classmethod
-    def _clean(cls, rows: Iterable[dict[int, Fraction]], ncols: int) -> BohrMatrix:
-        """A matrix of rows already clean: int columns in range, nonzero Fractions.
+    def _clean(cls, rows: Iterable[dict[int, int | Fraction]], ncols: int) -> BohrMatrix:
+        """A matrix of rows already clean: int columns in range, nonzero entries
+        in `as_rational`'s form.
 
         For rows this module has just built; takes them as they are, unchecked.
         """
@@ -65,14 +66,12 @@ class BohrMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def row_items(self, i: int) -> tuple[tuple[int, Fraction], ...]:
+    def row_items(self, i: int) -> tuple[tuple[int, int | Fraction], ...]:
         return tuple(sorted(self._rows[i].items()))
 
-    def dense_rows(self, indices: Sequence[int] | None = None) -> list[list[Fraction]]:
+    def dense_rows(self, indices: Sequence[int] | None = None) -> list[list[int | Fraction]]:
         idx = range(self.nrows) if indices is None else indices
-        return [
-            [self._rows[i].get(j, Fraction(0)) for j in range(self._ncols)] for i in idx
-        ]
+        return [[self._rows[i].get(j, 0) for j in range(self._ncols)] for i in idx]
 
     def float_rows(self, indices: Sequence[int] | None = None) -> list[list[float]]:
         return [[float(q) for q in row] for row in self.dense_rows(indices)]
@@ -103,54 +102,39 @@ class Basis:
         return len(self.elements)
 
 
-def _exact(q: int | Fraction) -> int | Fraction:
-    """q as an int when it is whole, else the Fraction itself."""
-    return q if type(q) is int or q.denominator != 1 else q.numerator
-
-
 def _ratio(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """a / b exactly: an int when the division is exact, else a Fraction."""
+    """a / b exactly, in `as_rational`'s form."""
     if type(a) is int and type(b) is int:
         quot, rem = divmod(a, b)
         return Fraction(a, b) if rem else quot
-    return _exact(a / b)
+    return as_rational(a / b)
 
 
-class _Shared(dict):
-    """One Fraction per distinct value, made on first use (Fractions are immutable)."""
-
-    def __missing__(self, q: int | Fraction) -> Fraction:
-        f = self[q] = Fraction(q)
-        return f
-
-
-def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fraction]]]:
+def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, int | Fraction]]]:
     """Earliest-first pivots of a vector list and each vector's expression over them.
 
     Vectors are sparse, given by `.items()` pairs (sortable coordinate key,
-    nonzero rational): exponent vectors, or Bohr-matrix rows.  A vector becomes
-    a pivot when it is independent of every pivot kept before it.  Returns the
-    pivot positions and, for every vector, its exact coefficients over the
-    pivots (a unit row for a pivot, an empty row for a zero vector), as
-    Fractions.  The arithmetic is integers first, `Fraction` only where a
-    division is inexact (`divmod` for int / int, a whole Fraction turned back
-    into an int), so integral inputs make no Fraction until the rows are
-    returned, and then one per distinct integer, shared by every row.
+    nonzero rational), taken as given: exponent vectors, or Bohr-matrix rows.
+    A vector becomes a pivot when it is independent of every pivot kept
+    before it.  Returns the pivot positions and, for every vector, its exact
+    coefficients over the pivots (a unit row for a pivot, an empty row for a
+    zero vector), in `as_rational`'s form.  A division makes a Fraction only
+    when it is inexact (`divmod` for int / int), so integral vectors with
+    integral expressions, every ordinary series, make none.
     """
     pivots: list[int] = []
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int | Fraction]] = []
     # Triangular echelon rows over the coordinates, keyed by lead (least)
     # key: (coordinates, expression of the row over pivot positions).  A row's
     # other coordinates lie above its lead, so clearing a vector's leads in
     # increasing order only adds coordinates above the lead just cleared.  The
     # pending leads are a heap, one cancelled before its turn is skipped, and
-    # a kept row never changes.  Entries are ints where whole (see `_exact`);
-    # `_exact` runs only on a result that is not already an int.
+    # a kept row never changes.  `as_rational` runs only on a result that is
+    # not already an int.
     echelon: dict[object, tuple[dict, dict[int, int | Fraction]]] = {}
-    shared = _Shared()
 
     for idx, vec in enumerate(vectors):
-        work = {name: _exact(q) for name, q in vec.items()}
+        work = dict(vec.items())
         combo: dict[int, int | Fraction] = {}
         leads = [name for name in work if name in echelon]
         leads.sort()
@@ -164,7 +148,7 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
             for name, q in coords.items():
                 new = work.get(name, 0) - f * q
                 if type(new) is not int:
-                    new = _exact(new)
+                    new = as_rational(new)
                 if new:
                     if name not in work and name in echelon:
                         heapq.heappush(leads, name)
@@ -174,14 +158,14 @@ def expand_over_pivots(vectors: Sequence) -> tuple[list[int], list[dict[int, Fra
             for j, q in expr.items():
                 new = combo.get(j, 0) + f * q
                 if type(new) is not int:
-                    new = _exact(new)
+                    new = as_rational(new)
                 combo[j] = new
         if not work:
-            rows.append({j: shared[q] for j, q in combo.items() if q})
+            rows.append({j: q for j, q in combo.items() if q})
             continue
         k = len(pivots)
         pivots.append(idx)
-        rows.append({k: shared[1]})
+        rows.append({k: 1})
         expr = {k: 1}
         for j, q in combo.items():
             if q:
@@ -204,7 +188,7 @@ def compute_basis(
     exps = tuple(exponents)
     source, r_rows = expand_over_pivots(exps)
     expansion = BohrMatrix._clean(r_rows, len(source))
-    selection = BohrMatrix._clean([{i: Fraction(1)} for i in source], len(exps))
+    selection = BohrMatrix._clean([{i: 1} for i in source], len(exps))
     return Basis(tuple(exps[i] for i in source), tuple(source)), expansion, selection
 
 

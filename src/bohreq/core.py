@@ -2,8 +2,9 @@
 
 A series sum_n a(n) exp(-lambda(n) s) is stored with its exponents lambda(n)
 as exact rational combinations of declared real symbols, so every rational
-dependence question downstream reduces to exact arithmetic on
-`fractions.Fraction` coordinates.  Coefficients are double-precision complex:
+dependence question downstream reduces to exact arithmetic on rational
+coordinates, each in one form: an `int` when it is whole, otherwise a
+`fractions.Fraction` in lowest terms.  Coefficients are double-precision complex:
 phase decisions never route through them, only through the exact layer.
 """
 
@@ -28,19 +29,20 @@ from .errors import (
 UNIT_SYMBOL = "ONE"
 
 
-def as_fraction(value: Fraction | int | str) -> Fraction:
-    """Coerce an exact rational (Fraction, int, or a string like '19/6').
+def as_rational(value: Fraction | int | str) -> int | Fraction:
+    """An exact rational (Fraction, int, or a string like '19/6') in canonical
+    form: an int when it is whole, otherwise a Fraction in lowest terms.
 
     Floats are rejected on purpose: rational relations between exponents must
     be declared exactly, never inferred from rounded numbers.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if isinstance(value, (int, str)):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 def fsum_or_inf(values: Iterable[float]) -> float:
@@ -109,7 +111,8 @@ class SymbolTable:
 
 
 class ExponentVector:
-    """Finite-support map from symbol name to an exact rational coordinate.
+    """Finite-support map from symbol name to an exact rational coordinate,
+    each in `as_rational`'s form.
 
     Zero coordinates are dropped, so two vectors are equal exactly when their
     coordinate maps are equal.  The empty vector is the exponent 0.
@@ -118,20 +121,11 @@ class ExponentVector:
     __slots__ = ("_items",)
 
     def __init__(self, coords: Mapping[str, Fraction | int | str] | None = None):
-        exact = ((name, as_fraction(q)) for name, q in (coords or {}).items())
+        exact = ((name, as_rational(q)) for name, q in (coords or {}).items())
         self._items = tuple(sorted((name, q) for name, q in exact if q != 0))
 
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
+    def items(self) -> tuple[tuple[str, int | Fraction], ...]:
         return self._items
-
-    def coords(self) -> dict[str, Fraction]:
-        return dict(self._items)
-
-    def get(self, name: str) -> Fraction:
-        for key, q in self._items:
-            if key == name:
-                return q
-        return Fraction(0)
 
     def numeric_value(self, symbols: SymbolTable) -> float:
         """The exponent's double value; PrecisionLimit when it is not a finite double."""
@@ -143,14 +137,14 @@ class ExponentVector:
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         merged = dict(self._items)
         for name, q in other._items:
-            merged[name] = merged.get(name, Fraction(0)) + q
+            merged[name] = merged.get(name, 0) + q
         return ExponentVector(merged)
 
     def __sub__(self, other: "ExponentVector") -> "ExponentVector":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, q: Fraction | int | str) -> "ExponentVector":
-        q = as_fraction(q)
+        q = as_rational(q)
         return ExponentVector({name: q * c for name, c in self._items})
 
     def __eq__(self, other) -> bool:

@@ -112,7 +112,7 @@ class CongruenceSystem:
         if self.feasible:
             if self.phase is None or self.residual is None:
                 raise ValueError("feasible verdict requires a phase vector and residual")
-            if self.residual > self.tol:
+            if not self.residual <= self.tol:  # NaN too
                 raise ValueError(
                     f"feasible verdict with residual {self.residual:.3e} > tol {self.tol:.3e}"
                 )
@@ -120,7 +120,7 @@ class CongruenceSystem:
             if self.witness is None or self.defect is None:
                 raise ValueError("infeasible verdict requires a witness and defect")
             scale = sum(abs(m) for m in self.witness)
-            if self.defect <= self.tol * scale:
+            if not self.defect > self.tol * scale:
                 raise ValueError(
                     f"witness defect {self.defect:.3e} does not exceed tolerance"
                 )
@@ -164,7 +164,8 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
     SupportMismatch, with 1-based term positions, when the series cannot be
     equivalent at all, BadRange unless 0 < tol < inf or a coefficient is not
     finite, and PrecisionLimit when a finite coefficient's modulus is beyond
-    a double.
+    a double.  Every target is finite: where the quotient b(n)/a(n) over- or
+    underflows, theta(n) is the difference of the two arguments.
     """
     check_tol(tol)
     if len(a.terms) != len(b.terms):
@@ -201,14 +202,18 @@ def extract_phase_targets(a: SeriesSpec, b: SeriesSpec, tol: float = 1e-9) -> Ph
             raise SupportMismatch(i + 1)
         if abs(ma - mb) > tol * max(1.0, ma):
             raise ModulusMismatch(i + 1, ta.coeff, tb.coeff)
-        theta = cmath.phase(tb.coeff / ta.coeff) % TWO_PI
-        entries.append((i, theta))
+        q = tb.coeff / ta.coeff
+        if cmath.isfinite(q) and (q or not tb.coeff):
+            theta = cmath.phase(q)
+        else:  # the division over- or underflowed: NaN, inf, or 0 for a nonzero b(n)
+            theta = cmath.phase(tb.coeff) - cmath.phase(ta.coeff)
+        entries.append((i, theta % TWO_PI))
     return PhaseTargets(tuple(entries), tuple(skipped))
 
 
 def _expand_rows(
     expansion: BohrMatrix, idx: Sequence[int]
-) -> tuple[list[dict[int, Fraction]], list[int], list[dict[int, Fraction]]]:
+) -> tuple[list[dict[int, int | Fraction]], list[int], list[dict[int, int | Fraction]]]:
     """The selected rows, their pivots and every row's expression R' over them.
 
     Rows already in pivot form, each either the next unit row e_k or supported
@@ -229,13 +234,13 @@ def _expand_rows(
     return rows, pivots, rows
 
 
-def _wrapped_rows(expr: list[dict[int, Fraction]]) -> list[int]:
+def _wrapped_rows(expr: list[dict[int, int | Fraction]]) -> list[int]:
     """Positions of the rows whose expression over the pivots is non-integral."""
     return [n for n, row in enumerate(expr) if any(q.denominator != 1 for q in row.values())]
 
 
 def _relations(
-    pivots: list[int], expr: list[dict[int, Fraction]], wrapped: list[int]
+    pivots: list[int], expr: list[dict[int, int | Fraction]], wrapped: list[int]
 ) -> list[dict[int, int]]:
     """Sparse generators {position: coefficient} of the rows' integer relations.
 
@@ -259,7 +264,7 @@ def _relations(
     if wrapped:
         block = sorted(skip)
         r = len(pivots)
-        dense = [[expr[n].get(j, Fraction(0)) for j in range(r)] for n in block]
+        dense = [[expr[n].get(j, 0) for j in range(r)] for n in block]
         for m in integer_left_kernel(dense):
             gens.append({block[i]: c for i, c in enumerate(m) if c})
     gens.sort(key=min)
@@ -310,7 +315,10 @@ def _combine(x: Sequence[int], rows: list[list[int]]) -> list[int]:
 
 
 def _pivot_lift(
-    expr: list[dict[int, Fraction]], pivots: list[int], wrapped: list[int], thetas: list[float]
+    expr: list[dict[int, int | Fraction]],
+    pivots: list[int],
+    wrapped: list[int],
+    thetas: list[float],
 ) -> Iterator[tuple[list[int], list[list[int]] | None]]:
     """The coset w + L of integer w with R'_n . w = c_n (mod 1), after each constrained row.
 
@@ -371,8 +379,8 @@ class _Lift(NamedTuple):
     the coset `_pivot_lift` folds to: L in Hermite form, w reduced modulo it.
     """
 
-    rows: list[dict[int, Fraction]]
-    expr: list[dict[int, Fraction]]
+    rows: list[dict[int, int | Fraction]]
+    expr: list[dict[int, int | Fraction]]
     pivots: list[int]
     units: list[int | None]
     theta: list[float]
@@ -380,7 +388,7 @@ class _Lift(NamedTuple):
     lattice: list[list[int]] | None
 
 
-def _units(rows: list[dict[int, Fraction]], pivots: list[int]) -> list[int | None]:
+def _units(rows: list[dict[int, int | Fraction]], pivots: list[int]) -> list[int | None]:
     """j for each pivot row that is the unit row e_j, else None."""
     return [next(iter(rows[p])) if list(rows[p].values()) == [1] else None for p in pivots]
 
@@ -402,7 +410,7 @@ def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
     if cols:
         r = len(lift.pivots)
         pivot_rows = [lift.rows[p] for p in lift.pivots]
-        _, expr = expand_over_pivots(pivot_rows + [{j: Fraction(1)} for j in cols])
+        _, expr = expand_over_pivots(pivot_rows + [{j: 1} for j in cols])
         for j, row in zip(cols, expr[r:]):
             coeffs = [(p, c) for p, c in row.items() if p < r]
             turns = sum(c * w[p] for p, c in coeffs)
@@ -426,7 +434,7 @@ def _check_lift(
         turns = math.fsum(q.numerator * lift.w[j] % q.denominator / q.denominator
                           for j, q in row.items())
         angle = math.fsum(float(q) * lift.theta[j] for j, q in row.items()) + TWO_PI * turns
-        if (miss := circle_distance(angle - th)) > tol:
+        if not (miss := circle_distance(angle - th)) <= tol:
             raise PrecisionLimit(
                 f"every integer relation holds within tol times its l1 norm, but the "
                 f"exact pivot lift misses the target of term {i + 1} by {miss:.3e} > "
@@ -440,7 +448,7 @@ def _witness(
     """The first relation whose target defect exceeds tol times its l1 norm, and that defect."""
     for g in relations:
         defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
-        if defect > tol * sum(abs(c) for c in g.values()):
+        if not defect <= tol * sum(abs(c) for c in g.values()):
             return g, defect
     return None
 
@@ -498,7 +506,7 @@ def solve_phase_system(
     misses = (math.fsum(float(q) * phase[j] for j, q in row.items()) - th
               for row, th in zip(outcome.rows, targets.thetas()))
     residual = max(map(circle_distance, misses), default=0.0)
-    if residual > tol:
+    if not residual <= tol:
         _check_lift(outcome, targets.entries, tol)
         raise PrecisionLimit(
             f"phase vector lost precision in doubles: residual {residual:.3e} > tol {tol:.3e}"
@@ -564,7 +572,7 @@ def _min_norm(lift: _Lift) -> float:
         return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
     r = len(lift.w)
     gens = lll_reduce(lift.lattice) if lift.lattice else [_dense({i: 1}, r) for i in range(r)]
-    gram = [{i: Fraction(1)} for i in range(r)]
+    gram = [{i: 1} for i in range(r)]
     if None in lift.units:
         # G's rows are the expressions of the unit vectors over the rows of R_P R_P^T.
         rp = [lift.rows[p] for p in lift.pivots]

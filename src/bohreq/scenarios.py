@@ -21,11 +21,12 @@ from .core import (
     SymbolTable,
     TailMajorant,
 )
-from .errors import BadIndex, PrecisionLimit
+from .errors import BadIndex, PrecisionLimit, check_integral
 
 
 def bohr_exponent(n: int) -> Fraction:
     """Exact exponent (2(2n-1)^2 + 1) / (2(2n-1)) of the counterexample series."""
+    check_integral(n, "term index", BadIndex)
     if n < 1:
         raise BadIndex(f"term index must be >= 1, got {n}")
     odd = 2 * n - 1
@@ -39,6 +40,7 @@ def bohr_example(n_terms: int) -> SeriesSpec:
     and a geometric tail majorant with gap 5/3, the exact minimum of
     lambda(n+1) - lambda(n) = 2 - 1/(4n^2 - 1).
     """
+    check_integral(n_terms, "number of terms", BadIndex)
     if n_terms < 1:
         raise BadIndex(f"need at least one term, got {n_terms}")
     symbols = SymbolTable([(UNIT_SYMBOL, 1.0)])
@@ -67,6 +69,7 @@ class TauValue(NamedTuple):
 
 def _odd_product(m: int) -> int:
     """The exact integer prod_{n<=m}(2n-1), for a shift index m >= 1."""
+    check_integral(m, "shift index", BadIndex)
     if m < 1:
         raise BadIndex(f"shift index must be >= 1, got {m}")
     return math.prod(range(1, 2 * m, 2))

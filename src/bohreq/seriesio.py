@@ -17,24 +17,30 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .core import ExponentVector, SeriesSpec, SymbolTable, TailMajorant, validate_series
+from .core import (
+    ExponentVector,
+    SeriesSpec,
+    SymbolTable,
+    TailMajorant,
+    as_rational,
+    validate_series,
+)
 from .errors import ParseError, SeriesError, ValidationError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def parse_rational(value) -> Fraction:
-    """Exact rational from an int or a string 'p/q' (q positive) or 'p'."""
+def parse_rational(value) -> int | Fraction:
+    """Exact rational, in `as_rational`'s form, from an int or a string 'p/q'
+    (q positive) or 'p'."""
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+    if isinstance(value, int) or isinstance(value, str) and _RATIONAL_RE.match(value):
+        return as_rational(value)
     raise ParseError(f"malformed rational {value!r}; expected 'p' or 'p/q' with q > 0")
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -41,6 +41,22 @@ class TestComputeBasis:
             [Fraction(0), Fraction(1), Fraction(0)],
         ]
 
+    def test_ordinary_series_make_no_fraction(self, monkeypatch):
+        # integer coordinates, integer R: every entry is an int end to end
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        spec = scenarios.ordinary_series([(n, 1.0) for n in range(1, 2001)])
+        _, r, t = compute_basis(spec.exponents())
+        monkeypatch.undo()
+        assert len(made) == 0
+        assert r.nrows == 2000 and t.nrows == r.ncols == 303
+
     def test_bohr_example_single_column(self):
         basis, r, _ = compute_basis(bohr_exponents(3))
         assert basis.elements == (ExponentVector({"ONE": "3/2"}),)
@@ -158,17 +174,19 @@ class TestExpandOverPivots:
             pivots, rows = expand_over_pivots(vectors)
             assert (pivots, rows) == reference_expansion(vectors)
             for row in rows:
-                assert all(type(q) is Fraction and q != 0 for q in row.values())
+                assert all(type(q) is (int if q.denominator == 1 else Fraction) and q != 0
+                           for q in row.values())
                 integral += sum(q.denominator == 1 for q in row.values())
                 fractional += sum(q.denominator != 1 for q in row.values())
         assert integral > 0 and fractional > 0
 
     def test_integer_rows(self):
-        # int entries take the integer path and still come back as Fractions
+        # int entries take the integer path and come back as ints where whole
         pivots, rows = expand_over_pivots([{0: 2}, {0: 4, 1: 3}, {0: 1}, {1: 6}, {}])
         assert pivots == [0, 1]
         assert rows == [{0: 1}, {1: 1}, {0: Fraction(1, 2)}, {0: -4, 1: 2}, {}]
-        assert all(type(q) is Fraction for row in rows for q in row.values())
+        assert all(type(q) is (int if q.denominator == 1 else Fraction)
+                   for row in rows for q in row.values())
 
     def test_reduction_adds_lead_coordinates(self):
         # clearing {0: 1} at lead 0 brings in leads 1 and 2, cleared in turn
@@ -229,7 +247,8 @@ class TestExactReconstruction:
             for m in (r, t):
                 rows = [dict(m.row_items(i)) for i in range(m.nrows)]
                 assert m == BohrMatrix(rows, m.ncols)
-                assert all(type(q) is Fraction and q != 0 for row in rows for q in row.values())
+                assert all(type(q) is (int if q.denominator == 1 else Fraction) and q != 0
+                           for row in rows for q in row.values())
 
     def test_public_constructor_checks_its_rows(self):
         m = BohrMatrix([{0: 2, 1: 0}, {1: "1/3"}], ncols=2)

@@ -58,7 +58,7 @@ class TestSeriesFiles:
         spec = parse_series_text(text)
         from fractions import Fraction
 
-        assert spec.terms[0].exponent.get("A") == Fraction(19, 6)
+        assert dict(spec.terms[0].exponent.items()) == {"A": Fraction(19, 6)}
 
     def test_malformed_rational(self):
         for bad in ("19/", "19/0", "1.5", "a/b", "19//2"):
@@ -284,6 +284,18 @@ class TestCommands:
         assert run_command(["equiv", "--series", str(a), "--series2", str(b)]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["equivalent"] is False
+
+    def test_coefficient_near_the_largest_double(self, tmp_path, capsys):
+        # the quotient of the term-2 coefficients overflows to NaN in doubles
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        spec = scenarios.ordinary_series([(1, 1.0), (2, 1e308 + 1e308j), (3, 1.0), (6, 1.0)])
+        write_series_file(spec, f)
+        write_series_file(spec.with_coeffs([1.0, 1e308 + 1e308j, 1.0, 1j]), g)
+        assert run_command(["equiv", "--series", str(f), "--series2", str(g)]) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["equivalent"] is False
+        assert run_command(["equiv", "--series", str(f), "--series2", str(f)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["equivalent"] is True and all(map(math.isfinite, result["phase"]))
 
     def test_solve_phases_negative_exit(self, tmp_path, capsys):
         a = tmp_path / "a.json"

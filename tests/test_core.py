@@ -13,6 +13,7 @@ from bohreq.core import (
     SeriesSpec,
     SymbolTable,
     TailMajorant,
+    as_rational,
     product_plan,
     tail_bound,
     validate_series,
@@ -65,6 +66,28 @@ class TestExponentVector:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             ExponentVector({"L2": 0.5})
+
+    def test_whole_coordinates_are_ints(self):
+        a, b = ExponentVector({"x": Fraction(4, 2)}), ExponentVector({"x": 2})
+        assert a == b and hash(a) == hash(b)
+        assert a.items() == (("x", 2),) and type(a.items()[0][1]) is int
+        assert type(ExponentVector({"x": "3/2"}).scale(2).items()[0][1]) is int
+
+
+class TestAsRational:
+    def test_whole_values_are_ints(self):
+        for value in ("6/3", Fraction(6, 3), 2):
+            q = as_rational(value)
+            assert q == 2 and type(q) is int
+
+    def test_other_values_are_fractions_in_lowest_terms(self):
+        for value in ("9/6", Fraction(9, 6)):
+            q = as_rational(value)
+            assert type(q) is Fraction and (q.numerator, q.denominator) == (3, 2)
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            as_rational(1.5)
 
     def test_arithmetic(self):
         a = ExponentVector({"L2": 1, "L3": "1/2"})

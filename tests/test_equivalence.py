@@ -99,7 +99,7 @@ def _check_harmonic_twist(n_terms: int) -> None:
     result = is_equivalent_truncated(a, b)
     assert result.equivalent
     basis, _, _ = compute_basis(a.exponents())
-    column = {next(iter(e.coords())): j for j, e in enumerate(basis.elements)}
+    column = {e.items()[0][0]: j for j, e in enumerate(basis.elements)}
     for n, want in ratio.items():
         angle = math.fsum(
             e * result.phase[column[f"L{p}"]] for p, e in _factor(n).items()
@@ -227,6 +227,26 @@ class TestExtractPhaseTargets:
             with pytest.raises(PrecisionLimit, match="moduli at term 2.*not both finite doubles"):
                 extract_phase_targets(spec_23(a), spec_23(b))
 
+    def test_targets_finite_where_the_quotient_overflows(self):
+        # b(n)/a(n) near the largest double is NaN (1e308 + 1e308 i over
+        # itself) or 0 (|1e308 + 1e308 i| over 1e308 + 1e308 i)
+        big = complex(1e308, 1e308)
+        for c, want in ((big, 0.0), (complex(abs(big), 0.0), 7 * math.pi / 4)):
+            targets = extract_phase_targets(spec_23((1.0, big)), spec_23((1.0, c)))
+            assert targets.thetas()[0] == 0.0
+            assert targets.thetas()[1] == pytest.approx(want, abs=1e-15)
+
+    def test_coefficient_near_the_largest_double_decides_right(self):
+        # theta_6 = pi/2 breaks theta_6 = theta_2 + theta_3 = 0; a NaN theta_2
+        # had passed every relation and the scan's norm was NaN
+        f = scenarios.ordinary_series([(1, 1.0), (2, 1e308 + 1e308j), (3, 1.0), (6, 1.0)])
+        g = f.with_coeffs([1.0, 1e308 + 1e308j, 1.0, 1j])
+        assert not is_equivalent_truncated(f, g).equivalent
+        same = is_equivalent_truncated(f, f)
+        assert same.equivalent and all(map(math.isfinite, same.phase))
+        assert [p.feasible for p in closure_demo(f, g, 4)] == [True, True, True, False]
+        assert all(p.min_norm == 0.0 for p in closure_demo(f, f, 4))
+
 
 def non_integral_twists(k: int):
     """(a, b, Y0): 8 seeded series over k symbols with rational exponents, b a twist of a.
@@ -243,7 +263,7 @@ def non_integral_twists(k: int):
             e = ExponentVector(
                 {name: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for name in names}
             )
-            if e.coords() and e not in exps:
+            if e.items() and e not in exps:
                 exps.append(e)
         coeffs = [0.0 if trial % 2 and i == 0 else 1.0 for i in range(len(exps))]
         a = SeriesSpec(syms, list(zip(exps, coeffs)))
@@ -326,7 +346,8 @@ class TestExpandRows:
                 for idx in (prefix, skipped):
                     got = _expand_rows(r, idx)
                     assert got == self.expanded(r, idx)
-                    assert all(type(q) is Fraction for row in got[2] for q in row.values())
+                    assert all(type(q) is (int if q.denominator == 1 else Fraction)
+                               for row in got[2] for q in row.values())
                     if got[2] is got[0]:
                         shortcuts += 1
                     else:

@@ -15,7 +15,7 @@ from bohreq.evaluation import evaluate
 class TestBohrExample:
     def test_first_four_exponents(self):
         spec = scenarios.bohr_example(4)
-        got = [t.exponent.get("ONE") for t in spec.terms]
+        got = [dict(t.exponent.items())["ONE"] for t in spec.terms]
         assert got == [
             Fraction(3, 2),
             Fraction(19, 6),
@@ -28,12 +28,12 @@ class TestBohrExample:
     def test_single_term(self):
         spec = scenarios.bohr_example(1)
         assert len(spec.terms) == 1
-        assert spec.terms[0].exponent.get("ONE") == Fraction(3, 2)
+        assert dict(spec.terms[0].exponent.items()) == {"ONE": Fraction(3, 2)}
 
     def test_tail_metadata(self):
         spec = scenarios.bohr_example(4)
         assert spec.tail is not None
-        assert spec.tail.lambda_next.get("ONE") == scenarios.bohr_exponent(5)
+        assert dict(spec.tail.lambda_next.items()) == {"ONE": scenarios.bohr_exponent(5)}
         assert spec.tail.min_gap == pytest.approx(5.0 / 3.0)
 
     def test_gaps_at_least_five_thirds_exactly(self):
@@ -57,6 +57,14 @@ class TestBohrExample:
         with pytest.raises(BadIndex):
             scenarios.bohr_example(0)
 
+    def test_non_integral_term_count_refused_by_name(self):
+        with pytest.raises(BadIndex, match="integral number of terms, got 2.5"):
+            scenarios.bohr_example(2.5)
+
+    def test_non_integral_exponent_index_refused_by_name(self):
+        with pytest.raises(BadIndex, match="integral term index, got 2.5"):
+            scenarios.bohr_exponent(2.5)
+
 
 class TestTau:
     def test_small_values(self):
@@ -73,6 +81,16 @@ class TestTau:
     def test_bad_shift_index(self):
         with pytest.raises(BadIndex):
             scenarios.tau(0)
+
+    def test_non_integral_shift_index_refused_by_name(self):
+        with pytest.raises(BadIndex, match="integral shift index, got 2.5"):
+            scenarios.tau(2.5)
+
+    def test_exact_shift_phase_refuses_non_integral_indices(self):
+        with pytest.raises(BadIndex, match="integral term index, got 2.5"):
+            scenarios.shift_phase_exact(2.5, 1)
+        with pytest.raises(BadIndex, match="integral shift index, got 2.5"):
+            scenarios.shift_phase_exact(1, 2.5)
 
     def test_beyond_a_double_is_refused_by_name(self):
         # 2pi * prod_{n<=m}(2n-1) is a finite double up to m = 150
