@@ -67,6 +67,13 @@ class TestExponentVector:
         with pytest.raises(TypeError):
             ExponentVector({"L2": 0.5})
 
+    def test_arithmetic(self):
+        a = ExponentVector({"L2": 1, "L3": "1/2"})
+        b = ExponentVector({"L3": "1/2"})
+        assert a - b == ExponentVector({"L2": 1})
+        assert b.scale(2) == ExponentVector({"L3": 1})
+        assert a - a == ExponentVector()
+
     def test_whole_coordinates_are_ints(self):
         a, b = ExponentVector({"x": Fraction(4, 2)}), ExponentVector({"x": 2})
         assert a == b and hash(a) == hash(b)
@@ -88,13 +95,6 @@ class TestAsRational:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_rational(1.5)
-
-    def test_arithmetic(self):
-        a = ExponentVector({"L2": 1, "L3": "1/2"})
-        b = ExponentVector({"L3": "1/2"})
-        assert a - b == ExponentVector({"L2": 1})
-        assert b.scale(2) == ExponentVector({"L3": 1})
-        assert a - a == ExponentVector()
 
 
 class TestNumericValue:
