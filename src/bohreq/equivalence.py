@@ -7,15 +7,20 @@ R Y = theta (mod 2pi): it is feasible exactly when every integer relation m
 among the rows of R annihilates the targets, m . theta = 0 (mod 2pi), and a
 witness relation that fails certifies non-equivalence.
 
-When the relations pass, a solution is built on pivot rows, the earliest
-independent constrained rows.  Phases on the pivots are theta_P + 2pi w, and
-only rows whose expression over the pivots is non-integral constrain the
-integer vector w, each through one congruence; folding them in row by row
-gives the exact coset w + L of solutions, an integer lattice L, after every
-row.  This exact lift gives the phase vector (rounded to doubles, its own
-residual checked) and, read after each row, the closure scan's minimum phase
-norms (an exact search over L).  Feasible verdicts come with an
-explicit Y within tolerance, infeasible ones with an exact witness.
+A solution is built on pivot rows, the earliest independent constrained
+rows.  Phases on the pivots are theta_P + 2pi w, and only rows whose
+expression over the pivots is non-integral constrain the integer vector w,
+each through one congruence; folding them in row by row gives the exact
+coset w + L of solutions, an integer lattice L, after every row, and checks
+each row against the coset as it joins.  This fold decides: a relation's
+defect is the sum of its rows' misses, so rows met within tol make every
+relation hold within tol times its l1 norm.  The relations are built only
+when a row fails, to name the first that fails as the witness; if none
+fails, the miss raises PrecisionLimit.  One borderline remains: a relation
+that passes or fails its bound only through the rounding of `math.fsum`.
+The exact lift gives the phase vector (rounded to doubles, its own residual
+checked) and, read after each row, the closure scan's minimum phase norms
+(an exact search over L).
 
 Equivalence meets vertical shifts through Kronecker's theorem: a shift by t
 twists the basis phases by -t beta, and `kronecker_find_t` finds a t that
@@ -74,11 +79,16 @@ class PhaseTargets:
 
     `entries` holds (term index, theta) for the constrained terms; `skipped`
     lists terms where both coefficients vanish and no constraint arises.
-    Indices are 0-based.
+    Indices are 0-based.  A target that is not finite raises BadRange.
     """
 
     entries: tuple[tuple[int, float], ...]
     skipped: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for i, theta in self.entries:
+            if not math.isfinite(theta):
+                raise BadRange(f"need finite phase targets, got {theta} at term {i + 1}")
 
     def indices(self) -> list[int]:
         return [i for i, _ in self.entries]
@@ -318,13 +328,15 @@ def _pivot_lift(
     expr: list[dict[int, int | Fraction]],
     pivots: list[int],
     wrapped: list[int],
-    thetas: list[float],
+    entries: Sequence[tuple[int, float]],
+    tol: float,
 ) -> Iterator[tuple[list[int], list[list[int]] | None]]:
     """The coset w + L of integer w with R'_n . w = c_n (mod 1), after each constrained row.
 
-    `expr[n]` is row n over the pivots (R'_n) and c_n = (theta_n - R'_n .
-    theta_P) / 2pi.  One fold over the rows in order, earliest-first pivoting
-    making each prefix's pivots and R' rows a prefix of these:
+    `expr[n]` is row n over the pivots (R'_n), `entries[n]` its (term index,
+    theta_n) and c_n = (theta_n - R'_n . theta_P) / 2pi.  One fold over the
+    rows in order, earliest-first pivoting making each prefix's pivots and R'
+    rows a prefix of these:
     - a pivot row appends a 0 to w and a unit vector to L;
     - a row with integral R'_n holds for every w (its relation makes c_n an
       integer) and changes nothing;
@@ -334,24 +346,37 @@ def _pivot_lift(
       K of its homogeneous solutions by one diagonalization of a 1 x (r + 1)
       system.  L becomes K H, in Hermite form, and w is reduced modulo it, so
       a prefix's coset has one representation however it was reached.
-    L = Z^r is given as None.  Every yield is a fresh pair.  A congruence with
-    no solution on the coset raises PrecisionLimit.
+    L = Z^r is given as None.  Every yield is a fresh pair.
+
+    Each row is checked as it joins, its miss being the same on every later
+    coset: R_n Y = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced
+    modulo 1 exactly in integers, so a lift of any size is checked without
+    rounding it.  A congruence with no solution on the coset, or a row missed
+    by more than tol, raises PrecisionLimit, which the callers let stand only
+    when every relation holds within tol times its l1 norm.
     """
     theta_p: list[float] = []
     w: list[int] = []
     lattice: list[list[int]] | None = None
     pivot_rows, wrapped_rows = set(pivots), set(wrapped)
-    for n, row in enumerate(expr):
+    for n, (row, (term, theta)) in enumerate(zip(expr, entries)):
         if n in pivot_rows:
-            theta_p.append(thetas[n])
+            theta_p.append(theta)
             if lattice is not None:
                 lattice = [[*h, 0] for h in lattice] + [[0] * len(w) + [1]]
             w = [*w, 0]
         elif n in wrapped_rows:
             d = math.lcm(*(q.denominator for q in row.values()))
             scaled = {j: q.numerator * (d // q.denominator) for j, q in row.items()}
-            terms = [d * thetas[n]] + [-c * theta_p[j] for j, c in scaled.items()]
-            rhs = round(math.fsum(terms) / TWO_PI) - sum(c * w[j] for j, c in scaled.items())
+            try:
+                wraps = round(math.fsum([d * theta] + [-c * theta_p[j] for j, c in scaled.items()])
+                              / TWO_PI)
+            except (OverflowError, ValueError):  # a product, their sum or its wraps beyond a double
+                raise PrecisionLimit(
+                    f"the target of term {term + 1}, scaled by the {d.bit_length()}-bit lcm of "
+                    "its row's denominators, is beyond a double"
+                ) from None
+            rhs = wraps - sum(c * w[j] for j, c in scaled.items())
             r = len(w)
             basis = lattice or [[int(i == j) for j in range(r)] for i in range(r)]
             h = [sum(c * b[j] for j, c in scaled.items()) % d for b in basis]
@@ -367,6 +392,16 @@ def _pivot_lift(
                     "integer lifts are inconsistent: the system sits beyond what "
                     "double-precision targets can certify"
                 )
+        # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
+        turns = math.fsum(q.numerator * w[j] % q.denominator / q.denominator
+                          for j, q in row.items())
+        angle = math.fsum(float(q) * theta_p[j] for j, q in row.items()) + TWO_PI * turns
+        if not (miss := circle_distance(angle - theta)) <= tol:
+            raise PrecisionLimit(
+                f"every integer relation holds within tol times its l1 norm, but the "
+                f"exact pivot lift misses the target of term {term + 1} by {miss:.3e} > "
+                f"tol {tol:.3e}"
+            )
         yield w, lattice
 
 
@@ -400,12 +435,13 @@ def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
     column whose pivot row is the unit row e_j reads Y_j = phi_p; every other
     e_j is expanded once over the pivot rows and the unit vectors independent
     of them (the free directions, where Y is 0), giving Y_j = sum_p c_p phi_p.
+    An entry beyond a double raises PrecisionLimit.
     """
     w = lift.w if lift.lattice is None else size_reduce(lift.w, lll_reduce(lift.lattice))
     y = [0.0] * k
     for j, theta, wp in zip(lift.units, lift.theta, w):
         if j is not None:
-            y[j] = theta + TWO_PI * wp
+            y[j] = _turned(j, theta, wp)
     cols = sorted(set(range(k)).difference(lift.units))
     if cols:
         r = len(lift.pivots)
@@ -414,40 +450,41 @@ def _phases(lift: _Lift, k: int) -> tuple[float, ...]:
         for j, row in zip(cols, expr[r:]):
             coeffs = [(p, c) for p, c in row.items() if p < r]
             turns = sum(c * w[p] for p, c in coeffs)
-            y[j] = math.fsum(float(c) * lift.theta[p] for p, c in coeffs) + TWO_PI * float(turns)
+            y[j] = _turned(j, math.fsum(float(c) * lift.theta[p] for p, c in coeffs), turns)
     return tuple(y)
 
 
-def _check_lift(
-    lift: _Lift, entries: Sequence[tuple[int, float]], tol: float = 1e-9, start: int = 0
-) -> None:
-    """PrecisionLimit naming the first target from row `start` on that the lift misses by over tol.
-
-    R_n Y = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced modulo 1
-    exactly in integers, so a lift of any size is checked without rounding
-    it.  A row's miss is the same for every w of the coset, so the closure
-    scan checks each row once, when it joins.  Every relation held within tol
-    times its l1 norm, so a miss here is the tolerance's, not the doubles'.
-    """
-    for row, (i, th) in zip(lift.expr[start:], entries[start:]):
-        # R'_n . w modulo 1, entry by entry in integers: (a w_j mod b) / b
-        turns = math.fsum(q.numerator * lift.w[j] % q.denominator / q.denominator
-                          for j, q in row.items())
-        angle = math.fsum(float(q) * lift.theta[j] for j, q in row.items()) + TWO_PI * turns
-        if not (miss := circle_distance(angle - th)) <= tol:
-            raise PrecisionLimit(
-                f"every integer relation holds within tol times its l1 norm, but the "
-                f"exact pivot lift misses the target of term {i + 1} by {miss:.3e} > "
-                f"tol {tol:.3e}"
-            )
+def _turned(j: int, angle: float, turns: int | Fraction) -> float:
+    """Entry j of a phase vector, angle + 2pi turns; PrecisionLimit when beyond a double."""
+    try:
+        y = angle + TWO_PI * turns
+    except OverflowError:  # turns beyond a double
+        y = math.inf
+    if not math.isfinite(y):
+        raise PrecisionLimit(
+            f"phase vector lost precision in doubles: entry {j + 1} of the exact lift "
+            "is beyond a double"
+        )
+    return y
 
 
 def _witness(
-    relations: list[dict[int, int]], thetas: list[float], tol: float
+    relations: list[dict[int, int]], targets: PhaseTargets, tol: float
 ) -> tuple[dict[int, int], float] | None:
-    """The first relation whose target defect exceeds tol times its l1 norm, and that defect."""
+    """The first relation whose target defect exceeds tol times its l1 norm, and that defect.
+
+    PrecisionLimit, naming the term of the largest coefficient, when a
+    defect is beyond a double.
+    """
+    thetas = targets.thetas()
     for g in relations:
-        defect = circle_distance(math.fsum(c * thetas[i] for i, c in g.items()))
+        defect = circle_distance(fsum_or_inf(c * thetas[i] for i, c in g.items()))
+        if math.isnan(defect):  # a product c theta, or their sum, beyond a double
+            i = max(g, key=lambda i: abs(g[i]))
+            raise PrecisionLimit(
+                f"the target defect of a relation is beyond a double: its coefficient "
+                f"on term {targets.entries[i][0] + 1} has {abs(g[i]).bit_length()} bits"
+            )
         if not defect <= tol * sum(abs(c) for c in g.values()):
             return g, defect
     return None
@@ -456,25 +493,27 @@ def _witness(
 def _decide(
     expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
 ) -> _Lift | tuple[tuple[int, ...], float]:
-    """The exact lift if every relation passes, else a witness and its defect.
+    """The exact lift if the checked fold meets every row, else a witness and its defect.
 
-    The relations stay in the sparse form `_relations` gives; only the
-    witness is written out densely, over the constrained rows.  The lift is
-    the coset that `_pivot_lift` folds to over every constrained row; an
-    inconsistent integer lift raises PrecisionLimit.
+    The lift is the coset that `_pivot_lift` folds to over every constrained
+    row.  The relations are built (`_relations`) only when the fold raises,
+    to name the first whose defect exceeds tol times its l1 norm, written out
+    densely over the constrained rows; when none does, the PrecisionLimit
+    stands.
     """
-    idx = targets.indices()
     thetas = targets.thetas()
-    rows, pivots, expr = _expand_rows(expansion, idx)
+    rows, pivots, expr = _expand_rows(expansion, targets.indices())
     wrapped = _wrapped_rows(expr)
-    if failed := _witness(_relations(pivots, expr, wrapped), thetas, tol):
-        g, defect = failed
-        return _dense(g, len(idx)), defect
     w, lattice = [], None
-    for w, lattice in _pivot_lift(expr, pivots, wrapped, thetas):
-        pass
-    theta_p = [thetas[p] for p in pivots]
-    return _Lift(rows, expr, pivots, _units(rows, pivots), theta_p, w, lattice)
+    try:
+        for w, lattice in _pivot_lift(expr, pivots, wrapped, targets.entries, tol):
+            pass
+    except PrecisionLimit:
+        if not (failed := _witness(_relations(pivots, expr, wrapped), targets, tol)):
+            raise
+        g, defect = failed
+        return _dense(g, len(rows)), defect
+    return _Lift(rows, expr, pivots, _units(rows, pivots), [thetas[p] for p in pivots], w, lattice)
 
 
 def solve_phase_system(
@@ -484,17 +523,19 @@ def solve_phase_system(
 
     Feasible exactly when every integer relation among the rows (see
     `integer_kernel`) annihilates theta modulo 2pi within tol times its l1
-    norm; the first that fails is the witness.  Otherwise each row is R'_n
-    R_P over the pivots P, and phi = theta_P + 2pi w solves every row when the
-    integer vector w solves R'_n . w = c_n (mod 1) (see `_pivot_lift`).
-    `phase` is the lift Y (R_P Y = phi, 0 in the directions R_P leaves free)
-    rounded to doubles, and `residual` the worst miss of that rounded vector.
-    Raises PrecisionLimit when the integer lift is inconsistent, or when the
-    rounded phase misses a target by more than tol: the exact lift already
-    misses it (every relation holds within tol times its l1 norm, yet their
-    misses add up past tol), or only the doubles do (Bohr's series from N =
-    9).  BadRange unless 0 < tol < inf.  Of the relations, only the witness
-    is kept.
+    norm; the first that fails is the witness.  Each row is R'_n R_P over the
+    pivots P, and phi = theta_P + 2pi w solves every row when the integer
+    vector w solves R'_n . w = c_n (mod 1).  The fold of `_pivot_lift`
+    decides, checking each row exactly as it joins; the relations are built
+    only when a row fails, to name the witness.  `phase` is the lift Y
+    (R_P Y = phi, 0 in the directions R_P leaves free) rounded to doubles,
+    and `residual` the worst miss of that rounded vector.  Raises
+    PrecisionLimit when the integer lift is inconsistent, or when the exact
+    lift misses a target by more than tol although every relation holds
+    within tol times its l1 norm (their misses add up past tol); and "phase
+    vector lost precision" only when the rounded phase misses (Bohr's series
+    from N = 9).  BadRange unless 0 < tol < inf.  Of the relations, only the
+    witness is kept.
     """
     check_tol(tol)
     outcome = _decide(expansion, targets, tol)
@@ -503,11 +544,11 @@ def solve_phase_system(
         witness, defect = outcome
         return CongruenceSystem(feasible=False, witness=witness, defect=defect, **common)
     phase = _phases(outcome, expansion.ncols)
-    misses = (math.fsum(float(q) * phase[j] for j, q in row.items()) - th
-              for row, th in zip(outcome.rows, targets.thetas()))
-    residual = max(map(circle_distance, misses), default=0.0)
+    misses = [circle_distance(fsum_or_inf(float(q) * phase[j] for j, q in row.items()) - th)
+              for row, th in zip(outcome.rows, targets.thetas())]
+    # a NaN miss, from a phase beyond a double, is a miss that max would drop
+    residual = math.inf if any(map(math.isnan, misses)) else max(misses, default=0.0)
     if not residual <= tol:
-        _check_lift(outcome, targets.entries, tol)
         raise PrecisionLimit(
             f"phase vector lost precision in doubles: residual {residual:.3e} > tol {tol:.3e}"
         )
@@ -599,32 +640,29 @@ def _prefix_lifts(
 ) -> Iterator[_Lift | None]:
     """The exact lift of each prefix of the constrained rows, None at the first infeasible one.
 
-    One `_pivot_lift` fold over all the rows, read after each row; only the
-    row that joins is checked (`_check_lift`), the coset having fixed the
-    misses of the rows before it.  A row with no solution on the coset, or
-    missed by more than tol, makes the prefix infeasible when one of its
-    integer relations has a target defect beyond tol times its l1 norm (the
-    verdict `_decide` gives the prefix alone); otherwise its PrecisionLimit
-    stands.  Nothing is yielded after None.
+    The checked `_pivot_lift` fold that `_decide` runs to its end, read after
+    each row.  A row with no solution on the coset, or missed by more than
+    tol, makes the prefix infeasible when one of its integer relations has a
+    target defect beyond tol times its l1 norm (the verdict `_decide` gives
+    the prefix alone); otherwise its PrecisionLimit stands.  Nothing is
+    yielded after None.
     """
     thetas = targets.thetas()
     rows, pivots, expr = _expand_rows(expansion, targets.indices())
     units, theta_p = _units(rows, pivots), [thetas[p] for p in pivots]
     wrapped = _wrapped_rows(expr)
-    fold = _pivot_lift(expr, pivots, wrapped, thetas)
+    fold = _pivot_lift(expr, pivots, wrapped, targets.entries, tol)
     for m in range(1, len(rows) + 1):
         try:
             w, lattice = next(fold)
-            r = len(w)
-            lift = _Lift(rows[:m], expr[:m], pivots[:r], units[:r], theta_p[:r], w, lattice)
-            _check_lift(lift, targets.entries, tol, start=m - 1)
         except PrecisionLimit:
             head = [p for p in pivots if p < m]
-            if _witness(_relations(head, expr[:m], [n for n in wrapped if n < m]), thetas, tol):
+            if _witness(_relations(head, expr[:m], [n for n in wrapped if n < m]), targets, tol):
                 yield None
                 return
             raise
-        yield lift
+        r = len(w)
+        yield _Lift(rows[:m], expr[:m], pivots[:r], units[:r], theta_p[:r], w, lattice)
 
 
 def closure_demo(a: SeriesSpec, b: SeriesSpec, n_max: int) -> list[ClosurePoint]:

@@ -521,8 +521,9 @@ class TestCommands:
     def test_overflow_and_non_finite_results_are_one_error_line(self, files, capsys):
         # 30^{400} is beyond a double: samplers, eval and uniform-distance
         # refuse with a PrecisionLimit instead of a traceback or a NaN; so do
-        # a tail bound beyond a double (a tiny sigma, or exp(1000)) and a
-        # coefficient modulus beyond a double in a phase decision
+        # a tail bound beyond a double (a tiny sigma, or exp(1000)), a
+        # coefficient modulus beyond a double in a phase decision, and a row
+        # whose denominator (10^400) scales its target beyond a double
         tmp_path, b3, _ = files
         f = str(tmp_path / "h30.json")
         write_series_file(scenarios.ordinary_series([(n, 1.0) for n in range(1, 31)]), f)
@@ -535,6 +536,14 @@ class TestCommands:
         doc["terms"][1]["coeff"] = {"re": 1.5e308, "im": 1.5e308}
         huge = str(tmp_path / "huge.json")
         Path(huge).write_text(json.dumps(doc))
+        doc = json.loads(Path(b3).read_text())
+        doc["terms"] = [{"exponent": {"ONE": q}, "coeff": {"re": 1.0, "im": 0.0}}
+                        for q in ("1", f"{2 * 10**400 + 1}/{10**400}")]
+        doc["tail"].update(lambdaNext={"ONE": "3"}, minGap=0.5)
+        wide, turned = str(tmp_path / "wide.json"), str(tmp_path / "turned.json")
+        Path(wide).write_text(json.dumps(doc))
+        doc["terms"][1]["coeff"] = {"re": math.cos(2.5), "im": math.sin(2.5)}
+        Path(turned).write_text(json.dumps(doc))
         sampling = ["--t-max", "10", "--count", "5", "--seed", "1"]
         strip = ["--sigma-min", "-400", "--sigma-max", "1"]
         for argv in (
@@ -543,6 +552,9 @@ class TestCommands:
             ["equiv", "--series", b3, "--series2", huge],
             ["solve-phases", "--series", huge, "--series2", b3],
             ["closure-demo", "--series", b3, "--series2", huge, "--nmax", "3"],
+            ["equiv", "--series", wide, "--series2", turned],
+            ["solve-phases", "--series", wide, "--series2", turned],
+            ["closure-demo", "--series", wide, "--series2", turned, "--nmax", "2"],
             ["line-set", "--series", f, "--sigma0", "-400", *sampling],
             ["value-set", "--series", f, "--route", "direct", *strip, *sampling],
             ["value-set", "--series", f, "--route", "equivalence", *strip, *sampling],

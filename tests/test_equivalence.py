@@ -448,6 +448,24 @@ class TestIntegerKernel:
         assert hermite_normalize(kernel) == hermite_normalize(integer_left_kernel(dense))
 
 
+def check_relations_first(m: BohrMatrix, thetas: list[float], system, tol: float = 1e-9):
+    """The verdict matches deciding by the relations first: infeasible exactly
+    when a generator of `integer_kernel` has defect above tol |m|_1, and the
+    witness is the first such generator.  A system of None stands for a
+    PrecisionLimit, which only a system whose every relation holds may raise."""
+    failing = [
+        g for g in integer_kernel(m, range(len(thetas)))
+        if not circle_distance(math.fsum(c * th for c, th in zip(g, thetas)))
+        <= tol * sum(map(abs, g))
+    ]
+    if system is None:
+        assert not failing
+    else:
+        assert system.feasible == (not failing)
+        if failing:
+            assert system.witness == failing[0]
+
+
 class TestSolvePhaseSystem:
     def test_consistent_by_construction(self):
         _, r, _ = compute_basis([L2, L3, L6])
@@ -512,6 +530,7 @@ class TestSolvePhaseSystem:
                 thetas = [rng.uniform(0, TWO_PI) for _ in rows]
             targets = PhaseTargets(tuple(enumerate(thetas)))
             system = solve_phase_system(m, targets)
+            check_relations_first(m, thetas, system)
             dense = [[float(q) for q in row] for row in rows]
             if system.feasible:
                 worst = max(
@@ -534,9 +553,10 @@ class TestSolvePhaseSystem:
         # feasible-by-construction systems beyond the everyday envelope:
         # the pivot rows are not unit rows and the expressions over them carry
         # large denominators, so every phase is read off the expansion of its
-        # basis column over the pivot rows, with free directions set to 0
+        # basis column over the pivot rows, with free directions set to 0.
+        # With random targets instead, the verdict is the relations' verdict.
         rng = random.Random(999)
-        solved = 0
+        solved, verdicts = 0, {True: 0, False: 0, None: 0}
         for _ in range(120):
             k = rng.randint(1, 4)
             nrows = rng.randint(k, 7)
@@ -552,8 +572,35 @@ class TestSolvePhaseSystem:
             ]
             system = solve_phase_system(m, PhaseTargets(tuple(enumerate(thetas))))
             assert system.feasible and system.residual <= 1e-9
+            check_relations_first(m, thetas, system)
             solved += 1
+            thetas = [rng.uniform(0, TWO_PI) for _ in rows]
+            try:
+                system = solve_phase_system(m, PhaseTargets(tuple(enumerate(thetas))))
+            except PrecisionLimit:  # relations of large l1 norm pass, but rows miss
+                system = None
+            check_relations_first(m, thetas, system)
+            verdicts[None if system is None else system.feasible] += 1
         assert solved == 120
+        assert min(verdicts.values()) > 0, verdicts
+
+    def test_non_finite_targets_refused(self):
+        # a non-finite target is refused where the targets are made, by term
+        spec = scenarios.ordinary_series([(n, 1.0) for n in (1, 2, 3, 6)])
+        _, r, _ = compute_basis(spec.exponents())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadRange, match="at term 2"):
+                solve_phase_system(r, PhaseTargets(((0, 0.0), (1, bad), (2, 0.0), (3, 0.0))))
+
+    def test_non_finite_miss_is_a_miss(self, monkeypatch):
+        # a phase whose product with a row is beyond a double misses that row;
+        # the residual may not drop it because an earlier row is met
+        m = BohrMatrix([{}, {0: 2}], ncols=1)
+        targets = PhaseTargets(((0, 0.0), (1, 0.0)))
+        assert solve_phase_system(m, targets).phase == (0.0,)
+        monkeypatch.setattr(equivalence, "_phases", lambda lift, k: (1e308,))
+        with pytest.raises(PrecisionLimit, match="residual inf"):
+            solve_phase_system(m, targets)
 
     def test_verdict_matches_torus_oracle(self):
         # smaller twin of the acceptance criterion: exact solver vs grid search
@@ -671,10 +718,38 @@ class TestIsEquivalentTruncated:
         basis, r, _ = compute_basis(f.exponents())
         for tt, tg in zip(twist(f, basis, r, result.phase).terms, g.terms):
             assert abs(tt.coeff - tg.coeff) <= 2 * result.system.tol
-        for n in (9, 20):
+        # the checked fold reaches the verdict without building the relations,
+        # whose Hermite form has entries as large as lcm den(lambda_n / lambda_1)
+        for n in (9, 20, 160):
             f = scenarios.bohr_example(n)
+            g = scenarios.negate(f)
+            start = time.process_time()
             with pytest.raises(PrecisionLimit, match="phase vector lost precision"):
-                is_equivalent_truncated(f, scenarios.negate(f))
+                is_equivalent_truncated(f, g)
+            assert time.process_time() - start < 1.0
+
+    def test_feasible_decision_builds_no_relations(self, monkeypatch):
+        # the fold decides, and the relations are built only to name a
+        # witness: decisions with wrapped rows make no left kernel unless
+        # they are infeasible
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return integer_left_kernel(rows)
+
+        monkeypatch.setattr(equivalence, "integer_left_kernel", counted)
+        monkeypatch.setattr(lattice, "integer_left_kernel", counted)
+        f = scenarios.bohr_example(8)
+        pairs = [(f, scenarios.negate(f)), harmonic_without_two(40, 4040)]
+        for a, b in pairs:
+            _, r, _ = compute_basis(a.exponents())
+            expr = _expand_rows(r, extract_phase_targets(a, b).indices())[2]
+            assert equivalence._wrapped_rows(expr)
+            assert is_equivalent_truncated(a, b).equivalent
+        assert calls == []
+        assert not is_equivalent_truncated(*randomly_turned(pairs[1][0], 4041)).equivalent
+        assert len(calls) == 1
 
     def test_tolerance_miss_is_not_called_lost_precision(self):
         # 1 + 2^{-s} + 4^{-s} twisted with theta_4 - 2 theta_2 = 2.5e-9 at tol
@@ -957,6 +1032,9 @@ class TestClosureDemo:
         with pytest.raises(PrecisionLimit, match="truncation N = 360 is beyond a double"):
             closure_demo(f, g, 360)
         assert time.process_time() - start < 2.0
+        # the decision's phase vector leaves doubles there too, as an error
+        with pytest.raises(PrecisionLimit, match="entry 1 of the exact lift is beyond a double"):
+            is_equivalent_truncated(f, g)
         lcm = 1
         for n, point in enumerate(points, start=1):
             lcm = math.lcm(lcm, (exponent(n) / exponent(1)).denominator)
