@@ -258,12 +258,13 @@ class TailMajorant:
 class _Derived:
     """What a series computes from its exponents alone, on first use."""
 
-    __slots__ = ("lams", "reach", "plan")
+    __slots__ = ("lams", "reach", "plan", "rates")
 
     def __init__(self):
         self.lams: tuple[float, ...] | None = None
         self.reach: float | None = None
         self.plan: ProductPlan | None = None
+        self.rates = None  # a read-only NumPy array, once built
 
 
 class SeriesSpec:
@@ -274,7 +275,7 @@ class SeriesSpec:
     optional certified majorant for the omitted terms.
     """
 
-    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_derived")
+    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_derived", "_scalars")
 
     def __init__(
         self,
@@ -288,6 +289,7 @@ class SeriesSpec:
         self._abscissa = float(abscissa)
         self._tail = tail
         self._derived = _Derived()
+        self._scalars = None
 
     @property
     def symbols(self) -> SymbolTable:
@@ -337,6 +339,31 @@ class SeriesSpec:
         if derived.plan is None:
             derived.plan = product_plan(self.exponents())
         return derived.plan
+
+    def fresh_rates(self):
+        """-lambda_n for each fresh term of the product plan, in plan order,
+        as a read-only NumPy array built on the first call only."""
+        derived = self._derived
+        if derived.rates is None:
+            import numpy as np  # here only: the exact layer does without NumPy
+
+            lams = self.numeric_exponents()
+            derived.rates = np.array([-lams[n] for n in self.product_plan().fresh])
+            derived.rates.flags.writeable = False
+        return derived.rates
+
+    def coeff_scalars(self) -> tuple:
+        """The coefficients as read-only 0-d complex NumPy arrays, which a
+        ufunc takes faster than Python complexes, built on the first call
+        only."""
+        if self._scalars is None:
+            import numpy as np
+
+            scalars = tuple(np.array(c) for c in self.coeffs())
+            for scalar in scalars:
+                scalar.flags.writeable = False
+            self._scalars = scalars
+        return self._scalars
 
     def with_coeffs(self, coeffs: Iterable[complex]) -> "SeriesSpec":
         """Same exponents and metadata, new coefficients (moduli may change)."""

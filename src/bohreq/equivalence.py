@@ -16,8 +16,10 @@ each row against the coset as it joins.  This fold decides: a relation's
 defect is the sum of its rows' misses, so rows met within tol make every
 relation hold within tol times its l1 norm.  The relations are built only
 when a row fails, to name the first that fails as the witness; if none
-fails, the miss raises PrecisionLimit.  One borderline remains: a relation
-that passes or fails its bound only through the rounding of `math.fsum`.
+fails, the miss raises PrecisionLimit, which names the largest l1 norm when
+it makes a relation's bound tol |g|_1 reach pi: any targets pass such a
+bound, so it tests nothing.  One borderline remains: a relation that passes
+or fails its bound only through the rounding of `math.fsum`.
 The exact lift gives the phase vector (rounded to doubles, its own residual
 checked) and, read after each row, the closure scan's minimum phase norms
 (an exact search over L).
@@ -352,8 +354,9 @@ def _pivot_lift(
     coset: R_n Y = R'_n . theta_P + 2pi R'_n . w, with R'_n . w reduced
     modulo 1 exactly in integers, so a lift of any size is checked without
     rounding it.  A congruence with no solution on the coset, or a row missed
-    by more than tol, raises PrecisionLimit, which the callers let stand only
-    when every relation holds within tol times its l1 norm.
+    by more than tol, raises PrecisionLimit, which the callers let stand
+    (through `_unresolved`) only when every relation holds within tol times
+    its l1 norm.
     """
     theta_p: list[float] = []
     w: list[int] = []
@@ -398,8 +401,7 @@ def _pivot_lift(
         angle = math.fsum(float(q) * theta_p[j] for j, q in row.items()) + TWO_PI * turns
         if not (miss := circle_distance(angle - theta)) <= tol:
             raise PrecisionLimit(
-                f"every integer relation holds within tol times its l1 norm, but the "
-                f"exact pivot lift misses the target of term {term + 1} by {miss:.3e} > "
+                f"the exact pivot lift misses the target of term {term + 1} by {miss:.3e} > "
                 f"tol {tol:.3e}"
             )
         yield w, lattice
@@ -490,6 +492,23 @@ def _witness(
     return None
 
 
+def _unresolved(
+    err: PrecisionLimit, relations: list[dict[int, int]], tol: float
+) -> PrecisionLimit:
+    """The fold's PrecisionLimit `err` for a system none of whose relations
+    fails, saying what the relations showed.  A relation whose bound
+    tol |g|_1 reaches pi passes for any targets, so when the largest l1 norm
+    makes it so, the bound could not test that relation, and the error says
+    so, naming that norm; otherwise every relation holds."""
+    heaviest = max((sum(map(abs, g.values())) for g in relations), default=0)
+    if tol * heaviest >= math.pi:
+        return PrecisionLimit(
+            f"a relation could not be tested: at the largest l1 norm {heaviest}, "
+            f"its bound tol |g|_1 reaches pi, which any targets meet; {err}"
+        )
+    return PrecisionLimit(f"every integer relation holds within tol times its l1 norm, but {err}")
+
+
 def _decide(
     expansion: BohrMatrix, targets: PhaseTargets, tol: float = 1e-9
 ) -> _Lift | tuple[tuple[int, ...], float]:
@@ -499,7 +518,7 @@ def _decide(
     row.  The relations are built (`_relations`) only when the fold raises,
     to name the first whose defect exceeds tol times its l1 norm, written out
     densely over the constrained rows; when none does, the PrecisionLimit
-    stands.
+    stands, saying whether a relation's bound was too wide to test it.
     """
     thetas = targets.thetas()
     rows, pivots, expr = _expand_rows(expansion, targets.indices())
@@ -508,9 +527,10 @@ def _decide(
     try:
         for w, lattice in _pivot_lift(expr, pivots, wrapped, targets.entries, tol):
             pass
-    except PrecisionLimit:
-        if not (failed := _witness(_relations(pivots, expr, wrapped), targets, tol)):
-            raise
+    except PrecisionLimit as err:
+        relations = _relations(pivots, expr, wrapped)
+        if not (failed := _witness(relations, targets, tol)):
+            raise _unresolved(err, relations, tol) from None
         g, defect = failed
         return _dense(g, len(rows)), defect
     return _Lift(rows, expr, pivots, _units(rows, pivots), [thetas[p] for p in pivots], w, lattice)
@@ -655,12 +675,13 @@ def _prefix_lifts(
     for m in range(1, len(rows) + 1):
         try:
             w, lattice = next(fold)
-        except PrecisionLimit:
+        except PrecisionLimit as err:
             head = [p for p in pivots if p < m]
-            if _witness(_relations(head, expr[:m], [n for n in wrapped if n < m]), targets, tol):
+            relations = _relations(head, expr[:m], [n for n in wrapped if n < m])
+            if _witness(relations, targets, tol):
                 yield None
                 return
-            raise
+            raise _unresolved(err, relations, tol) from None
         r = len(w)
         yield _Lift(rows[:m], expr[:m], pivots[:r], units[:r], theta_p[:r], w, lattice)
 

@@ -133,7 +133,7 @@ def plan_sum(
     thread has ended.
     """
     plan = spec.product_plan()
-    coeffs = spec.coeffs()
+    coeffs = spec.coeff_scalars()
     out = np.zeros(size, dtype=complex)
     workers = max(1, min(WORKERS, -(-size // BLOCK)))
     length = BLOCK // workers
@@ -147,10 +147,11 @@ def plan_sum(
             rows = store[:, : len(acc)]
             fresh(block, rows[: len(plan.fresh)])
             terms, w = list(rows), weighted[: len(acc)]
+            # `out` by position: NumPy parses a keyword argument more slowly
             for (slot, factors), coeff in zip(plan.steps, coeffs):
                 if factors is not None:
-                    np.multiply(terms[factors[0]], terms[factors[1]], out=terms[slot])
-                np.multiply(terms[slot], coeff, out=w)
+                    np.multiply(terms[factors[0]], terms[factors[1]], terms[slot])
+                np.multiply(terms[slot], coeff, w)
                 acc += w
 
     if workers == 1:
@@ -205,11 +206,10 @@ def evaluate_blocks(
     point.
     """
     _check_phase(spec, t_max)
-    lams = spec.numeric_exponents()
-    neg = np.array([-lams[n] for n in spec.product_plan().fresh])
+    rates = spec.fresh_rates()
 
     def fresh(block: slice, rows: np.ndarray) -> None:
-        np.multiply.outer(neg, points(block), out=rows)
+        np.multiply.outer(rates, points(block), out=rows)
         np.exp(rows, out=rows)
 
     with np.errstate(over="ignore", invalid="ignore"):

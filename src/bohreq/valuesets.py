@@ -198,8 +198,7 @@ def sample_strip_via_equivalence(
     fresh_terms = list(spec.product_plan().fresh)
     rows = np.array(expansion.float_rows(), dtype=float).reshape(len(spec.terms), k)
     rows = rows[fresh_terms]
-    lams = spec.numeric_exponents()
-    neg = np.array([-lams[n] for n in fresh_terms])
+    rates = spec.fresh_rates()
     held = threading.local()  # each thread's buffers for y and R_n . y
 
     def fresh(block: slice, terms: np.ndarray) -> None:
@@ -213,7 +212,7 @@ def sample_strip_via_equivalence(
             _stream(seed, j * count + block.start).random(out=row)
         phases *= phase_scale
         sigmas = _stream(seed, k * count + block.start).uniform(sigma1, sigma2, points)
-        np.multiply.outer(neg, sigmas, out=terms.real)
+        np.multiply.outer(rates, sigmas, out=terms.real)
         terms.imag = np.matmul(rows, phases, out=held.lifted[: terms.size].reshape(terms.shape))
         np.exp(terms, out=terms)
 

@@ -20,7 +20,10 @@ sigma_top] x t_window is walked once.  The bisection keeps its bracket [lo, hi]
 with no zero in [hi, sigma_top] x t_window, so a step at c counts [c, hi] x
 t_window alone, from one batch: its new left edge, and its bottom and top
 pieces at the strip's density.  Its right side is not walked again: it is the
-left edge of the step that set hi, reversed, or at first the strip's.
+left edge of the step that set hi, reversed, or at first the strip's.  A left
+edge starts from the parameters that the last left edge to clear sampled (the
+first from `steps`): every left edge runs from t1 down to t0, so its cuts near
+the zero the bracket closes on are made once, not again at every step.
 Since the t window is a stand-in for the full half-plane, the strip's window
 is re-padded outward by tiny deterministic jitters when a zero lands exactly
 on its edge (the common case for real-coefficient series, whose real zeros sit
@@ -94,22 +97,31 @@ def boundary_margin(v: complex) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(
-    spec: SeriesSpec, v: complex, segments: list[tuple[complex, complex, int]], margin: float
-) -> list[float]:
-    """The argument increment of f - v along each segment (a, b, steps).
+    spec: SeriesSpec,
+    v: complex,
+    segments: list[tuple[complex, complex, int | np.ndarray]],
+    margin: float,
+) -> tuple[list[float], Callable[[int], np.ndarray]]:
+    """The argument increment of f - v along each segment (a, b, first), and
+    a function giving segment i's parameters p of the points a + (b - a) p
+    it sampled.
 
-    The segments are walked together: the steps + 1 evenly spaced samples of
-    every segment are evaluated in one array call, and every increment is
-    taken in one array pass.  A piece whose increment exceeds pi/2 (or is
-    NaN), or whose ratio w2 / w1 is not a finite double, is cut into SPLIT
-    equal pieces, level by level: its SPLIT - 1 inner points
-    p1 + (p2 - p1) j / SPLIT, for every such piece of every segment, are
-    evaluated in one array call per level.  A segment may take at most
-    MAX_SIDE_SAMPLES samples, counting SPLIT - 1 per cut piece.  Each level
-    adds its accepted increments to their segments' totals, so a segment's
-    total is the same to the bit in any batch.  A sample where f - v or
-    |f - v| is not a finite double raises PrecisionLimit (NumPy's warnings
-    are off): no refinement mends that.
+    A segment's first samples are `first`: steps, for the steps + 1 evenly
+    spaced parameters j / steps, or a sorted grid of parameters from 0 to 1.
+    The segments are walked together: the first samples of every segment are
+    evaluated in one array call, and every increment is taken in one array
+    pass.  A piece whose increment exceeds pi/2 (or is NaN), or whose ratio
+    w2 / w1 is not a finite double, is cut into SPLIT equal pieces, level by
+    level: its SPLIT - 1 inner points p1 + (p2 - p1) j / SPLIT, for every
+    such piece of every segment, are evaluated in one array call per level.
+    A segment may take at most MAX_SIDE_SAMPLES samples, its first ones and
+    SPLIT - 1 per cut piece.  Each level adds its accepted increments to
+    their segments' totals, so a segment's total is the same to the bit in
+    any batch.  A segment's parameters come back sorted, its first ones and
+    every inner point, ready to be another segment's first samples; they
+    are gathered only on request, since most walks never need them.  A
+    sample where f - v or |f - v| is not a finite double raises
+    PrecisionLimit (NumPy's warnings are off): no refinement mends that.
     """
     starts = np.array([a for a, _, _ in segments])
     spans = np.array([b - a for a, b, _ in segments])
@@ -129,10 +141,15 @@ def _walk(
             )
         return w
 
-    counts = np.array([steps + 1 for _, _, steps in segments])
+    grids = [
+        np.arange(first + 1) / first if np.ndim(first) == 0 else first
+        for _, _, first in segments
+    ]
+    counts = np.array([len(grid) for grid in grids])
     k = np.repeat(np.arange(len(segments)), counts)
-    p = np.concatenate([np.arange(steps + 1) / steps for _, _, steps in segments])
+    p = np.concatenate(grids)
     w = w_at(k, p)
+    sampled_k, sampled_p = [k], [p]
     pairs = k[:-1] == k[1:]  # consecutive samples of one segment
     k1, p1, p2, w1, w2 = k[:-1][pairs], p[:-1][pairs], p[1:][pairs], w[:-1][pairs], w[1:][pairs]
     totals = np.zeros(len(segments))
@@ -142,7 +159,7 @@ def _walk(
         ok = (np.abs(delta) <= HALF_PI) & np.isfinite(ratio)
         totals += np.bincount(k1[ok], weights=delta[ok], minlength=len(segments))
         if ok.all():
-            return totals.tolist()
+            break
         k1, p1, p2, w1, w2 = k1[~ok], p1[~ok], p2[~ok], w1[~ok], w2[~ok]
         counts += (SPLIT - 1) * np.bincount(k1, minlength=len(segments))
         if counts.max() > MAX_SIDE_SAMPLES:
@@ -151,12 +168,26 @@ def _walk(
                 f"side {a} -> {b} needed more than {MAX_SIDE_SAMPLES} samples"
             )
         # each rejected piece's ends and SPLIT - 1 inner points, one row a piece
-        pm = p1[:, None] + (p2 - p1)[:, None] * _CUTS
-        wm = w_at(np.repeat(k1, SPLIT - 1), pm.ravel()).reshape(pm.shape)
-        p = np.column_stack([p1, pm, p2])
-        w = np.column_stack([w1, wm, w2])
+        p = np.empty((len(k1), SPLIT + 1))
+        w = np.empty(p.shape, dtype=complex)
+        p[:, 0], p[:, -1], w[:, 0], w[:, -1] = p1, p2, w1, w2
+        np.multiply((p2 - p1)[:, None], _CUTS, p[:, 1:-1])
+        p[:, 1:-1] += p1[:, None]
+        sampled_k.append(np.repeat(k1, SPLIT - 1))
+        sampled_p.append(p[:, 1:-1].ravel())
+        w[:, 1:-1] = w_at(sampled_k[-1], sampled_p[-1]).reshape(-1, SPLIT - 1)
         k1 = np.repeat(k1, SPLIT)
         p1, p2, w1, w2 = p[:, :-1].ravel(), p[:, 1:].ravel(), w[:, :-1].ravel(), w[:, 1:].ravel()
+
+    def sampled(i: int) -> np.ndarray:
+        """The parameters segment i sampled, sorted: its first ones, and the
+        inner points of its cut pieces."""
+        if counts[i] == len(grids[i]):
+            return grids[i]
+        k, p = np.concatenate(sampled_k), np.concatenate(sampled_p)
+        return np.sort(p[k == i])
+
+    return totals.tolist(), sampled
 
 
 def _check_steps(steps: int) -> None:
@@ -200,7 +231,7 @@ def _contour(
     """Winding number and defect of f - v around the rectangle, with the
     argument along each side (bottom, right, top, left, counterclockwise)."""
     c = rect.corners()
-    sides = _walk(spec, v, [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])], margin)
+    sides, _ = _walk(spec, v, [(a, b, steps) for a, b in zip(c, c[1:] + c[:1])], margin)
     return *_turns(sum(sides)), sides
 
 
@@ -319,7 +350,9 @@ def sigma_star(
     counts the zeros in [c, hi] x t_window from one walk of its new left
     edge and its bottom and top pieces, the right side being the edge that
     set hi; returns -inf when no zero of f - v lies in the searched window
-    at all.
+    at all.  The first left edge starts from `steps` equal segments, every
+    later one from the samples of the last left edge that cleared, refined
+    where that edge needed it.
     The result is a window-limited lower bound for the true zero-free
     abscissa; wide windows approximate it by almost periodicity.
     """
@@ -343,22 +376,27 @@ def sigma_star(
     if inside == 0:
         return float("-inf")
     t0, t1 = strip.t_range
+    grid: int | np.ndarray = steps  # the first left side starts evenly spaced
 
-    def inside_from(c: float) -> tuple[int, float]:
-        """Zeros in [c, hi] x the strip's window, and the argument along its
-        left side; the horizontal pieces take the strip's density."""
+    def inside_from(c: float) -> tuple[int, float, np.ndarray]:
+        """Zeros in [c, hi] x the strip's window, the argument along its
+        left side and the parameters that side sampled.  The left side starts
+        from `grid`, the parameters of the last left side that cleared: every
+        left side runs from t1 down to t0, so a parameter names one height on
+        all of them, and the cuts near the zero the bracket closes on are
+        already made.  The horizontal pieces take the strip's density."""
         pieces = math.ceil(steps * (hi - c) / (sigma_top - sigma_floor))
-        left, bottom, top = _walk(
+        (left, bottom, top), sampled = _walk(
             spec,
             v,
             [
-                (complex(c, t1), complex(c, t0), steps),
+                (complex(c, t1), complex(c, t0), grid),
                 (complex(c, t0), complex(hi, t0), pieces),
                 (complex(hi, t1), complex(c, t1), pieces),
             ],
             margin,
         )
-        return _turns(bottom + right + top + left)[0], left
+        return _turns(bottom + right + top + left)[0], left, sampled(0)
 
     lo, hi = sigma_floor, sigma_top
     while hi - lo > tol:
@@ -367,7 +405,7 @@ def sigma_star(
             break  # no double lies between lo and hi
         # a zero exactly on the bisection edge gets dodged deterministically
         edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
-        c, (inside, left) = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
+        c, (inside, left, grid) = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
         if inside > 0:
             lo = c
         else:

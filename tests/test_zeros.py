@@ -239,14 +239,16 @@ class TestAttainsValue:
 # -- the array walk against the depth-first scalar walk -----------------------
 
 
-def reference_side(spec, v, a, b, steps, margin, depth=None):
+def reference_side(spec, v, a, b, first, margin, depth=None):
     """The depth-first scalar walk: one phase per piece, and one evaluation
     for the zeros.SPLIT - 1 inner points of each rejected piece.
 
-    Sums the accepted increments left to right along the side and returns
-    the total.  It evaluates through `zeros.evaluate`, so a test that
-    records that name sees its points.  `depth`, a one-element list, gets
-    the deepest refinement level reached.
+    `first` is steps, for the evenly spaced parameters j / steps, or a
+    sorted grid of parameters from 0 to 1.  Sums the accepted increments left
+    to right along the side and returns the total and the sorted parameters
+    of every point sampled.  It evaluates through `zeros.evaluate`, so a
+    test that records that name sees its points.  `depth`, a one-element
+    list, gets the deepest refinement level reached.
     """
 
     def w_at(p):
@@ -258,11 +260,11 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             raise BoundaryTooClose(complex(np.ravel(s)[i]), float(abs(np.ravel(w)[i])), margin)
         return w
 
-    ps = np.arange(steps + 1) / steps
+    ps = np.arange(first + 1) / first if np.ndim(first) == 0 else np.asarray(first)
     samples = list(zip(ps.tolist(), w_at(ps).tolist()))
-    count = steps + 1
+    sampled = ps.tolist()
     total = 0.0
-    for i in range(steps):
+    for i in range(len(samples) - 1):
         stack = [(*samples[i], *samples[i + 1], 0)]
         while stack:
             p1, w1, p2, w2, level = stack.pop()
@@ -272,19 +274,20 @@ def reference_side(spec, v, a, b, steps, margin, depth=None):
             if abs(delta) <= zeros.HALF_PI:
                 total += delta
                 continue
-            count += zeros.SPLIT - 1
-            if count > zeros.MAX_SIDE_SAMPLES:
+            if len(sampled) + zeros.SPLIT - 1 > zeros.MAX_SIDE_SAMPLES:
                 raise NonconvergentSubdivision(f"side {a} -> {b} needed more samples")
             inner = [p1 + (p2 - p1) * (j / zeros.SPLIT) for j in range(1, zeros.SPLIT)]
+            sampled += inner
             cut = list(zip([p1, *inner, p2], [w1, *w_at(np.array(inner)).tolist(), w2]))
             for (q1, v1), (q2, v2) in reversed(list(zip(cut, cut[1:]))):
                 stack.append((q1, v1, q2, v2, level + 1))
-    return total
+    return total, np.sort(sampled)
 
 
 def reference_walk(spec, v, segments, margin, depth=None):
     """`zeros._walk` with the scalar walk on each segment in turn."""
-    return [reference_side(spec, v, a, b, steps, margin, depth) for a, b, steps in segments]
+    walked = [reference_side(spec, v, a, b, first, margin, depth) for a, b, first in segments]
+    return [total for total, _ in walked], [sampled for _, sampled in walked].__getitem__
 
 
 def sides(rect, steps=256):
@@ -297,7 +300,7 @@ def reference_winding(spec, v, rect, steps=256, depth=None):
     """winding_number with the scalar walk on each side."""
     v = complex(v)
     total = 0.0
-    for side in reference_walk(spec, v, sides(rect, steps), boundary_margin(v), depth):
+    for side in reference_walk(spec, v, sides(rect, steps), boundary_margin(v), depth)[0]:
         total += side
     turns = round(total / zeros.TWO_PI)
     return int(turns), abs(total - zeros.TWO_PI * turns)
@@ -347,30 +350,44 @@ def walk_cases():
     return cases
 
 
-def reference_sigma_star(spec, v, t_window, sigma_floor, tol=1e-3, steps=256):
+def reference_sigma_star(spec, v, t_window, sigma_floor, tol=1e-3, steps=256, warm=False):
     """sigma_star walking a whole contour per bisection step: one count_zeros
     on [c, sigma_top] x window, each shifted edge through its own padding
-    ladder, the unshifted edge's error raised when none clears."""
+    ladder, the unshifted edge's error raised when none clears.  With `warm`,
+    a step's contour is walked by `reference_walk` instead, its left side
+    starting from the parameters sampled by the last left side that cleared
+    (steps on the first step)."""
     profile = zeros._merged_against(spec, complex(v))
     if len(profile) == 1:
         return float("-inf")
     sigma_top = zeros._dominance_sigma_top(profile, sigma_floor)
     if sigma_top <= sigma_floor:
         return float("-inf")
+    grid = [steps]
 
-    def first_count(ladders):
+    def count(rect):
+        if not warm:
+            return count_zeros(spec, v, rect, steps)
+        *rest, (a, b, _) = sides(rect, steps)
+        totals, sampled = reference_walk(spec, v, [*rest, (a, b, grid[0])], boundary_margin(v))
+        inside = zeros._turns(sum(totals))[0]
+        grid[0] = sampled(3)
+        return inside
+
+    def first_count(ladders, count=count):
         first = None
         for ladder in ladders:
             last = None
             for rect in ladder:
                 try:
-                    return rect, count_zeros(spec, v, rect, steps)
+                    return rect, count(rect)
                 except (BoundaryTooClose, NonconvergentSubdivision) as err:
                     last = err
             first = first or last
         raise first
 
-    _, inside = first_count([zeros._t_padded((sigma_floor, sigma_top), t_window)])
+    strip = zeros._t_padded((sigma_floor, sigma_top), t_window)
+    _, inside = first_count([strip], lambda rect: count_zeros(spec, v, rect, steps))
     if inside == 0:
         return float("-inf")
     lo, hi = sigma_floor, sigma_top
@@ -444,9 +461,9 @@ class TestArrayWalk:
 
     def test_profile_matches_scalar_walk(self, monkeypatch):
         # a batch of four sides evaluates exactly the points that the scalar
-        # walk evaluates side by side, and each side's total equals the
-        # scalar one up to the increments' last bits, and a walk of that side
-        # alone or in a shuffled batch to the bit
+        # walk evaluates side by side, and reports the same parameters; each
+        # side's total equals the scalar one up to the increments' last bits,
+        # and a walk of that side alone or in a shuffled batch to the bit
         rng = random.Random(1919)
         points = []
 
@@ -458,15 +475,16 @@ class TestArrayWalk:
         for spec, v, rect in walk_cases():
             margin = boundary_margin(v)
             points.clear()
-            got = zeros._walk(spec, v, sides(rect), margin)
+            got, sampled = zeros._walk(spec, v, sides(rect), margin)
             walked = np.sort_complex(np.concatenate(points))
             points.clear()
-            want = reference_walk(spec, v, sides(rect), margin)
+            want, want_sampled = reference_walk(spec, v, sides(rect), margin)
             assert np.array_equal(walked, np.sort_complex(np.concatenate(points)))
+            assert all(np.array_equal(sampled(i), want_sampled(i)) for i in range(4))
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-            assert got == [zeros._walk(spec, v, [side], margin)[0] for side in sides(rect)]
+            assert got == [zeros._walk(spec, v, [side], margin)[0][0] for side in sides(rect)]
             order = rng.sample(range(4), 4)
-            shuffled = zeros._walk(spec, v, [sides(rect)[i] for i in order], margin)
+            shuffled, _ = zeros._walk(spec, v, [sides(rect)[i] for i in order], margin)
             assert [shuffled[order.index(i)] for i in range(4)] == got
 
     def test_one_array_call_per_level(self, monkeypatch):
@@ -711,7 +729,7 @@ class TestLadder:
                 {a.real, b.real} <= {-1.0, 2.0} and {a.imag, b.imag} <= {t0, t1}
                 for a, b, _ in segments
             ):
-                return [zeros.HALF_PI] * len(segments)
+                return [zeros.HALF_PI] * len(segments), lambda i: np.array([0.0, 1.0])
             raise BoundaryTooClose(segments[0][0], 0.0, 1.0)
 
         monkeypatch.setattr(zeros, "_walk", fake)
@@ -801,7 +819,9 @@ class TestStripWalk:
     def test_coarse_steps_match_whole_contour_per_step(self, monkeypatch):
         # with 3 steps a side, a step's bottom and top pieces are a single
         # segment, which sometimes turns by more than pi/2 and is cut;
-        # the results still match a whole contour per step
+        # the results still match a whole contour per step whose left side
+        # starts, as sigma_star's does, from the last cleared left side's
+        # parameters
         rng = random.Random(5)
         walk, evaluate_ = zeros._walk, zeros.evaluate
         batch, bisected = [], [0]
@@ -825,20 +845,24 @@ class TestStripWalk:
             monkeypatch.setattr(zeros, "evaluate", recording_evaluate)
             got = sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
             monkeypatch.undo()
-            assert got == reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
+            assert got == reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3, warm=True)
         assert bisected[0] >= 3
 
     def test_walk_budget(self, monkeypatch):
         # per accepted window: the strip's four sides in one batch, then one
         # batch per bisection edge tried, of its left side and its bottom and
         # top pieces to hi at the strip's density; hi is sigma_top or an
-        # earlier edge, and no right side is walked again
+        # earlier edge, and no right side is walked again.  The first left
+        # side starts from steps, every later one from the parameters that
+        # the left side before it sampled
         walk, evaluate_ = zeros._walk, zeros.evaluate
-        walks, points = [], [0]
+        walks, sampled, points = [], [], [0]
 
         def recording(spec, v, segments, margin):
             walks.append(segments)
-            return walk(spec, v, segments, margin)
+            totals, grids = walk(spec, v, segments, margin)
+            sampled.append(grids(0))
+            return totals, grids
 
         def counting(spec, s):
             points[0] += np.size(s)
@@ -850,6 +874,7 @@ class TestStripWalk:
             sigma_top = zeros._dominance_sigma_top(zeros._merged_against(spec, v), floor)
             strip = Rectangle((floor, sigma_top), rect.t_range)
             walks.clear()
+            sampled.clear()
             points[0] = 0
             monkeypatch.setattr(zeros, "evaluate", counting)
             count_zeros(spec, v, strip)
@@ -860,13 +885,14 @@ class TestStripWalk:
             monkeypatch.undo()
             assert walks[0] == sides(strip, steps)
             edges, his = [], [sigma_top]
-            for batch in walks[1:]:
-                (a, _, _), (_, b, n), _ = batch
+            for batch, before in zip(walks[1:], [steps, *sampled[1:]]):
+                (a, _, first), (_, b, n), _ = batch
                 e, hi = a.real, b.real
                 assert hi in (his[-1], *edges[-1:])  # kept, or the last edge
                 assert n == math.ceil(steps * (hi - e) / (sigma_top - floor))
+                assert np.array_equal(first, before)
                 assert batch == [
-                    (complex(e, t1), complex(e, t0), steps),
+                    (complex(e, t1), complex(e, t0), first),
                     (complex(e, t0), complex(hi, t0), n),
                     (complex(hi, t1), complex(e, t1), n),
                 ]
@@ -878,16 +904,19 @@ class TestStripWalk:
             bisections = math.ceil(math.log2((sigma_top - floor) / tol))
             assert len(edges) == (bisections if math.isfinite(got) else 0)
             # a whole contour per step walked at least 4 (steps + 1) points;
-            # each left side adds steps + 1 samples and the few points of
-            # its cut pieces, and the pieces add at most 4 (steps + len(edges))
-            # samples in all, since hi - lo halves at each step: less than
-            # one more contour
-            assert points[0] < (steps + 1) * len(edges) + 2 * contour
+            # here the strip is walked once, each left side adds the
+            # parameters it sampled, and the pieces add at most
+            # 4 (steps + len(edges)) samples and the few points of their cut
+            # pieces in all, since hi - lo halves at each step: less than one
+            # more contour
+            lefts = sum(map(len, sampled[1:]))
+            assert points[0] - contour - lefts < contour
 
     def test_evaluate_call_budget(self, monkeypatch):
         # the zeros workload's ordinary sigma_star: the strip and the 12
-        # bisection steps of tol 1e-3 take 27 evaluate calls, where halving a
-        # rejected piece per level took 53
+        # bisection steps of tol 1e-3 take 17 evaluate calls, where left sides
+        # started evenly spaced took 27 and halving a rejected piece per level
+        # took 53
         h30, calls = harmonic_30(), [0]
 
         def counting(spec, s):
@@ -898,7 +927,74 @@ class TestStripWalk:
         monkeypatch.setattr(zeros, "evaluate", counting)
         got = sigma_star(h30, v, (-20.0, 20.0), -1.0, 1e-3)
         assert got >= 0.8 - 1e-3
-        assert calls[0] <= 27
+        assert calls[0] <= 17
+
+    def test_fewer_calls_than_whole_contour_per_step(self, monkeypatch):
+        # a left side started from the parameters of the one before it finds
+        # its cuts near the zero the bracket closes on already made: every
+        # case that bisects makes fewer evaluate calls than a whole contour
+        # per step, with the same result, and none makes more
+        calls = [0]
+
+        def counting(spec, s):
+            calls[0] += 1
+            return evaluate(spec, s)
+
+        monkeypatch.setattr(zeros, "evaluate", counting)
+        bisected = 0
+        for case in sigma_star_cases():
+            calls[0] = 0
+            got = sigma_star(*case)
+            warm = calls[0]
+            calls[0] = 0
+            assert got == reference_sigma_star(*case)
+            if math.isfinite(got):
+                assert warm < calls[0]
+                bisected += 1
+            else:
+                assert warm <= calls[0]
+        assert bisected >= 20
+
+    def test_carried_grid_keeps_the_even_grid_under_the_cap(self, monkeypatch):
+        # bisecting to 1e-12 carries each left side's parameters through
+        # about 40 steps: every grid a left side starts from holds the
+        # steps + 1 evenly spaced parameters, rises strictly from 0 to 1, and
+        # stays within MAX_SIDE_SAMPLES
+        walk, steps = zeros._walk, 256
+        even = np.arange(steps + 1) / steps
+        grids = []
+
+        def recording(spec, v, segments, margin):
+            (_, _, first), *_ = segments
+            if np.ndim(first):
+                grids.append(first)
+            return walk(spec, v, segments, margin)
+
+        monkeypatch.setattr(zeros, "_walk", recording)
+        for spec, v, window, floor, _ in sigma_star_cases():
+            try:
+                sigma_star(spec, v, window, floor, tol=1e-12)
+            except (BoundaryTooClose, NonconvergentSubdivision):
+                pass  # an edge within the margin of the zero that sets sigma*
+        assert len(grids) >= 500
+        for grid in grids:
+            assert grid[0] == 0.0 and grid[-1] == 1.0 and (np.diff(grid) > 0).all()
+            assert np.isin(even, grid).all()
+            assert len(grid) <= zeros.MAX_SIDE_SAMPLES
+        assert max(map(len, grids)) > 2 * (steps + 1)
+
+    def test_even_grid_walks_as_steps(self):
+        # a segment started from the evenly spaced grid walks as one started
+        # from steps: the same totals to the bit, and the same parameters
+        for spec, v, rect in walk_cases():
+            margin = boundary_margin(v)
+            for steps in (3, 256):
+                grid = np.arange(steps + 1) / steps
+                totals, sampled = zeros._walk(spec, v, sides(rect, steps), margin)
+                as_grid = [(a, b, grid) for a, b, _ in sides(rect, steps)]
+                totals_grid, sampled_grid = zeros._walk(spec, v, as_grid, margin)
+                assert totals_grid == totals
+                assert all(np.array_equal(sampled_grid(i), sampled(i)) for i in range(4))
 
 
 def poly_zeros(spec, v):
