@@ -275,7 +275,7 @@ class SeriesSpec:
     optional certified majorant for the omitted terms.
     """
 
-    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_derived", "_scalars")
+    __slots__ = ("_symbols", "_terms", "_abscissa", "_tail", "_derived")
 
     def __init__(
         self,
@@ -289,7 +289,6 @@ class SeriesSpec:
         self._abscissa = float(abscissa)
         self._tail = tail
         self._derived = _Derived()
-        self._scalars = None
 
     @property
     def symbols(self) -> SymbolTable:
@@ -351,19 +350,6 @@ class SeriesSpec:
             derived.rates = np.array([-lams[n] for n in self.product_plan().fresh])
             derived.rates.flags.writeable = False
         return derived.rates
-
-    def coeff_scalars(self) -> tuple:
-        """The coefficients as read-only 0-d complex NumPy arrays, which a
-        ufunc takes faster than Python complexes, built on the first call
-        only."""
-        if self._scalars is None:
-            import numpy as np
-
-            scalars = tuple(np.array(c) for c in self.coeffs())
-            for scalar in scalars:
-                scalar.flags.writeable = False
-            self._scalars = scalars
-        return self._scalars
 
     def with_coeffs(self, coeffs: Iterable[complex]) -> "SeriesSpec":
         """Same exponents and metadata, new coefficients (moduli may change)."""

@@ -133,7 +133,7 @@ def plan_sum(
     thread has ended.
     """
     plan = spec.product_plan()
-    coeffs = spec.coeff_scalars()
+    coeffs = spec.coeffs()
     out = np.zeros(size, dtype=complex)
     workers = max(1, min(WORKERS, -(-size // BLOCK)))
     length = BLOCK // workers
@@ -147,11 +147,10 @@ def plan_sum(
             rows = store[:, : len(acc)]
             fresh(block, rows[: len(plan.fresh)])
             terms, w = list(rows), weighted[: len(acc)]
-            # `out` by position: NumPy parses a keyword argument more slowly
             for (slot, factors), coeff in zip(plan.steps, coeffs):
                 if factors is not None:
-                    np.multiply(terms[factors[0]], terms[factors[1]], terms[slot])
-                np.multiply(terms[slot], coeff, w)
+                    np.multiply(terms[factors[0]], terms[factors[1]], out=terms[slot])
+                np.multiply(terms[slot], coeff, out=w)
                 acc += w
 
     if workers == 1:

@@ -23,7 +23,9 @@ pieces at the strip's density.  Its right side is not walked again: it is the
 left edge of the step that set hi, reversed, or at first the strip's.  A left
 edge starts from the parameters that the last left edge to clear sampled (the
 first from `steps`): every left edge runs from t1 down to t0, so its cuts near
-the zero the bracket closes on are made once, not again at every step.
+the zero the bracket closes on are made once, not again at every step.  A left
+edge is charged against MAX_SIDE_SAMPLES for its own cuts only, and a grid
+that outgrows that cap is dropped for `steps` again.
 Since the t window is a stand-in for the full half-plane, the strip's window
 is re-padded outward by tiny deterministic jitters when a zero lands exactly
 on its edge (the common case for real-coefficient series, whose real zeros sit
@@ -99,7 +101,7 @@ def boundary_margin(v: complex) -> float:
 def _walk(
     spec: SeriesSpec,
     v: complex,
-    segments: list[tuple[complex, complex, int | np.ndarray]],
+    segments: list[tuple[complex, complex, int | tuple[int, np.ndarray]]],
     margin: float,
 ) -> tuple[list[float], Callable[[int], np.ndarray]]:
     """The argument increment of f - v along each segment (a, b, first), and
@@ -107,21 +109,24 @@ def _walk(
     it sampled.
 
     A segment's first samples are `first`: steps, for the steps + 1 evenly
-    spaced parameters j / steps, or a sorted grid of parameters from 0 to 1.
-    The segments are walked together: the first samples of every segment are
-    evaluated in one array call, and every increment is taken in one array
-    pass.  A piece whose increment exceeds pi/2 (or is NaN), or whose ratio
-    w2 / w1 is not a finite double, is cut into SPLIT equal pieces, level by
-    level: its SPLIT - 1 inner points p1 + (p2 - p1) j / SPLIT, for every
-    such piece of every segment, are evaluated in one array call per level.
-    A segment may take at most MAX_SIDE_SAMPLES samples, its first ones and
-    SPLIT - 1 per cut piece.  Each level adds its accepted increments to
-    their segments' totals, so a segment's total is the same to the bit in
-    any batch.  A segment's parameters come back sorted, its first ones and
-    every inner point, ready to be another segment's first samples; they
-    are gathered only on request, since most walks never need them.  A
-    sample where f - v or |f - v| is not a finite double raises
-    PrecisionLimit (NumPy's warnings are off): no refinement mends that.
+    spaced parameters j / steps, or (steps, grid), for a sorted grid of
+    parameters from 0 to 1 that holds those.  The segments are walked
+    together: the first samples of every segment are evaluated in one array
+    call, and every increment is taken in one array pass.  A piece whose
+    increment exceeds pi/2 (or is NaN), or whose ratio w2 / w1 is not a
+    finite double, is cut into SPLIT equal pieces, level by level: its
+    SPLIT - 1 inner points p1 + (p2 - p1) j / SPLIT, for every such piece of
+    every segment, are evaluated in one array call per level.  A segment may
+    take at most MAX_SIDE_SAMPLES samples, counting steps + 1 for its first
+    ones, however many a grid holds, and SPLIT - 1 per piece it cuts itself:
+    the cuts a grid carries from an earlier walk are not charged again.
+    Each level adds its accepted increments to their segments' totals, so a
+    segment's total is the same to the bit in any batch.  A segment's
+    parameters come back sorted, its first ones and every inner point, ready
+    to be another segment's first samples; they are gathered only on
+    request, since most walks never need them.  A sample where f - v or
+    |f - v| is not a finite double raises PrecisionLimit (NumPy's warnings
+    are off): no refinement mends that.
     """
     starts = np.array([a for a, _, _ in segments])
     spans = np.array([b - a for a, b, _ in segments])
@@ -141,12 +146,11 @@ def _walk(
             )
         return w
 
-    grids = [
-        np.arange(first + 1) / first if np.ndim(first) == 0 else first
-        for _, _, first in segments
-    ]
-    counts = np.array([len(grid) for grid in grids])
-    k = np.repeat(np.arange(len(segments)), counts)
+    firsts = [first if isinstance(first, tuple) else (first, None) for _, _, first in segments]
+    grids = [np.arange(steps + 1) / steps if grid is None else grid for steps, grid in firsts]
+    charged = np.array([steps + 1 for steps, _ in firsts])  # before any cut
+    counts = charged.copy()
+    k = np.repeat(np.arange(len(segments)), [len(grid) for grid in grids])
     p = np.concatenate(grids)
     w = w_at(k, p)
     sampled_k, sampled_p = [k], [p]
@@ -182,7 +186,7 @@ def _walk(
     def sampled(i: int) -> np.ndarray:
         """The parameters segment i sampled, sorted: its first ones, and the
         inner points of its cut pieces."""
-        if counts[i] == len(grids[i]):
+        if counts[i] == charged[i]:
             return grids[i]
         k, p = np.concatenate(sampled_k), np.concatenate(sampled_p)
         return np.sort(p[k == i])
@@ -352,7 +356,8 @@ def sigma_star(
     set hi; returns -inf when no zero of f - v lies in the searched window
     at all.  The first left edge starts from `steps` equal segments, every
     later one from the samples of the last left edge that cleared, refined
-    where that edge needed it.
+    where that edge needed it, unless those number more than
+    MAX_SIDE_SAMPLES; a left edge is charged only for its own cuts.
     The result is a window-limited lower bound for the true zero-free
     abscissa; wide windows approximate it by almost periodicity.
     """
@@ -376,12 +381,12 @@ def sigma_star(
     if inside == 0:
         return float("-inf")
     t0, t1 = strip.t_range
-    grid: int | np.ndarray = steps  # the first left side starts evenly spaced
+    first: int | tuple[int, np.ndarray] = steps  # the first left side, evenly spaced
 
     def inside_from(c: float) -> tuple[int, float, np.ndarray]:
         """Zeros in [c, hi] x the strip's window, the argument along its
         left side and the parameters that side sampled.  The left side starts
-        from `grid`, the parameters of the last left side that cleared: every
+        from `first`, the parameters of the last left side that cleared: every
         left side runs from t1 down to t0, so a parameter names one height on
         all of them, and the cuts near the zero the bracket closes on are
         already made.  The horizontal pieces take the strip's density."""
@@ -390,7 +395,7 @@ def sigma_star(
             spec,
             v,
             [
-                (complex(c, t1), complex(c, t0), grid),
+                (complex(c, t1), complex(c, t0), first),
                 (complex(c, t0), complex(hi, t0), pieces),
                 (complex(hi, t1), complex(c, t1), pieces),
             ],
@@ -406,6 +411,9 @@ def sigma_star(
         # a zero exactly on the bisection edge gets dodged deterministically
         edges = (mid + shift * (hi - lo) * 0.25 for shift in (0.0, 0.137, -0.211, 0.331))
         c, (inside, left, grid) = _first_clear(inside_from, ([c] for c in edges if lo < c < hi))
+        # a grid that outgrows a side's cap is dropped: the next left side
+        # starts evenly spaced again
+        first = (steps, grid) if len(grid) <= MAX_SIDE_SAMPLES else steps
         if inside > 0:
             lo = c
         else:

@@ -1,6 +1,7 @@
 """Winding numbers, zero counts, and zero-free abscissae."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -243,12 +244,14 @@ def reference_side(spec, v, a, b, first, margin, depth=None):
     """The depth-first scalar walk: one phase per piece, and one evaluation
     for the zeros.SPLIT - 1 inner points of each rejected piece.
 
-    `first` is steps, for the evenly spaced parameters j / steps, or a
-    sorted grid of parameters from 0 to 1.  Sums the accepted increments left
-    to right along the side and returns the total and the sorted parameters
-    of every point sampled.  It evaluates through `zeros.evaluate`, so a
-    test that records that name sees its points.  `depth`, a one-element
-    list, gets the deepest refinement level reached.
+    `first` is steps, for the evenly spaced parameters j / steps, or
+    (steps, grid), for a sorted grid of parameters from 0 to 1; either way
+    the side is charged steps + 1 samples before its own cuts.  Sums the
+    accepted increments left to right along the side and returns the total
+    and the sorted parameters of every point sampled.  It evaluates
+    through `zeros.evaluate`, so a test that records that name sees its
+    points.  `depth`, a one-element list, gets the deepest refinement level
+    reached.
     """
 
     def w_at(p):
@@ -260,9 +263,11 @@ def reference_side(spec, v, a, b, first, margin, depth=None):
             raise BoundaryTooClose(complex(np.ravel(s)[i]), float(abs(np.ravel(w)[i])), margin)
         return w
 
-    ps = np.arange(first + 1) / first if np.ndim(first) == 0 else np.asarray(first)
+    steps, grid = first if isinstance(first, tuple) else (first, None)
+    ps = np.arange(steps + 1) / steps if grid is None else np.asarray(grid)
     samples = list(zip(ps.tolist(), w_at(ps).tolist()))
     sampled = ps.tolist()
+    count = steps + 1
     total = 0.0
     for i in range(len(samples) - 1):
         stack = [(*samples[i], *samples[i + 1], 0)]
@@ -274,7 +279,8 @@ def reference_side(spec, v, a, b, first, margin, depth=None):
             if abs(delta) <= zeros.HALF_PI:
                 total += delta
                 continue
-            if len(sampled) + zeros.SPLIT - 1 > zeros.MAX_SIDE_SAMPLES:
+            count += zeros.SPLIT - 1
+            if count > zeros.MAX_SIDE_SAMPLES:
                 raise NonconvergentSubdivision(f"side {a} -> {b} needed more samples")
             inner = [p1 + (p2 - p1) * (j / zeros.SPLIT) for j in range(1, zeros.SPLIT)]
             sampled += inner
@@ -356,7 +362,8 @@ def reference_sigma_star(spec, v, t_window, sigma_floor, tol=1e-3, steps=256, wa
     ladder, the unshifted edge's error raised when none clears.  With `warm`,
     a step's contour is walked by `reference_walk` instead, its left side
     starting from the parameters sampled by the last left side that cleared
-    (steps on the first step)."""
+    (steps on the first step, and again after a grid beyond
+    zeros.MAX_SIDE_SAMPLES)."""
     profile = zeros._merged_against(spec, complex(v))
     if len(profile) == 1:
         return float("-inf")
@@ -371,7 +378,7 @@ def reference_sigma_star(spec, v, t_window, sigma_floor, tol=1e-3, steps=256, wa
         *rest, (a, b, _) = sides(rect, steps)
         totals, sampled = reference_walk(spec, v, [*rest, (a, b, grid[0])], boundary_margin(v))
         inside = zeros._turns(sum(totals))[0]
-        grid[0] = sampled(3)
+        grid[0] = (steps, sampled(3)) if len(sampled(3)) <= zeros.MAX_SIDE_SAMPLES else steps
         return inside
 
     def first_count(ladders, count=count):
@@ -821,10 +828,14 @@ class TestStripWalk:
         # segment, which sometimes turns by more than pi/2 and is cut;
         # the results still match a whole contour per step whose left side
         # starts, as sigma_star's does, from the last cleared left side's
-        # parameters
+        # parameters.  Against a whole contour per step started evenly
+        # spaced, and steps=256: that oracle agrees with steps=256 on 21 of
+        # the 80, sigma_star on 66, which hold those 21; where the two agree
+        # with each other, they do to the bit
         rng = random.Random(5)
         walk, evaluate_ = zeros._walk, zeros.evaluate
         batch, bisected = [], [0]
+        tally, same = dict.fromkeys(itertools.product((True, False), repeat=2), 0), 0
 
         def recording_walk(spec, v, segments, margin):
             batch[:] = [segments, 0]
@@ -846,15 +857,21 @@ class TestStripWalk:
             got = sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
             monkeypatch.undo()
             assert got == reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3, warm=True)
+            cold = reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, steps=3)
+            fine = sigma_star(poly, v, (-3.0, 3.0), -2.0)
+            tally[got == fine, cold == fine] += 1
+            same += got == cold
         assert bisected[0] >= 3
+        assert tally == {(True, True): 21, (True, False): 45, (False, True): 0, (False, False): 14}
+        assert same == 21 + 2  # the other 2 agree with each other, not with steps=256
 
     def test_walk_budget(self, monkeypatch):
         # per accepted window: the strip's four sides in one batch, then one
         # batch per bisection edge tried, of its left side and its bottom and
         # top pieces to hi at the strip's density; hi is sigma_top or an
         # earlier edge, and no right side is walked again.  The first left
-        # side starts from steps, every later one from the parameters that
-        # the left side before it sampled
+        # side starts from steps, every later one from (steps, the parameters
+        # that the left side before it sampled)
         walk, evaluate_ = zeros._walk, zeros.evaluate
         walks, sampled, points = [], [], [0]
 
@@ -885,12 +902,17 @@ class TestStripWalk:
             monkeypatch.undo()
             assert walks[0] == sides(strip, steps)
             edges, his = [], [sigma_top]
-            for batch, before in zip(walks[1:], [steps, *sampled[1:]]):
+            own = 0  # the points of the left sides' own cuts
+            for batch, before, after in zip(walks[1:], [None, *sampled[1:]], sampled[1:]):
                 (a, _, first), (_, b, n), _ = batch
                 e, hi = a.real, b.real
                 assert hi in (his[-1], *edges[-1:])  # kept, or the last edge
                 assert n == math.ceil(steps * (hi - e) / (sigma_top - floor))
-                assert np.array_equal(first, before)
+                if before is None:
+                    assert first == steps
+                else:
+                    assert first[0] == steps and np.array_equal(first[1], before)
+                own += len(after) - (steps + 1 if before is None else len(before))
                 assert batch == [
                     (complex(e, t1), complex(e, t0), first),
                     (complex(e, t0), complex(hi, t0), n),
@@ -904,13 +926,18 @@ class TestStripWalk:
             bisections = math.ceil(math.log2((sigma_top - floor) / tol))
             assert len(edges) == (bisections if math.isfinite(got) else 0)
             # a whole contour per step walked at least 4 (steps + 1) points;
-            # here the strip is walked once, each left side adds the
-            # parameters it sampled, and the pieces add at most
-            # 4 (steps + len(edges)) samples and the few points of their cut
-            # pieces in all, since hi - lo halves at each step: less than one
-            # more contour
+            # here the strip is walked once.  The pieces add at most
+            # 4 (steps + len(edges)) samples in all, since hi - lo halves at
+            # each step, and the few points of their cut pieces; with the
+            # left sides' own cuts, less than one more contour.  Each left
+            # side samples the steps + 1 even parameters, the cuts of the
+            # left sides before it (carried, never shed) and its own, so at
+            # most steps + 1 + own
             lefts = sum(map(len, sampled[1:]))
-            assert points[0] - contour - lefts < contour
+            pieces = points[0] - contour - lefts
+            assert own + pieces < contour
+            assert lefts <= (steps + 1 + own) * len(edges)
+            assert points[0] < (steps + 1) * len(edges) + 2 * contour + (len(edges) - 1) * own
 
     def test_evaluate_call_budget(self, monkeypatch):
         # the zeros workload's ordinary sigma_star: the strip and the 12
@@ -966,8 +993,9 @@ class TestStripWalk:
 
         def recording(spec, v, segments, margin):
             (_, _, first), *_ = segments
-            if np.ndim(first):
-                grids.append(first)
+            if isinstance(first, tuple):
+                assert first[0] == steps
+                grids.append(first[1])
             return walk(spec, v, segments, margin)
 
         monkeypatch.setattr(zeros, "_walk", recording)
@@ -991,10 +1019,65 @@ class TestStripWalk:
             for steps in (3, 256):
                 grid = np.arange(steps + 1) / steps
                 totals, sampled = zeros._walk(spec, v, sides(rect, steps), margin)
-                as_grid = [(a, b, grid) for a, b, _ in sides(rect, steps)]
+                as_grid = [(a, b, (steps, grid)) for a, b, _ in sides(rect, steps)]
                 totals_grid, sampled_grid = zeros._walk(spec, v, as_grid, margin)
                 assert totals_grid == totals
                 assert all(np.array_equal(sampled_grid(i), sampled(i)) for i in range(4))
+
+    def test_near_the_cap_a_carried_grid_refuses_no_side(self, monkeypatch):
+        # steps + 1 = MAX_SIDE_SAMPLES - 3 (SPLIT - 1), so a side may cut
+        # three pieces.  A left side is charged for its own cuts only, not
+        # for those its grid carries: wherever a whole contour per step
+        # finishes, so does sigma_star, to the bit when no contour of the
+        # oracle was refused, and else within tol, since a shifted edge took
+        # its place and both brackets hold sigma*.  Charged for its grid, a
+        # left side was refused on 3 of these 20, where the oracle finished.
+        # A grid beyond MAX_SIDE_SAMPLES is dropped: the next left side
+        # starts from steps again, twice here
+        rng = random.Random(77)
+        steps, tol = zeros.MAX_SIDE_SAMPLES - 1 - 3 * (zeros.SPLIT - 1), 1e-6
+        count, walk, refused, firsts = zeros.count_zeros, zeros._walk, [0], []
+
+        def recording(spec, v, segments, margin):
+            if len(segments) == 3:  # a bisection step
+                firsts.append(segments[0][2])
+            return walk(spec, v, segments, margin)
+
+        def counting(spec, v, rect, steps):
+            try:
+                return count(spec, v, rect, steps)
+            except (BoundaryTooClose, NonconvergentSubdivision):
+                refused[0] += 1
+                raise
+
+        monkeypatch.setitem(globals(), "count_zeros", counting)
+        monkeypatch.setattr(zeros, "_walk", recording)
+        tally = {"exact": 0, "within": 0, "unfinished": 0}
+        for _ in range(20):
+            poly = random_poly(rng)
+            v = evaluate(poly, complex(rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0)))
+            refused[0] = 0
+            try:
+                want = reference_sigma_star(poly, v, (-3.0, 3.0), -2.0, tol, steps)
+            except NonconvergentSubdivision:
+                tally["unfinished"] += 1
+                continue
+            firsts.append(None)  # a new bisection
+            got = sigma_star(poly, v, (-3.0, 3.0), -2.0, tol, steps)
+            if refused[0]:
+                assert abs(got - want) <= tol
+                tally["within"] += 1
+            else:
+                assert got == want
+                tally["exact"] += 1
+        assert tally == {"exact": 15, "within": 5, "unfinished": 0}
+        carried = [len(first[1]) for first in firsts if isinstance(first, tuple)]
+        assert max(carried) == zeros.MAX_SIDE_SAMPLES
+        restarts = [
+            isinstance(before, tuple) and isinstance(first, int)
+            for before, first in zip(firsts, firsts[1:])
+        ]
+        assert sum(restarts) == 2
 
 
 def poly_zeros(spec, v):
