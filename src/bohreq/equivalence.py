@@ -50,6 +50,7 @@ from .errors import (
     check_tol,
 )
 from .lattice import (
+    clear_denominators,
     enumerate_near,
     gram_schmidt,
     hermite_normalize,
@@ -624,10 +625,12 @@ def _min_norm(lift: _Lift) -> float:
     theta_P / 2pi + w this is 4pi^2 |s + z|_G^2, minimised exactly over the
     LLL-reduced Hermite form of L (reduced once per call) by
     `lattice.enumerate_near`, its bound shrunk to each point it visits.  The
-    exact minimum is scaled by 4^-e before its square root is taken in
-    doubles, so a minimum beyond a double still gives its norm (bit for bit
-    the unscaled one where that is finite); math.inf when the norm itself is
-    beyond a double.
+    search is integral: G is scaled by the lcm of its denominators and s by
+    its common denominator (`lattice.clear_denominators`), and the minimum is
+    divided back by the scale of G exactly.  The exact minimum is scaled by
+    4^-e before its square root is taken in doubles, so a minimum beyond a
+    double still gives its norm (bit for bit the unscaled one where that is
+    finite); math.inf when the norm itself is beyond a double.
     """
     if lift.lattice is None and None not in lift.units:
         return math.sqrt(math.fsum(principal_angle(theta) ** 2 for theta in lift.theta))
@@ -641,13 +644,18 @@ def _min_norm(lift: _Lift) -> float:
                 for a in rp]
         gram = expand_over_pivots([{i: x for i, x in d.items() if x} for d in dots] + gram)[1][r:]
 
+    # scale G is integral, and so is den s
+    scale = math.lcm(*(Fraction(g).denominator for row in gram for g in row.values()))
+    gram = [{p: int(g * scale) for p, g in row.items()} for row in gram]
+
     def inner(u, v):
         return sum(u[i] * g * v[p] for i in range(r) if u[i] for p, g in gram[i].items())
 
-    s = [Fraction(theta / TWO_PI) + wp for theta, wp in zip(lift.theta, lift.w)]
-    # Gram-Schmidt in the metric G: s = sum_l mu[r][l] g*_l (L has full rank r).
-    mu, norms = gram_schmidt([*gens, s], inner)
-    best = enumerate_near(mu, norms, mu[r], math.inf, lambda x, length: length)
+    s, den = clear_denominators([Fraction(theta / TWO_PI) + wp
+                                 for theta, wp in zip(lift.theta, lift.w)])
+    # Gram-Schmidt in the metric scale G with the target den s (L has full rank r)
+    lam, d = gram_schmidt([*gens, s], inner)
+    best = enumerate_near(lam, d, lam[r], den, math.inf, lambda x, length: length) / scale
     e = max(0, (best.numerator // best.denominator).bit_length() // 2 - 500)
     try:
         return math.ldexp(TWO_PI * math.sqrt(best / (1 << 2 * e)), e)
@@ -762,8 +770,8 @@ def kronecker_find_t(
 ) -> KroneckerResult:
     """A shift time t in [0, t_max_search] with |(-t beta_j - y_j) mod 2pi| <= tol for all j.
 
-    A closest-vector problem (Lagarias 1985; Fincke and Pohst 1985), solved in
-    exact rationals.  Zero frequencies are checked alone.  The others pivot on
+    A closest-vector problem (Lagarias 1985; Fincke and Pohst 1985), solved
+    exactly.  Zero frequencies are checked alone.  The others pivot on
     the largest |beta_1|: t beta_1 = 2pi n_1 - y_1 - e_1 with |e_1| <= tol puts
     n_1 in a range N that [0, t_max_search] fixes, and every j then needs
     |n_1 alpha_j + c_j - n_j| <= tol (1 + |alpha_j|) / 2pi for an integer n_j,
@@ -773,13 +781,16 @@ def kronecker_find_t(
     integers by a power of 2 that follows the size of N (a fixed one would
     round w to 0 at a large t_max_search), LLL-reduced, by
     `lattice.enumerate_near` over the l2 ball that holds the box and the
-    rounding of the alpha_j.  Each point's t is the intersection of its k
-    intervals (2pi n_j - y_j -/+ tol) / beta_j with [0, t_max_search]; the
-    first nonempty one gives its midpoint, rounded to a double and re-checked
-    in doubles.  So "not found" is a proof, up to the
-    rounding of the doubles beta, y (2pi is exact to 100 digits), and a point
-    that holds exactly but whose double t misses (t beta beyond what a double
-    resolves to tol) raises PrecisionLimit.  Non-finite input raises BadRange.
+    rounding of the alpha_j.  LLL and the enumeration are integral (Gram
+    determinants, exact divisions in Python ints), with the rational shift
+    row cleared by its common denominator.  Each point's t is the
+    intersection of its k intervals (2pi n_j - y_j -/+ tol) / beta_j with
+    [0, t_max_search], in exact rationals; the first nonempty one gives its
+    midpoint, rounded to a double and re-checked in doubles.  So "not found"
+    is a proof, up to the rounding of the doubles beta, y (2pi is exact to
+    100 digits), and a point that holds exactly but whose double t misses
+    (t beta beyond what a double resolves to tol) raises PrecisionLimit.
+    Non-finite input raises BadRange.
     """
     check_tol(tol)
     if not 0 < t_max_search < math.inf:
@@ -818,18 +829,23 @@ def kronecker_find_t(
         (scale * tol_q * (1 + abs(aj)) / two_pi + Fraction(size, 2)) ** 2 for aj in alpha[1:]
     )
     reduced = lll_reduce(basis)
-    mu, norms = gram_schmidt([*reduced, shift])
+    shift, den = clear_denominators(shift)
+    lam, d = gram_schmidt([*reduced, shift])
     hit: list[KroneckerResult] = []
+    # interval j, (2pi n_j - y_j -/+ tol) / beta_j, is n_j period_j less its two offsets
+    period = [two_pi / bj for bj in b]
+    offsets = [sorted(((cj + e) / bj for e in (tol_q, -tol_q)), reverse=True)
+               for bj, cj in zip(b, c)]
 
     def visit(x: list[int], length: Fraction) -> Fraction:
         v = [sum(xi * row[i] for xi, row in zip(x, reduced)) for i in range(k)]
         n1 = v[0] // weight
         n = [n1] + [(r * n1 - vi) // scale for r, vi in zip(rounded, v[1:])]
-        # the t of every interval (2pi n_j - y_j -/+ tol) / beta_j, and [0, t_max]
+        # the t of every interval and [0, t_max]
         low, high = Fraction(0), t_max
-        for nj, bj, cj in zip(n, b, c):
-            ends = sorted((two_pi * nj - cj - e) / bj for e in (tol_q, -tol_q))
-            low, high = max(low, ends[0]), min(high, ends[1])
+        for nj, pj, (larger, smaller) in zip(n, period, offsets):
+            turn = nj * pj
+            low, high = max(low, turn - larger), min(high, turn - smaller)
         if low > high:
             return bound
         t = float((low + high) / 2)
@@ -843,5 +859,5 @@ def kronecker_find_t(
         hit.append(KroneckerResult(True, t, residual))
         return -1
 
-    enumerate_near(mu, norms, mu[k], bound, visit)
+    enumerate_near(lam, d, lam[k], den, bound, visit)
     return hit[0] if hit else KroneckerResult(False, None, None)

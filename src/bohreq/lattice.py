@@ -1,9 +1,14 @@
 """Exact integer lattice routines: Hermite forms, kernels, diagonalization, LLL.
 
-Everything here is exact, in Python ints and `Fraction`s.  One Euclidean
+Everything here is exact, in Python ints; `Fraction`s appear only as rational
+inputs and as the lengths handed to an enumeration's visitor.  One Euclidean
 elimination (`_echelon`) serves the Hermite forms, the left kernel and the
-diagonal form; one Gram-Schmidt serves LLL, Babai and the enumeration of
-lattice points near a target.  Matrices are lists of row lists; inputs are
+diagonal form; one integral Gram-Schmidt (Gram determinants d and
+lam = d mu, de Weger 1987; Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 2.6.7) serves LLL, Babai and the enumeration of lattice points
+near a target, with exact divisions only.  A rational target or metric is
+cleared to integers by its common denominator (`clear_denominators`) and the
+lengths divided back exactly.  Matrices are lists of row lists; inputs are
 never mutated.
 """
 
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -118,63 +124,92 @@ def solve_integer_rows(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
     return [sum(v[r][c] * w[c] for c in range(n)) for r in range(n)], kernel
 
 
-def gram_schmidt(rows: Sequence[Sequence], inner=lambda u, v: sum(x * y for x, y in zip(u, v))):
-    """Exact Gram-Schmidt data (mu, norms) of the rows in the inner product given.
+def _round_half_even(n: int, den: int) -> int:
+    """round(n / den), ties to even, for den > 0: the integer `round(Fraction(n, den))` gives."""
+    q, rem = divmod(n, den)
+    twice = 2 * rem
+    return q + (twice > den or (twice == den and q & 1))
 
-    b_i = b*_i + sum_{j<i} mu[i][j] b*_j, from inner products alone (no b*
-    vectors), and norms[j] = <b*_j, b*_j> for every row but the last, the ones
-    divided by.  The last row may be any target t, and mu[-1] is then its
-    coordinates over the b*_j.  A zero norm to divide by is a ValueError.
+
+def clear_denominators(row: Sequence) -> tuple[list[int], int]:
+    """(den * row, den) for the least den > 0 that makes a row of rationals integral."""
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row], den
+
+
+def gram_schmidt(rows: Sequence[Sequence[int]],
+                 inner=lambda u, v: sum(x * y for x, y in zip(u, v))):
+    """Integral Gram-Schmidt data (lam, d) of integer rows in an integer inner product.
+
+    d[l] is the Gram determinant of rows 0..l-1 (d[0] = 1), for l up to the
+    last row but one, and lam[i][l] = d[l+1] mu[i][l] for l < i, where b_i =
+    b*_i + sum_l mu[i][l] b*_l: so mu[i][l] = lam[i][l] / d[l+1] and
+    <b*_l, b*_l> = d[l+1] / d[l].  All of it is integral and computed in
+    Python ints by exact divisions (de Weger 1987; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7), from inner products
+    alone.  The last row may be any target t, dependent or not, and lam[-1]
+    is then d[l+1] times its coordinates over the b*_l.  A zero Gram
+    determinant to divide by is a ValueError.
     """
-    mu: list[list[Fraction]] = []
-    norms: list[Fraction] = []
+    lam: list[list[int]] = []
+    d = [1]
     for i, u in enumerate(rows):
-        mu.append([])
-        for j in range(i):
-            dot = inner(u, rows[j]) - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))
-            mu[i].append(dot / norms[j])
-        if i < len(rows) - 1:
-            norms.append(Fraction(inner(u, u)) - sum(m * m * b for m, b in zip(mu[i], norms)))
-            if not norms[i]:
+        lam.append([])
+        # j = i gives d[i+1]; the last row, a target that may be dependent, has none
+        for j in range(i + 1 if i < len(rows) - 1 else i):
+            acc = inner(u, rows[j])
+            for l in range(j):
+                acc = (d[l + 1] * acc - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i].append(acc)
+            elif acc:
+                d.append(acc)
+            else:
                 raise ValueError(f"rows 0..{i} are linearly dependent")
-    return mu, norms
+    return lam, d
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]):
     """Exact LLL reduction (delta = 3/4) of an independent integer basis.
 
-    One `gram_schmidt`, then mu and the norms are kept exact in place (Cohen,
-    Alg. 2.6.3) through full size reduction of b_i, the Lovasz test, and a swap
-    with b_{i-1} when it fails.  The result is size-reduced (|mu_ij| <= 1/2) and
-    Lovasz-reduced; each swap shrinks a positive integer potential, so there is
-    no iteration cap.  Dependent rows raise ValueError.
+    Integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): one `gram_schmidt`, then
+    lam and d are kept in place, in Python ints with exact divisions, through
+    full size reduction of b_i (j = i-1 down to 0, q = lam[i][j] / d[j+1]
+    rounded half to even), the Lovasz test 4 d[i+1] d[i-1] >= 3 d[i]^2 -
+    4 lam[i][i-1]^2, and a swap with b_{i-1} when it fails.  The decisions are
+    those of the rational mu and norms, so the basis is the one that rational
+    LLL in this order gives.  The result is size-reduced (|mu_ij| <= 1/2) and
+    Lovasz-reduced; each swap shrinks a positive integer potential, so there
+    is no iteration cap.  Dependent rows raise ValueError.
     """
     b = [list(map(int, row)) for row in basis]
     if len(b) <= 1:
         return b
-    # a zero target row makes gram_schmidt give (and check) every basis norm
-    mu, norms = gram_schmidt([*b, [0] * len(b[0])])
-    mu.pop()
+    # a zero target row makes gram_schmidt give (and check) every basis determinant
+    lam, d = gram_schmidt([*b, [0] * len(b[0])])
+    lam.pop()
     i = 1
     while i < len(b):
+        lam_i = lam[i]
         for j in range(i - 1, -1, -1):
-            q = round(mu[i][j])
+            q = _round_half_even(lam_i[j], d[j + 1])
             if q:
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-                mu[i][j] -= q
+                lam_i[j] -= q * d[j + 1]
                 for l in range(j):
-                    mu[i][l] -= q * mu[j][l]
-        m = mu[i][i - 1]
-        if norms[i] >= (Fraction(3, 4) - m * m) * norms[i - 1]:
+                    lam_i[l] -= q * lam[j][l]
+        m = lam_i[i - 1]
+        if 4 * d[i + 1] * d[i - 1] >= 3 * d[i] * d[i] - 4 * m * m:
             i += 1
             continue
         b[i], b[i - 1] = b[i - 1], b[i]
-        new = norms[i] + m * m * norms[i - 1]
-        mu[i - 1], mu[i] = mu[i][:i - 1], mu[i - 1] + [m * norms[i - 1] / new]
-        norms[i - 1], norms[i] = new, norms[i - 1] * norms[i] / new
-        for row in mu[i + 1:]:
-            row[i - 1], row[i] = row[i], row[i - 1] - m * row[i]
-            row[i - 1] += mu[i][i - 1] * row[i]
+        new = (d[i - 1] * d[i + 1] + m * m) // d[i]
+        lam[i - 1], lam[i] = lam_i[:i - 1], lam[i - 1] + [m]
+        for row in lam[i + 1:]:
+            t = row[i]
+            row[i] = (d[i + 1] * row[i - 1] - m * t) // d[i]
+            row[i - 1] = (new * t + m * row[i]) // d[i + 1]
+        d[i] = new
         i = max(i - 1, 1)
     return b
 
@@ -182,53 +217,73 @@ def lll_reduce(basis: Sequence[Sequence[int]]):
 def size_reduce(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
     """Shrink a vector modulo the lattice of `basis` by Babai's nearest plane.
 
-    The basis is used as given (independent rows; LLL-reduce it for a short result).
+    The basis is used as given (independent rows; LLL-reduce it for a short
+    result).  The coefficients q = lam[-1][j] / d[j+1] of the integral
+    `gram_schmidt` are rounded half to even.
     """
     z = list(vector)
-    mu, _ = gram_schmidt([*basis, z])
+    lam, d = gram_schmidt([*basis, z])
+    coords = lam[-1]
     for j in range(len(basis) - 1, -1, -1):
-        q = round(mu[-1][j])
+        q = _round_half_even(coords[j], d[j + 1])
         if q:
             z = [a - q * b for a, b in zip(z, basis[j])]
             for l in range(j):
-                mu[-1][l] -= q * mu[j][l]
+                coords[l] -= q * lam[j][l]
     return z
 
 
-def enumerate_near(mu, norms, sigma, bound, visit):
+def enumerate_near(lam, d, target, den, bound, visit):
     """Visit every integer x with |s + sum_i x_i b_i|^2 <= bound; return the last bound.
 
-    `mu` and `norms` are the Gram-Schmidt data of an independent basis b (as
-    `gram_schmidt` gives them) and `sigma` the coordinates of s over the b*_l,
-    so the squared length is sum_l norms[l] (sigma[l] + x_l + sum_{i>l}
-    mu[i][l] x_i)^2, exact in rationals.  Fincke-Pohst enumeration, each
-    level's candidates nearest first (Schnorr-Euchner), so the first leaf is
-    Babai's nearest-plane point.  `visit(x, length)` sees the live x and
+    `lam` and `d` are the integral Gram-Schmidt data of an independent
+    integer basis b (as `gram_schmidt` gives them), and `target` the lam row
+    of the integer vector den * s, so the squared length is the sum over
+    levels l of N_l^2 / (d[l] d[l+1] den^2), N_l = target[l] + den (x_l d[l+1]
+    + sum_{i>l} lam[i][l] x_i).  Every term is scaled by the least common
+    multiple of the d[l] d[l+1], so the search compares integers alone.
+    Fincke-Pohst enumeration (1985), each level's candidates nearest first
+    (Schnorr-Euchner), so the first leaf is Babai's nearest-plane point.
+    `visit(x, length)` sees the live x and the exact `Fraction` length and
     returns the bound for the rest of the search: the length itself makes
     this a closest-vector search, a negative bound stops it.  `bound` may be
     math.inf.
     """
-    r = len(norms)
+    r = len(d) - 1
+    lcm = math.lcm(*(d[l] * d[l + 1] for l in range(r)))
+    weight = [lcm // (d[l] * d[l + 1]) for l in range(r)]
+    unit = lcm * den * den  # an integer length S is the exact length S / unit
+    cols = [[lam[i][l] for i in range(l + 1, r)] for l in range(r)]
+    steps = [den * d[l + 1] for l in range(r)]
     x = [0] * r
 
-    def search(level: int, partial: Fraction) -> None:
-        nonlocal bound
+    def scaled(b) -> int | float:
+        return b if b == math.inf else math.floor(Fraction(b) * unit)
+
+    limit = scaled(bound)
+
+    def search(level: int, partial: int) -> None:
+        nonlocal bound, limit
         if level < 0:
-            bound = visit(x, partial)
+            length = Fraction(partial, unit)
+            bound = visit(x, length)
+            limit = partial if bound is length else scaled(bound)
             return
-        center = -(sigma[level] + sum(mu[i][level] * x[i] for i in range(level + 1, r)))
-        near = round(center)
-        step = 1 if center >= near else -1
+        # N_l = a + x_l step; the level's center is -a / step
+        a = target[level] + den * sum(map(operator.mul, cols[level], x[level + 1:]))
+        step, w = steps[level], weight[level]
+        near = _round_half_even(-a, step)
+        side = 1 if -a >= near * step else -1
         for offset in itertools.count():
-            for cand in (near,) if offset == 0 else (near + step * offset, near - step * offset):
-                gap = cand - center
-                cost = partial + norms[level] * gap * gap
-                if cost > bound:
+            for cand in (near,) if offset == 0 else (near + side * offset, near - side * offset):
+                n = a + cand * step
+                cost = partial + w * n * n
+                if cost > limit:
                     return
                 x[level] = cand
                 search(level - 1, cost)
 
-    search(r - 1, Fraction(0))
+    search(r - 1, 0)
     return bound
 
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Hermite forms, kernels, diagonalization."""
+"""Exact integer linear algebra: Hermite forms, kernels, diagonalization, LLL."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bohreq.lattice import (
+    clear_denominators,
     diagonalize,
     enumerate_near,
     gram_schmidt,
@@ -202,17 +203,21 @@ class TestSizeReduce:
             assert hermite_normalize(reduced) == hermite_normalize(basis)
 
 
-def star_gram_schmidt(basis):
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def star_gram_schmidt(basis, inner=dot):
     """mu coefficients, squared norms and the b* vectors themselves, in fractions."""
     star, norms = [], []
     mu = [[Fraction(0)] * len(basis) for _ in basis]
     for i, row in enumerate(basis):
         v = [Fraction(x) for x in row]
         for j in range(i):
-            mu[i][j] = sum(Fraction(a) * b for a, b in zip(row, star[j])) / norms[j]
+            mu[i][j] = inner(row, star[j]) / norms[j]
             v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
         star.append(v)
-        norms.append(sum(x * x for x in v))
+        norms.append(inner(v, v))
     return mu, norms, star
 
 
@@ -257,6 +262,62 @@ def reference_babai(vector, basis):
     return z
 
 
+def reference_enumerate(basis, s, bound, visit, inner=dot):
+    """Fincke-Pohst with Schnorr-Euchner order in fractions, on the b* vectors.
+
+    The search is the integral `enumerate_near`'s, level by level, with the
+    cost of level l written as norms[l] (sigma[l] + x_l + sum_{i>l} mu[i][l]
+    x_i)^2 in the rational Gram-Schmidt data of `star_gram_schmidt`.
+    """
+    mu, norms, star = star_gram_schmidt(basis, inner)
+    sigma = [inner(s, b) / n for b, n in zip(star, norms)]
+    r = len(basis)
+    x = [0] * r
+
+    def search(level, partial):
+        nonlocal bound
+        if level < 0:
+            bound = visit(x, partial)
+            return
+        center = -(sigma[level] + sum(mu[i][level] * x[i] for i in range(level + 1, r)))
+        near = round(center)
+        step = 1 if center >= near else -1
+        for offset in itertools.count():
+            for cand in (near,) if offset == 0 else (near + step * offset, near - step * offset):
+                cost = partial + norms[level] * (cand - center) ** 2
+                if cost > bound:
+                    return
+                x[level] = cand
+                search(level - 1, cost)
+
+    search(r - 1, Fraction(0))
+    return bound
+
+
+def tie_basis(rng, count, dim):
+    """Independent rows whose first Gram-Schmidt coefficients are halves: ties for rounding.
+
+    Row i has 2 on its diagonal column and odd entries before it (a permuted
+    lower triangle padded with zeros), so each mu[i][j] starts at an odd
+    multiple of 1/2, +-1/2 or +-3/2 for entries +-1 and +-3.
+    """
+    rows = [[rng.choice((-3, -1, 1, 3)) for _ in range(i)] + [2] + [0] * (dim - i - 1)
+            for i in range(count)]
+    perm = rng.sample(range(dim), dim)
+    return [[row[p] for p in perm] for row in rows]
+
+
+def kronecker_basis(rng, count):
+    """A basis shaped as the Kronecker search builds it: (w, S alpha_2..S alpha_k) and S e_j.
+
+    S is a power of 2 from 2^30 to 2^60 and the rounded S alpha_j are as large.
+    """
+    scale = 1 << rng.randint(30, 60)
+    weight = rng.randint(1, scale >> rng.randint(0, 20))
+    first = [weight] + [rng.randint(-4 * scale, 4 * scale) for _ in range(count - 1)]
+    return [first] + [[scale * (i == j) for i in range(count)] for j in range(1, count)]
+
+
 class TestLLL:
     def test_output_is_lll_reduced(self):
         # size-reduced (|mu_ij| <= 1/2) and Lovasz (delta = 3/4), same lattice
@@ -295,12 +356,50 @@ class TestLLL:
             assert size_reduce(v, reduced) == reference_babai(v, reference_lll(basis))
             checked += 1
 
+    def test_half_integer_ties_round_to_even_as_the_reference(self):
+        # mu of exactly +-1/2 and +-3/2 must round half to even (0 and +-2),
+        # as round(Fraction) does in the reference; the Babai vectors have
+        # odd entries, so their coordinates hit halves too
+        assert lll_reduce([[2, 0], [1, 3]]) == [[2, 0], [1, 3]]  # mu = 1/2: q = 0
+        assert lll_reduce([[2, 0], [3, 3]]) == [[2, 0], [-1, 3]]  # mu = 3/2: q = 2
+        assert lll_reduce([[2, 0], [-3, 3]]) == [[2, 0], [1, 3]]  # mu = -3/2: q = -2
+        assert size_reduce([1, 3], [[2, 0], [0, 2]]) == [1, -1]  # 1/2 -> 0, 3/2 -> 2
+        assert size_reduce([-1, -3], [[2, 0], [0, 2]]) == [-1, 1]
+        rng = random.Random(3301)
+        for _ in range(200):
+            dim = rng.randint(2, 6)
+            basis = tie_basis(rng, rng.randint(2, dim), dim)
+            reduced = lll_reduce(basis)
+            assert reduced == reference_lll(basis)
+            v = [rng.choice((-3, -1, 1, 3)) * rng.randint(1, 5) for _ in range(dim)]
+            assert size_reduce(v, basis) == reference_babai(v, basis)
+            assert size_reduce(v, reduced) == reference_babai(v, reduced)
+
+    def test_kronecker_sized_bases_match_the_reference(self):
+        # entries of 2^30 to 2^60 at ranks 2-4, where the Gram determinants
+        # run to hundreds of bits
+        rng = random.Random(3302)
+        for _ in range(60):
+            count = rng.randint(2, 4)
+            basis = kronecker_basis(rng, count)
+            reduced = lll_reduce(basis)
+            assert reduced == reference_lll(basis)
+            assert hermite_normalize(reduced) == hermite_normalize(basis)
+            v = [rng.randint(-(1 << 62), 1 << 62) for _ in range(count)]
+            assert size_reduce(v, reduced) == reference_babai(v, reduced)
+
     def test_dependent_rows_raise_value_error(self):
         for basis in ([[1, 2], [2, 4]], [[1, 0], [0, 0]]):
             with pytest.raises(ValueError, match=r"rows 0\.\.1 are linearly dependent"):
                 lll_reduce(basis)
         with pytest.raises(ValueError, match=r"rows 0\.\.1 are linearly dependent"):
             size_reduce([3, 1], [[1, 2], [2, 4]])
+
+
+def rational_data(lam, d):
+    """The rational Gram-Schmidt data (mu, norms) that the integral (lam, d) stand for."""
+    mu = [[Fraction(x, d[l + 1]) for l, x in enumerate(row)] for row in lam]
+    return mu, [Fraction(d[l + 1], d[l]) for l in range(len(d) - 1)]
 
 
 class TestGramSchmidt:
@@ -312,7 +411,9 @@ class TestGramSchmidt:
             if len(hermite_normalize(basis)) < len(basis):
                 continue
             target = [rng.randint(-99, 99) for _ in range(dim)]
-            mu, norms = gram_schmidt([*basis, target])
+            lam, d = gram_schmidt([*basis, target])
+            assert all(isinstance(x, int) for row in [*lam, d] for x in row)
+            mu, norms = rational_data(lam, d)
             ref_mu, ref_norms, star = star_gram_schmidt(basis)
             assert norms == ref_norms
             assert all(mu[i] == ref_mu[i][:i] for i in range(len(basis)))
@@ -321,22 +422,37 @@ class TestGramSchmidt:
             ]
 
     def test_trailing_target_may_be_dependent(self):
-        mu, norms = gram_schmidt([[1, 0], [2, 0]])
-        assert mu == [[], [2]] and norms == [1]
+        lam, d = gram_schmidt([[1, 0], [2, 0]])
+        assert lam == [[], [2]] and d == [1, 1]
 
     def test_inner_product_is_a_parameter(self):
         # <u, v> = u^T diag(1, 4) v
         rows = [[1, 1], [1, 0], [0, 1]]
-        mu, norms = gram_schmidt(rows, lambda u, v: u[0] * v[0] + 4 * u[1] * v[1])
+        lam, d = gram_schmidt(rows, lambda u, v: u[0] * v[0] + 4 * u[1] * v[1])
+        assert lam == [[], [1], [4, -4]] and d == [1, 5, 4]
+        mu, norms = rational_data(lam, d)
         assert mu == [[], [Fraction(1, 5)], [Fraction(4, 5), -1]]
         assert norms == [5, Fraction(4, 5)]
+
+
+class TestClearDenominators:
+    def test_least_denominator(self):
+        assert clear_denominators([Fraction(1, 2), Fraction(1, 3), 5]) == ([3, 2, 30], 6)
+        assert clear_denominators([Fraction(-3, 4), 0.5]) == ([-3, 2], 4)
+        assert clear_denominators([7, -1]) == ([7, -1], 1)
+
+
+def metric_inner(gram):
+    return lambda u, v: sum(
+        u[i] * g * v[j] for i, row in enumerate(gram) for j, g in enumerate(row)
+    )
 
 
 class TestEnumerateNear:
     def test_visits_exactly_the_ball_nearest_first(self):
         # every x with |s + sum x_i b_i|^2 <= bound, against a brute scan of a
-        # box that holds the ball; the first visit is Babai's point when it is
-        # inside
+        # box that holds the ball, in the order of the fraction reference;
+        # the first visit is Babai's point when it is inside
         rng = random.Random(2727)
         checked = 0
         while checked < 30:
@@ -346,19 +462,25 @@ class TestEnumerateNear:
                 continue
             basis = lll_reduce(basis)
             s = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(dim)]
-            mu, norms = gram_schmidt([*basis, s])
-            if min(norms) < 36:  # keep the ball inside the brute box
+            target, den = clear_denominators(s)
+            lam, d = gram_schmidt([*basis, target])
+            if min(rational_data(lam, d)[1]) < 36:  # keep the ball inside the brute box
                 continue
             bound = Fraction(rng.randint(1, 150))
 
             def point(x):
                 return [a + sum(xi * row[j] for xi, row in zip(x, basis)) for j, a in enumerate(s)]
 
-            seen = []
+            seen, ref = [], []
             last = enumerate_near(
-                mu, norms, mu[dim], bound, lambda x, length: seen.append((tuple(x), length)) or bound
+                lam, d, lam[dim], den, bound,
+                lambda x, length: seen.append((tuple(x), length)) or bound,
             )
             assert last == bound
+            reference_enumerate(
+                basis, s, bound, lambda x, length: ref.append((tuple(x), length)) or bound
+            )
+            assert seen == ref
             brute = {}
             for x in itertools.product(range(-8, 9), repeat=dim):
                 if (length := sum(c * c for c in point(x))) <= bound:
@@ -371,14 +493,54 @@ class TestEnumerateNear:
             checked += 1
 
     def test_returned_bound_and_stop(self):
-        mu, norms = gram_schmidt([[3, 0], [1, 2], [Fraction(1, 2), Fraction(1, 3)]])
-        best = enumerate_near(mu, norms, mu[2], math.inf, lambda x, length: length)
+        target, den = clear_denominators([Fraction(1, 2), Fraction(1, 3)])
+        lam, d = gram_schmidt([[3, 0], [1, 2], target])
+        best = enumerate_near(lam, d, lam[2], den, math.inf, lambda x, length: length)
         brute = min((Fraction(1, 2) + 3 * a + b) ** 2 + (Fraction(1, 3) + 2 * b) ** 2
                     for a in range(-5, 6) for b in range(-5, 6))
         assert best == brute
         calls = []
-        assert enumerate_near(mu, norms, mu[2], 100, lambda x, length: calls.append(x) or -1) == -1
+        stop = enumerate_near(lam, d, lam[2], den, 100, lambda x, length: calls.append(x) or -1)
+        assert stop == -1
         assert len(calls) == 1
+
+    def test_rational_target_under_a_rational_metric(self):
+        # as the closure minimum runs it: s rational, G rational, the metric
+        # cleared to integers by the lcm of its denominators and the lengths
+        # divided back; the visits, their order and the minimum equal the
+        # fraction reference in G itself
+        rng = random.Random(2728)
+        checked = 0
+        while checked < 30:
+            dim = rng.randint(1, 3)
+            half = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+                    for _ in range(dim)]
+            gram = [[sum(half[k][i] * half[k][j] for k in range(dim)) for j in range(dim)]
+                    for i in range(dim)]
+            basis = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+            if frac_det(half) == 0 or len(hermite_normalize(basis)) < dim:
+                continue
+            scale = math.lcm(*(g.denominator for row in gram for g in row))
+            inner = metric_inner([[int(g * scale) for g in row] for row in gram])
+            s = [Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 9)) for _ in range(dim)]
+            target, den = clear_denominators(s)
+            lam, d = gram_schmidt([*basis, target], inner)
+            best = enumerate_near(lam, d, lam[dim], den, math.inf, lambda x, length: length)
+            ref = reference_enumerate(
+                basis, s, math.inf, lambda x, length: length, metric_inner(gram)
+            )
+            assert best / scale == ref
+            bound = ref * rng.randint(2, 6)
+            seen, ref_seen = [], []
+            enumerate_near(
+                lam, d, lam[dim], den, bound * scale,
+                lambda x, length: seen.append((tuple(x), length / scale)) or bound * scale,
+            )
+            reference_enumerate(basis, s, bound,
+                                lambda x, length: ref_seen.append((tuple(x), length)) or bound,
+                                metric_inner(gram))
+            assert seen == ref_seen and min(length for _, length in seen) == ref
+            checked += 1
 
 
 class TestDiagonalize:
