@@ -174,3 +174,16 @@ def brute_min_norm(rows: list[list[Fraction]], thetas: list[float], bound: float
     y = rhs @ np.linalg.pinv(a).T
     solved = np.max(np.abs(y @ a.T - rhs), axis=1) <= 1e-7
     return float(np.min(np.linalg.norm(y[solved], axis=1)))
+
+
+def hausdorff_full_query(a, b) -> float:
+    """Two-sided Hausdorff distance by full nearest-neighbour queries of both
+    clouds, one KD-tree on each: the brute-force design that
+    `valuesets.hausdorff` prunes, kept as its oracle."""
+    from scipy.spatial import cKDTree
+
+    pa = np.column_stack([a.points.real, a.points.imag])
+    pb = np.column_stack([b.points.real, b.points.imag])
+    d_ab = np.max(cKDTree(pb).query(pa, k=1)[0])
+    d_ba = np.max(cKDTree(pa).query(pb, k=1)[0])
+    return float(max(d_ab, d_ba))

@@ -23,6 +23,7 @@ from bohreq.valuesets import (
     sample_strip_direct,
     sample_strip_via_equivalence,
 )
+from helpers import hausdorff_full_query
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -234,6 +235,26 @@ class TestSampling:
         _check_modulus(np.array([0.5, 1.0]), 1.0)
 
 
+def cloud(points) -> ValueCloud:
+    return ValueCloud(np.asarray(points, dtype=complex), "test")
+
+
+def gridded(monkeypatch) -> list[int]:
+    """Counts the points `hausdorff` gives grid cells, by wrapping `_cells`."""
+    keyed = []
+    cells = valuesets._cells
+
+    def counting(points, *args):
+        keyed.append(len(points))
+        return cells(points, *args)
+
+    monkeypatch.setattr(valuesets, "_cells", counting)
+    return keyed
+
+
+GAUSS = np.array([1.0, 1j]) @ np.random.default_rng(0).normal(size=(2, 3000))
+
+
 class TestHausdorff:
     def test_identical_clouds(self):
         a = sample_strip_direct(two_three(), 0.5, 1.5, 10.0, 100, seed=3)
@@ -256,6 +277,69 @@ class TestHausdorff:
         line = sample_line(spec, 1.0, 1e4, 30_000, seed=21)
         equiv = sample_strip_via_equivalence(spec, 1.0 - 1e-6, 1.0 + 1e-6, 30_000, seed=22)
         assert hausdorff(line, equiv) <= 0.05
+
+    # the pruned distance equals the full-query oracle's, bit for bit
+    @pytest.mark.parametrize("count", [1_000, 10_000, 100_000])
+    def test_route_a_against_route_b(self, monkeypatch, count):
+        spec = scenarios.ordinary_series([(n, complex(1.0 / n)) for n in range(1, 31)])
+        a = sample_strip_direct(spec, 1.0, 2.0, 100.0, count, seed=count + 1)
+        b = sample_strip_via_equivalence(spec, 1.0, 2.0, count, seed=count + 2)
+        keyed = gridded(monkeypatch)
+        assert hausdorff(a, b) == hausdorff_full_query(a, b)
+        assert keyed  # the grid was laid
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (GAUSS, GAUSS + 100.0),  # disjoint
+            (GAUSS, np.append(GAUSS[:2000] + 0.01, 50 + 50j)),  # far outlier in y
+            (np.append(GAUSS[:2000] + 0.01, -40 + 70j), GAUSS),  # far outlier in x
+            (GAUSS, GAUSS[::3]),  # subset: y to x is 0
+            (GAUSS[::3], GAUSS),
+            (np.repeat(GAUSS[:500], 4), GAUSS[:700]),  # duplicates
+            (GAUSS.real + 0j, GAUSS.real[::2] + 1e-3j),  # a horizontal line
+            (1j * GAUSS.imag, 1j * GAUSS.imag[::2] + 1e-3),  # a vertical line
+        ],
+        ids=["disjoint", "outlier-y", "outlier-x", "subset", "superset", "duplicates", "horizontal", "vertical"],
+    )
+    def test_edge_clouds(self, monkeypatch, x, y):
+        a, b = cloud(x), cloud(y)
+        keyed = gridded(monkeypatch)
+        assert hausdorff(a, b) == hausdorff_full_query(a, b)
+        assert hausdorff(b, a) == hausdorff_full_query(b, a)
+        assert keyed
+
+    def test_large_magnitude_small_gaps(self, monkeypatch):
+        # a 60 x 60 lattice of step 1e-3 at 1e12, against its shift by less
+        # than a step with 5 rows left out
+        step = 1e-3 * (np.arange(60)[:, None] + 1j * np.arange(60)[None, :])
+        a = cloud(1e12 + 1e12j + step.ravel())
+        b = cloud(1e12 + 1e12j + 4e-4 + 2e-4j + step[:, :55].ravel())
+        keyed = gridded(monkeypatch)
+        assert hausdorff(a, b) == hausdorff_full_query(a, b)
+        assert keyed
+
+    def test_span_beyond_the_grid_queries_every_point(self, monkeypatch):
+        # low = 1e-9 over a span of 1e3: 2e12 cells per axis, past 2^26
+        a = cloud(np.linspace(0.0, 1e3, 3000))
+        b = cloud(np.linspace(0.0, 1e3, 3000) + 1e-9j)
+        keyed = gridded(monkeypatch)
+        assert hausdorff(a, b) == hausdorff_full_query(a, b) == 1e-9
+        assert keyed == []
+
+    def test_identical_clouds_query_every_point(self, monkeypatch):
+        keyed = gridded(monkeypatch)
+        assert hausdorff(cloud(GAUSS), cloud(GAUSS.copy())) == 0.0
+        assert keyed == []  # low = 0 lays no grid
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_non_finite_point_is_bad_range(self, bad, which):
+        points = GAUSS[:10].copy()
+        points[4] = bad
+        clouds = (cloud(points), cloud(GAUSS)) if which == "first" else (cloud(GAUSS), cloud(points))
+        with pytest.raises(BadRange, match=f"the {which} cloud has {re.escape(str(bad))}$"):
+            hausdorff(*clouds)
 
 
 class TestKronecker:
