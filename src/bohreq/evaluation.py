@@ -11,7 +11,8 @@ no scratch buffer grows with the number of points.  The blocks of one call
 are shared among `WORKERS` threads, one per CPU the process may run on:
 NumPy releases the interpreter lock inside its loops, and a block's values do
 not depend on which thread sums it, nor on the block length.  A call of one
-block (a scalar point, a contour side) starts no thread.  Overflow is decided
+block (a scalar point, a contour side) starts no thread.  `evaluate` checks
+its points in two passes: finiteness, then max |t|.  Overflow is decided
 here: a phase `lambda t` or a value that is not a finite double raises
 PrecisionLimit.  Certified comparisons lean on tail majorants, not on
 summation heroics.  Grid suprema approximate sup norms on compact boxes;
@@ -153,9 +154,6 @@ def plan_sum(
                 np.multiply(terms[slot], coeff, out=w)
                 acc += w
 
-    if workers == 1:
-        run(0)
-        return out
     failures: list[BaseException] = []
 
     def work(share: int) -> None:
@@ -234,17 +232,10 @@ def evaluate(spec: SeriesSpec, point: complex | np.ndarray) -> complex | np.ndar
     """
     s = np.asarray(point, dtype=complex)
     flat = s.ravel()
-    # |sigma| and |t| are at most `widest`, found in one pass, which is not
-    # finite when a point is not
-    widest = float(np.abs(flat.view(float)).max()) if flat.size else 0.0
-    if not math.isfinite(widest):
-        finite = np.isfinite(flat)
+    finite = np.isfinite(flat)
+    if not finite.all():
         raise BadRange(f"evaluation point must be finite: {complex(flat[np.argmin(finite)])}")
-    # only a bound too loose for the phase check needs |t| alone
-    if math.isfinite(widest * spec.exponent_reach()):
-        t_max = widest
-    else:
-        t_max = float(np.abs(flat.imag).max())
+    t_max = float(np.abs(flat.imag).max()) if flat.size else 0.0
     out = evaluate_blocks(spec, flat.size, flat.__getitem__, t_max).reshape(s.shape)
     return complex(out) if out.ndim == 0 else out
 

@@ -57,14 +57,9 @@ def bohr_example(n_terms: int) -> SeriesSpec:
 
 
 class TauValue(NamedTuple):
-    """A shift time tau_m = 2pi * odd_product, kept both ways.
-
-    `value` is the double; `odd_product` is the exact integer prod_{n<=m}(2n-1),
-    so tau_m / pi = 2 * odd_product exactly.
-    """
+    """A shift time tau_m = 2pi * prod_{n<=m}(2n-1) as the double `value`."""
 
     value: float
-    odd_product: int
 
 
 def _odd_product(m: int) -> int:
@@ -81,12 +76,11 @@ def tau(m: int) -> TauValue:
     PrecisionLimit from m = 151, where it is beyond a double;
     `shift_phase_exact` reads the exact product at any m.
     """
-    prod = _odd_product(m)
     try:
-        value = 2.0 * math.pi * prod
+        value = 2.0 * math.pi * _odd_product(m)
     except OverflowError:
         raise PrecisionLimit(f"the shift time tau_m is beyond a double at m = {m}") from None
-    return TauValue(value, prod)
+    return TauValue(value)
 
 
 class ShiftPhase(NamedTuple):

@@ -19,6 +19,7 @@ from bohreq.core import ExponentVector, SeriesSpec, SymbolTable, TailMajorant
 from bohreq.equivalence import integer_kernel, twist
 from bohreq.errors import ParseError, ValidationError
 from bohreq.seriesio import (
+    atomic_write_text,
     emit_series_text,
     parse_series_text,
     write_series_file,
@@ -61,7 +62,7 @@ class TestSeriesFiles:
         assert dict(spec.terms[0].exponent.items()) == {"A": Fraction(19, 6)}
 
     def test_malformed_rational(self):
-        for bad in ("19/", "19/0", "1.5", "a/b", "19//2"):
+        for bad in ("19/", "19/0", "1.5", "a/b", "19//2", True):
             text = json.dumps(
                 {
                     "symbols": [{"name": "A", "value": 1.5}],
@@ -139,6 +140,50 @@ class TestSeriesFiles:
             parse_series_text(text.replace('"re": 2.0', f'"re": -{big}'))
         with pytest.raises(ValidationError, match="non-finite value"):
             parse_series_text(text.replace('"value": 0.6931471805599453', f'"value": {big}'))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "series document must be a JSON object"),
+            ('{"symbols": [], "terms": [], "extra": 1}', "unknown top-level keys: ['extra']"),
+            ('{"symbols": []}', "series document needs 'symbols' and 'terms'"),
+            (
+                '{"symbols": [["A", 1.5]], "terms": []}',
+                "symbols[0] must be an object with name and value",
+            ),
+            (
+                '{"symbols": [], "terms": [{"exponent": {}}]}',
+                "terms[0] must be an object with exponent and coeff",
+            ),
+            (
+                '{"symbols": [], "terms": [{"exponent": ["1"], "coeff": {}}]}',
+                "terms[0]: exponent must be a map of symbol -> rational",
+            ),
+            (
+                '{"symbols": [], "terms": [{"exponent": {}, "coeff": 1.0}]}',
+                "terms[0]: coeff must be an object",
+            ),
+            (
+                '{"symbols": [], "terms": [{"exponent": {}, "coeff": {"re": 1.0, "i": 0.0}}]}',
+                "terms[0]: coeff must be an object with keys re, im",
+            ),
+            (
+                '{"symbols": [], "terms": [], "tail": {"minGap": 1.0}}',
+                "tail must be an object with lambdaNext",
+            ),
+        ],
+    )
+    def test_malformed_document_refused(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_series_text(text)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # a lone surrogate cannot be encoded: the write fails after the temp
+        # file is made, and the temp file goes with it
+        target = tmp_path / "f.json"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "\ud800")
+        assert list(tmp_path.iterdir()) == []
 
     def test_terms_and_symbols_must_be_lists(self):
         for name, doc in (
@@ -240,7 +285,17 @@ class TestCommands:
         assert run_command([]) == 64
         # bohr-example reads no series file, so it takes no --series
         assert run_command(["bohr-example", "--n", "3", "--series", f]) == 64
-        assert capsys.readouterr().out == ""
+        # a phase list or a grid that does not parse
+        assert run_command(["twist", "--series", f, "--phases", "1,x"]) == 64
+        assert run_command(["kronecker", "--series", f, "--target", "0.5,pi"]) == 64
+        box = ["--sigma-min", "1", "--sigma-max", "2", "--t-min", "0", "--t-max", "1"]
+        for grid in ("5by6", "5x6x7", "5xa"):
+            argv = ["uniform-distance", "--series", f, "--series2", f, *box, "--grid", grid]
+            assert run_command(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad phase list '1,x'" in captured.err
+        assert "bad grid '5xa'; expected NxM" in captured.err
 
     def test_missing_file_exit_1(self, capsys):
         assert run_command(["basis", "--series", "/nonexistent.json"]) == 1
@@ -451,6 +506,12 @@ class TestCommands:
         assert run_command(["tail", "--series", f, "--sigma", "1e-17"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["bound"] == pytest.approx(6e16, rel=1e-15)
+        plain = Path(f).with_name("plain.json")
+        write_series_file(scenarios.ordinary_series([(1, 1.0), (2, 0.5)]), plain)
+        assert run_command(["tail", "--series", str(plain), "--sigma", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bohreq: error: series file declares no tail majorant\n"
 
     def test_uniform_distance_command(self, files, tmp_path, capsys):
         tmp, f, g = files

@@ -41,6 +41,11 @@ class TestSymbolTable:
         with pytest.raises(ValueError):
             SymbolTable([("A", 1.5), ("A", 2.5)])
 
+    def test_name_must_be_a_nonempty_string(self):
+        for name in ("", 5):
+            with pytest.raises(ValueError, match="symbol name must be a nonempty string"):
+                SymbolTable([(name, 1.5)])
+
     def test_zero_value_rejected(self):
         with pytest.raises(ValueError):
             SymbolTable([("A", 0.0)])
@@ -269,6 +274,12 @@ class TestSeriesSpec:
         assert len(head.terms) == 3
         assert head.tail is None
         assert spec.take_terms(5).tail is spec.tail
+
+    def test_take_terms_out_of_range_refused(self):
+        spec = scenarios.bohr_example(5)
+        for n in (0, 6):
+            with pytest.raises(ValueError, match=f"cannot take {n} terms of 5"):
+                spec.take_terms(n)
 
     def test_with_coeffs_requires_matching_length(self):
         spec = scenarios.bohr_example(3)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from bohreq import equivalence, lattice, scenarios
 from bohreq.basis import BohrMatrix, compute_basis, expand_over_pivots
 from bohreq.core import ExponentVector, SeriesSpec, SymbolTable
 from bohreq.equivalence import (
+    CongruenceSystem,
     PhaseTargets,
     _decide,
     _expand_rows,
@@ -382,6 +384,12 @@ class TestIntegerKernel:
         with pytest.raises(DimensionMismatch, match="row selection must be nonempty"):
             integer_kernel(r, [])
 
+    def test_row_outside_the_matrix_refused(self):
+        _, r, _ = compute_basis([L2, L3, L6])
+        for idx in ([0, 3], [-1, 1]):
+            with pytest.raises(DimensionMismatch, match=r"row selection outside 0\.\.2"):
+                integer_kernel(r, idx)
+
     def test_independent_rows_empty(self):
         _, r, _ = compute_basis([L2, L3])
         assert integer_kernel(r, [0, 1]) == []
@@ -647,6 +655,28 @@ class TestSolvePhaseSystem:
             assert system.feasible == oracle
             agreements += 1
         assert agreements == 12
+
+
+class TestCongruenceSystem:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"feasible": True, "residual": 0.0}, "requires a phase vector and residual"),
+            ({"feasible": True, "phase": (0.0,)}, "requires a phase vector and residual"),
+            (
+                {"feasible": True, "phase": (0.0,), "residual": 0.1},
+                "residual 1.000e-01 > tol 1.000e-09",
+            ),
+            ({"feasible": True, "phase": (0.0,), "residual": math.nan}, "residual nan > tol"),
+            ({"feasible": False, "defect": 1.0}, "requires a witness and defect"),
+            ({"feasible": False, "witness": (1, -1)}, "requires a witness and defect"),
+            ({"feasible": False, "witness": (1, -1), "defect": 2e-9}, "does not exceed tolerance"),
+        ],
+    )
+    def test_inconsistent_verdict_refused(self, fields, message):
+        # a verdict built by hand is checked as the solver's own are
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CongruenceSystem((0, 1), PhaseTargets(((0, 0.5), (1, 1.0))), tol=1e-9, **fields)
 
 
 class TestIsEquivalentTruncated:

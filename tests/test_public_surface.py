@@ -2,7 +2,7 @@
 
 A module-level public name, and each public method, property or field of a
 public class, must be referenced somewhere in `src/bohreq` or `perfbench/`
-(as a name, an attribute or an import), be exported in `bohreq.__all__`, or
+(as a name read, an attribute or an import), be exported in `bohreq.__all__`, or
 be listed below with the reason it stays.  Code that only its own tests call
 fails here, so it goes with its tests instead of lingering.  Both trees are
 only read.
@@ -23,6 +23,7 @@ KEPT = {
                             "ExponentVector arithmetic",
     "shift_phase_exact": "exact oracle: the rational check of the counterexample's "
                          "cancellation at each shift",
+    "ShiftPhase.is_minus_one": "the verdict of the exact oracle shift_phase_exact",
 }
 
 
@@ -64,7 +65,9 @@ def _references(trees: dict[Path, ast.Module]) -> set[str]:
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            # a name that is only stored to, like a field's own annotated
+            # target, is no reader
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

@@ -56,6 +56,8 @@ class TestBohrExample:
     def test_bad_index(self):
         with pytest.raises(BadIndex):
             scenarios.bohr_example(0)
+        with pytest.raises(BadIndex, match="term index must be >= 1, got 0"):
+            scenarios.bohr_exponent(0)
 
     def test_non_integral_term_count_refused_by_name(self):
         with pytest.raises(BadIndex, match="integral number of terms, got 2.5"):
@@ -71,12 +73,6 @@ class TestTau:
         assert scenarios.tau(1).value == pytest.approx(2 * math.pi)
         assert scenarios.tau(2).value == pytest.approx(6 * math.pi)
         assert scenarios.tau(3).value == pytest.approx(30 * math.pi)
-
-    def test_exact_products(self):
-        assert scenarios.tau(1).odd_product == 1
-        assert scenarios.tau(2).odd_product == 3
-        assert scenarios.tau(3).odd_product == 15
-        assert scenarios.tau(4).odd_product == 105
 
     def test_bad_shift_index(self):
         with pytest.raises(BadIndex):

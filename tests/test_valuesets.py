@@ -97,6 +97,14 @@ class TestSampling:
                 sample_strip_via_equivalence(two_three(), 0.5, 1.5, count, seed)
             with pytest.raises(BadRange):
                 sample_line(two_three(), 1.0, 10.0, count, seed)
+        for count in (0, -3):
+            message = f"need count > 0, got {count}"
+            with pytest.raises(BadRange, match=message):
+                sample_strip_direct(two_three(), 0.5, 1.5, 10.0, count, 0)
+            with pytest.raises(BadRange, match=message):
+                sample_strip_via_equivalence(two_three(), 0.5, 1.5, count, 0)
+            with pytest.raises(BadRange, match=message):
+                sample_line(two_three(), 1.0, 10.0, count, 0)
 
     def test_narrow_strip_fills_annulus(self):
         # oracle: dense phase grid; at sigma ~ 1 the reachable set is the
